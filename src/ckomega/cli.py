@@ -192,7 +192,7 @@ def _run_extend(args) -> dict:
     audits = []
     if args.method == "mcshane":
         op = mcshane_extension(fld, m, variant=args.variant)
-        values = [float(op(q.reshape(1, -1))[0]) for q in Q]
+        values = op(Q).tolist()
         jets = None
     else:
         op = hermite_extension(fld)

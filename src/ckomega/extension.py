@@ -22,8 +22,9 @@ from numpy.polynomial import polynomial as P
 
 from .cutoff import profile_deriv
 from .errors import InputError
-from .fields import Jet, WhitneyField, jet
+from .fields import Jet, NormContext, WhitneyField, jet
 from .modulus import Modulus
+from .whitney import _blocks, whitney_lambda
 
 _VARIANTS = ("min", "max", "average")
 
@@ -33,10 +34,15 @@ class McShaneExtension:
     """Infimal-convolution extension of k=0 data, clamped to [-M, M].
 
     lam is the exact k=0 trace seminorm of the data (max pairwise
-    |f(x)-f(y)| / omega(||x-y||)); M = max |f| on the data set. The extension
-    has omega-seminorm <= lam (each branch is a min/max of functions with
-    seminorm <= lam; clamping is 1-Lipschitz in value) and sup <= M, so the
-    full trace norm is preserved exactly.
+    |f(x)-f(y)| / omega(||x-y||)), bitwise whitney_lambda(...).lam_osc;
+    M = max |f| on the data set. The extension has omega-seminorm <= lam (each
+    branch is a min/max of functions with seminorm <= lam; clamping is
+    1-Lipschitz in value) and sup <= M, so the full trace norm is preserved
+    exactly.
+
+    Calls sweep the (queries x m) distance matrix in query blocks sized like
+    the pair blocks of whitney_lambda. A query at distance exactly 0 from a
+    data point returns the first such datum bitwise.
     """
 
     field: WhitneyField
@@ -52,22 +58,24 @@ class McShaneExtension:
         pts = self.field.points_array()
         vals = self.field.coeff_matrix()[:, 0]
         out = np.empty(X.shape[0])
-        for i, q in enumerate(X):
-            d = np.linalg.norm(pts - q[None, :], axis=1)
-            hit = np.where(d == 0.0)[0]
-            if hit.size:
-                out[i] = vals[hit[0]]  # interpolation is bitwise, not min of rounded terms
-                continue
-            om = self.omega(d)
-            upper = float(np.min(vals + self.lam * om))
-            lower = float(np.max(vals - self.lam * om))
+        for blk in _blocks(X.shape[0], pts.size):
+            d = np.linalg.norm(X[blk, None, :] - pts[None, :, :], axis=-1)  # (B, m)
+            zero = d == 0.0
+            # omega rejects t = 0; hit rows are overwritten below
+            spread = self.lam * self.omega(np.where(zero, 1.0, d))
+            upper = np.min(vals + spread, axis=1)
+            lower = np.max(vals - spread, axis=1)
             if self.variant == "min":
                 v = upper
             elif self.variant == "max":
                 v = lower
             else:
                 v = 0.5 * (upper + lower)
-            out[i] = min(max(v, -self.sup_bound), self.sup_bound)
+            v = np.minimum(np.maximum(v, -self.sup_bound), self.sup_bound)
+            hit = zero.any(axis=1)
+            # interpolation is bitwise: the first datum at distance 0, not a min of rounded terms
+            v[hit] = vals[np.argmax(zero[hit], axis=1)]
+            out[blk] = v
         return float(out[0]) if np.ndim(x) == 1 or np.ndim(x) == 0 else out
 
 
@@ -76,13 +84,8 @@ def mcshane_extension(field: WhitneyField, omega: Modulus, variant: str = "min")
         raise InputError("McShane extension is k=0 only")
     if variant not in _VARIANTS:
         raise InputError(f"variant must be one of {_VARIANTS}")
+    lam = whitney_lambda(field, NormContext(0, field.n, omega)).lam_osc
     vals = field.coeff_matrix()[:, 0]
-    pts = field.points_array()
-    lam = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = float(np.linalg.norm(pts[i] - pts[j]))
-            lam = max(lam, abs(vals[i] - vals[j]) / omega(d))
     return McShaneExtension(field, omega, lam, float(np.max(np.abs(vals))), variant)
 
 

@@ -11,9 +11,9 @@ normalized to unit mass on [-pi, pi], drives three operators:
   is a trigonometric polynomial of degree <= N per coordinate.
 
 Convolutions use the uniform periodic rule with the node count a multiple of
-4N+1 (see decisions about exactness on trigonometric polynomials); the kernel
-normalization uses adaptive Gauss-Legendre with the removable singularity at
-t = 0 replaced by its limit value.
+4N+1 (see "Decisions" in the README: exactness on trigonometric polynomials and
+the ell=N coupling); the kernel normalization uses adaptive Gauss-Legendre with
+the removable singularity at t = 0 replaced by its limit value.
 
 Point-set callables follow one convention: f(X) takes an (m, n) array and
 returns (m,); derivative oracles take (alpha, X). Purely 1D periodic
@@ -478,19 +478,16 @@ def weakstar_check(fns, ctx: NormContext, probes, norm_cap: float,
     px = np.array([p[0] for p in pairs]).reshape(-1, ctx.n)
     py = np.array([p[1] for p in pairs]).reshape(-1, ctx.n)
     dists = np.linalg.norm(px - py, axis=1)
-    om = ctx.modulus(dists)
     mis = multi_indices(ctx.n, ctx.k)
     top = [a for a in mis if mi_order(a) == ctx.k]
 
     norms = []
     for f in fns:
-        sup = max(float(np.max(np.abs(np.asarray(f(a, G), dtype=float)))) for a in mis)
-        semi = 0.0
-        for a in top:
-            vx = np.asarray(f(a, px), dtype=float)
-            vy = np.asarray(f(a, py), dtype=float)
-            semi = max(semi, float(np.max(np.abs(vx - vy) / om)))
-        norms.append(max(sup, semi))
+        vals = {a: np.asarray(f(a, G), dtype=float) for a in mis}
+        # only the top order enters the seminorm, so only it is sampled on pairs
+        pvals = {a: (np.asarray(f(a, px), dtype=float), np.asarray(f(a, py), dtype=float))
+                 for a in top}
+        norms.append(_sampled_norm(vals, pvals, ctx, dists)[0])
     if any(v > norm_cap for v in norms):
         return ConvergenceVerdict(False, "norm_bound", tuple(norms), norm_cap,
                                   math.inf, tol)

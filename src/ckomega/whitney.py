@@ -61,6 +61,19 @@ class LambdaReport:
     osc_witness: tuple | None  # (i, j, z index 0/1, alpha) or None if single point
 
 
+# Size in float64 elements (about 16 MB) of the largest temporary one block of
+# a pairwise sweep may allocate, so memory stays bounded for any number of pairs.
+_BLOCK_ELEMS = 2_000_000
+
+
+def _blocks(count: int, width: int):
+    """Consecutive slices of range(count) of at most _BLOCK_ELEMS // width
+    items each (at least one), for temporaries of width elements per item."""
+    step = max(1, _BLOCK_ELEMS // width)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
 def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
     """Smallest constant bounding both the jet sizes and the pairwise Taylor
     oscillations of a Whitney field.
@@ -69,14 +82,16 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
     lam_osc = max over ordered pairs (x, y), z in {x, y}, |alpha| <= k of
         |D^alpha (T_x - T_y)(z)| / (||x-y||^(k-|alpha|) omega(||x-y||)).
 
-    For k = 0 this equals the exact trace norm of the data (McShane).
-    Witness tie-breaking is first-in-lexicographic-order (deterministic).
+    For k = 0 this equals the exact trace norm of the data (McShane). Every k
+    runs through one vectorized sweep over the pairs i < j, taken in blocks
+    whose (block, J, J, n) re-expansion temporary stays below _BLOCK_ELEMS
+    elements. Witnesses are the first maximum in lexicographic order of
+    (point, alpha) and (i, j, z, alpha) respectively; osc_witness is None
+    only for a single-point field (constant data still has a witness).
     """
     if field.k != ctx.k or field.n != ctx.n:
         raise InputError("field inconsistent with norm context")
     k, n = ctx.k, ctx.n
-    if k == 0:
-        return _whitney_lambda_k0(field, ctx)
     mis = multi_indices(n, k)
     coeffs = field.coeff_matrix()
 
@@ -91,12 +106,9 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
     if m > 1:
         pow_mat, mask, fact = _taylor_tables(n, k)
         pts = field.points_array()
-        ii, jj = np.triu_indices(m, 1)
-        dz = pts[ii] - pts[jj]  # x_i - x_j, shape (P, n)
-        dist = np.linalg.norm(dz, axis=1)
-        om = np.atleast_1d(ctx.modulus(dist))
         orders = np.array([mi_order(a) for a in mis], dtype=float)
-        den = dist[:, None] ** (k - orders)[None, :] * om[:, None]  # (P, J)
+        idx = np.arange(m)
+        all_i, all_j = np.nonzero(idx[:, None] < idx)  # i < j in row-major order, as np.triu_indices
 
         def apply(delta_z, c):
             # derivatives of the Taylor polynomials with coefficients c,
@@ -104,15 +116,24 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
             mono = np.prod(delta_z[:, None, None, :] ** pow_mat[None], axis=-1)
             return np.einsum("pab,pb->pa", mono * mask[None] / fact[None], c)
 
-        # z = x_i: T_i derivs are the raw coefficients, T_j re-expanded across dz
-        num_zi = coeffs[ii] - apply(dz, coeffs[jj])
-        # z = x_j: T_i re-expanded across -dz
-        num_zj = apply(-dz, coeffs[ii]) - coeffs[jj]
-        ratios = np.abs(np.stack([num_zi, num_zj], axis=1)) / den[:, None, :]  # (P, 2, J)
-        flat_idx = int(np.argmax(ratios))
-        lam_osc = float(ratios.reshape(-1)[flat_idx])
-        p_idx, z_idx, a_idx = np.unravel_index(flat_idx, ratios.shape)
-        osc_witness = (int(ii[p_idx]), int(jj[p_idx]), int(z_idx), mis[a_idx])
+        for blk in _blocks(len(all_i), pow_mat.size):
+            ii, jj = all_i[blk], all_j[blk]
+            dz = pts[ii] - pts[jj]  # x_i - x_j, shape (B, n)
+            dist = np.linalg.norm(dz, axis=1)
+            om = np.atleast_1d(ctx.modulus(dist))
+            den = dist[:, None] ** (k - orders)[None, :] * om[:, None]  # (B, J)
+            # z = x_i: T_i derivs are the raw coefficients, T_j re-expanded across dz
+            num_zi = coeffs[ii] - apply(dz, coeffs[jj])
+            # z = x_j: T_i re-expanded across -dz
+            num_zj = apply(-dz, coeffs[ii]) - coeffs[jj]
+            ratios = np.abs(np.stack([num_zi, num_zj], axis=1)) / den[:, None, :]  # (B, 2, J)
+            flat_idx = int(np.argmax(ratios))
+            best = float(ratios.reshape(-1)[flat_idx])
+            # strict > keeps the earliest block's maximum: lexicographic first
+            if osc_witness is None or best > lam_osc:
+                lam_osc = best
+                p_idx, z_idx, a_idx = np.unravel_index(flat_idx, ratios.shape)
+                osc_witness = (int(ii[p_idx]), int(jj[p_idx]), int(z_idx), mis[a_idx])
 
     lam = max(lam_sup, lam_osc)
     return LambdaReport(lam_sup, lam_osc, lam, sup_witness, osc_witness)
@@ -136,33 +157,6 @@ def _taylor_tables(n: int, k: int):
             mask[a_idx, b_idx] = 1.0
             fact[a_idx, b_idx] = mi_factorial(rem)
     return pow_mat, mask, fact
-
-
-def _whitney_lambda_k0(field: WhitneyField, ctx: NormContext) -> LambdaReport:
-    """k=0 fast path: for order zero the oscillation numerator reduces to
-    |f(x) - f(y)| independently of z, so everything is one pairwise sweep."""
-    vals = [j.coeffs[0] for j in field.jets]
-    zero = (0,) * ctx.n
-    lam_sup = 0.0
-    sup_witness = (0, zero)
-    for i, v in enumerate(vals):
-        if abs(v) > lam_sup:
-            lam_sup = abs(v)
-            sup_witness = (i, zero)
-    lam_osc = 0.0
-    osc_witness = None
-    pts = field.points
-    m = len(pts)
-    for i in range(m):
-        pi = pts[i]
-        for j in range(i + 1, m):
-            pj = pts[j]
-            dist = math.sqrt(sum((a - b) ** 2 for a, b in zip(pi, pj)))
-            ratio = abs(vals[i] - vals[j]) / ctx.modulus(dist)
-            if ratio > lam_osc:
-                lam_osc = ratio
-                osc_witness = (i, j, 0, zero)
-    return LambdaReport(lam_sup, lam_osc, max(lam_sup, lam_osc), sup_witness, osc_witness)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ckomega import modulus as mo
+from ckomega import whitney
 from ckomega.errors import InputError
 from ckomega.extension import (
     NOT_LINEAR,
@@ -86,6 +87,51 @@ def test_mcshane_norm_preservation_sampled():
         d = np.linalg.norm(Q[ii[keep]] - Q[jj[keep]], axis=1)
         ratios = np.abs(vq[ii[keep]] - vq[jj[keep]]) / om(d)
         assert np.max(ratios) <= trace + 1e-9
+
+
+def test_mcshane_lam_is_whitney_lambda_osc_bitwise():
+    rng = np.random.default_rng(3)
+    for om in (mo.linear(), mo.power(0.5), mo.capped(0.7, 0.8)) * 4:
+        n = int(rng.integers(1, 4))
+        pts = rng.uniform(-2, 2, (int(rng.integers(1, 30)), n))
+        f = field_from_data(pts, rng.normal(size=len(pts)))
+        assert mcshane_extension(f, om).lam == whitney_lambda(f, NormContext(0, n, om)).lam_osc
+
+
+def _mcshane_per_query(ext, X):
+    """Per-query reference: hit on a datum returns it, else the clamped
+    variant of min(f + lam w(d)) / max(f - lam w(d))."""
+    pts = ext.field.points_array()
+    vals = ext.field.coeff_matrix()[:, 0]
+    out = []
+    for q in X:
+        d = np.linalg.norm(pts - q[None, :], axis=1)
+        hit = np.where(d == 0.0)[0]
+        if hit.size:
+            out.append(vals[hit[0]])
+            continue
+        om = ext.omega(d)
+        upper = float(np.min(vals + ext.lam * om))
+        lower = float(np.max(vals - ext.lam * om))
+        v = {"min": upper, "max": lower, "average": 0.5 * (upper + lower)}[ext.variant]
+        out.append(min(max(v, -ext.sup_bound), ext.sup_bound))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("variant", ["min", "max", "average"])
+def test_mcshane_batch_matches_per_query_bitwise(monkeypatch, variant):
+    rng = np.random.default_rng(4)
+    for n, om in ((1, mo.linear()), (2, mo.power(0.5)), (3, mo.capped(0.6, 0.9))):
+        pts = rng.uniform(-1, 1, (11, n))
+        ext = mcshane_extension(field_from_data(pts, rng.normal(size=11)), om, variant)
+        X = rng.uniform(-1.5, 1.5, (40, n))
+        X[::4] = pts[rng.integers(0, 11, 10)]  # data-point hits, some on block edges
+        ref = _mcshane_per_query(ext, X)
+        assert np.array_equal(ext(X), ref)
+        for queries_per_block in (1, 3, 8):
+            monkeypatch.setattr(whitney, "_BLOCK_ELEMS", queries_per_block * pts.size)
+            assert np.array_equal(ext(X), ref)
+        monkeypatch.undo()
 
 
 def test_mcshane_empty_field_rejected():

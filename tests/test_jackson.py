@@ -289,7 +289,7 @@ def test_pointwise_convergence_fixed_ell():
     strict=False,
     reason="with the ell=N coupling the smoothing window in x-units is "
     "Theta(1) (lambda/Ntilde ~ 8 sqrt(n)/pi), so L_NN does not converge "
-    "pointwise; see the decisions ledger on the dropped lambda factor",
+    "pointwise; see \"Decisions\" in the README on keeping the lambda factor",
 )
 def test_pointwise_convergence_ell_equals_N_as_stated():
     x0 = np.array([0.5])
@@ -312,7 +312,7 @@ def test_error_report_zero_function():
 
 def test_error_report_fixed_ell_error_law():
     # fixed ell, growing N: the sampled C^0 error of E_N f_ell decays ~ 1/N
-    # (the ell=N coupling does not; see ledger)
+    # (the ell=N coupling does not; see "Decisions" in the README)
     ctx = NormContext(0, 1, mo.linear())
     ell = 2
     grid = np.linspace(-2 * ell, 2 * ell, 33).reshape(-1, 1)

@@ -1,14 +1,20 @@
+import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ckomega import modulus as mo
+from ckomega import whitney
 from ckomega.errors import InputError, NumericalError
 from ckomega.fields import (
     NormContext,
     field_from_data,
     field_from_jets,
+    field_from_json,
+    field_to_json,
     jet,
     mi_order,
     multi_indices,
@@ -173,6 +179,87 @@ def test_lambda_witnesses_identify_attaining_terms():
     assert rep.sup_witness[0] == 2  # value 3.5
     i, j, _, _ = rep.osc_witness
     assert (i, j) == (0, 1)  # slope 3 between first two points
+
+
+def _k0_loop_reference(field, ctx):
+    """Per-pair Python loop for k = 0: |f(x_i) - f(x_j)| / omega(d) with the
+    first strict maximum over i < j (constant data reports the first pair)."""
+    vals = [j.coeffs[0] for j in field.jets]
+    zero = (0,) * ctx.n
+    best, witness = None, None
+    for i, j in itertools.combinations(range(len(field)), 2):
+        d = math.sqrt(sum((a - b) ** 2 for a, b in zip(field.points[i], field.points[j])))
+        ratio = abs(vals[i] - vals[j]) / ctx.modulus(d)
+        if best is None or ratio > best:
+            best, witness = ratio, (i, j, 0, zero)
+    return (0.0 if best is None else best), witness
+
+
+def test_lambda_k0_matches_pair_loop_bitwise():
+    rng = np.random.default_rng(11)
+    moduli = (mo.linear(), mo.power(0.5), mo.capped(0.7, 0.8),
+              mo.table([(0.1, 0.2), (0.5, 0.6), (2.0, 1.5)]))
+    for trial in range(40):
+        n = int(rng.integers(1, 4))
+        f = random_field(rng, 0, n, int(rng.integers(2, 40)))
+        ctx = NormContext(0, n, moduli[trial % 4])
+        rep = whitney_lambda(f, ctx)
+        assert (rep.lam_osc, rep.osc_witness) == _k0_loop_reference(f, ctx)
+
+
+def test_lambda_k0_zero_oscillation_witness():
+    # constant data: the ratio is 0 on every pair and the witness is the first
+    # pair, as for k >= 1; None is reserved for a single-point field
+    ctx = NormContext(0, 2, mo.linear())
+    rep = whitney_lambda(field_from_data([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], [2.0] * 3), ctx)
+    assert rep.lam_osc == 0.0
+    assert rep.osc_witness == (0, 1, 0, (0, 0))
+    single = whitney_lambda(field_from_data([[0.5, 0.5]], [2.0]), ctx)
+    assert single.osc_witness is None and single.lam == 2.0
+
+
+def _lattice_field(rng, k, n, m):
+    # lattice points with coefficients in {-1, 0, 1}: many pairwise ratios tie,
+    # so the first-maximum rule is exercised across block edges
+    pts = np.array(list(itertools.product(range(3), repeat=n)), dtype=float)[:m]
+    J = len(multi_indices(n, k))
+    return field_from_jets([jet(p, rng.integers(-1, 2, J).astype(float), k) for p in pts])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_lambda_blocks_match_one_block_bitwise(monkeypatch, k):
+    rng = np.random.default_rng(20 + k)
+    fields = [make(rng, k, n, 9) for n in (1, 2, 3) for make in (random_field, _lattice_field)]
+    fields.append(_lattice_field(rng, k, 1, 3).scale(0.0))
+    ctxs = [NormContext(k, f.n, mo.power(0.5)) for f in fields]
+    whole = [whitney_lambda(f, ctx) for f, ctx in zip(fields, ctxs)]
+    for pairs_per_block in (1, 2, 7):
+        for f, ctx, ref in zip(fields, ctxs, whole):
+            width = len(multi_indices(f.n, k)) ** 2 * f.n
+            monkeypatch.setattr(whitney, "_BLOCK_ELEMS", pairs_per_block * width)
+            assert whitney_lambda(f, ctx) == ref
+
+
+def test_lambda_memory_is_bounded_by_blocks():
+    # one block's (block, J, J, n) temporary is about 16 MB; the whole
+    # (pairs, J, J, n) array at this size would be over 100 MB
+    rng = np.random.default_rng(5)
+    f = random_field(rng, 3, 3, 150)
+    ctx = NormContext(3, 3, mo.power(0.5))
+    tracemalloc.start()
+    try:
+        whitney_lambda(f, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
+
+
+@pytest.mark.parametrize("k, n", [(0, 2), (2, 3)])
+def test_field_json_round_trip(k, n):
+    f = random_field(np.random.default_rng(k), k, n, 5)
+    assert field_from_json(field_to_json(f)) == f
+    assert field_from_json(json.dumps(field_to_json(f))) == f
 
 
 # ---------------------------------------------------------------------------
