@@ -119,7 +119,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--k", type=int, default=0)
     q.add_argument("--omega", default=None)
     q.add_argument("--grid-points", type=int, default=65)
-    q.add_argument("--report", default="-")
+    q.add_argument("--out", "--report", dest="out", default="-")
 
     q = sub.add_parser("predual-norm", help="atomic functional norm (exact k=0, bracket else)")
     q.add_argument("--atoms", required=True)
@@ -261,7 +261,8 @@ def _run_jackson(args) -> dict:
     results = rep.to_dict()
     prov = {
         "grid": {"lo": -2 * args.ell, "hi": 2 * args.ell, "points": args.grid_points},
-        "quadrature": "periodic trapezoid, nodes a multiple of 4N+1",
+        "quadrature": "spectral: FFT of samples on a uniform lattice of at least 4N+1 "
+                      "nodes per axis, times the Jackson kernel's Fourier multipliers",
         "seed": args.seed,
     }
     return _report(
@@ -320,7 +321,7 @@ def _run_markov(args) -> dict:
     center = [float(c) for c in np.atleast_1d(center)]
     n = len(center)
     if args.set_spec.startswith("builtin:"):
-        sampler = builtin_set_sampler(args.set_spec.split(":", 1)[1], n)
+        sampler = builtin_set_sampler(args.set_spec.split(":", 1)[1], n, args.resolution)
         set_desc = args.set_spec
     else:
         pts = _load_json(args.set_spec, "set")
@@ -348,13 +349,13 @@ def _run_markov(args) -> dict:
 
 
 _RUNNERS = {
-    "validate-omega": (_run_validate_omega, "out"),
-    "norm": (_run_norm, "out"),
-    "extend": (_run_extend, "out"),
-    "jackson": (_run_jackson, "report"),
-    "predual-norm": (_run_predual_norm, "out"),
-    "finiteness": (_run_finiteness, "out"),
-    "markov": (_run_markov, "out"),
+    "validate-omega": _run_validate_omega,
+    "norm": _run_norm,
+    "extend": _run_extend,
+    "jackson": _run_jackson,
+    "predual-norm": _run_predual_norm,
+    "finiteness": _run_finiteness,
+    "markov": _run_markov,
 }
 
 
@@ -364,9 +365,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not args.subcommand:
             raise InputError(parser.format_usage())
-        runner, out_attr = _RUNNERS[args.subcommand]
-        report = runner(args)
-        _emit(report, getattr(args, out_attr))
+        report = _RUNNERS[args.subcommand](args)
+        _emit(report, args.out)
         return 0
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -22,9 +22,9 @@ from numpy.polynomial import polynomial as P
 
 from .cutoff import profile_deriv
 from .errors import InputError
-from .fields import Jet, NormContext, WhitneyField, jet
+from .fields import Jet, NormContext, WhitneyField, _blocks, jet
 from .modulus import Modulus
-from .whitney import _blocks, whitney_lambda
+from .whitney import whitney_lambda
 
 _VARIANTS = ("min", "max", "average")
 

@@ -126,6 +126,20 @@ def jet_from_dict(point, values: dict, k: int) -> Jet:
     return Jet(point, tuple(coeffs), k)
 
 
+# Size in float64 elements (about 16 MB) of the largest temporary one block of
+# a blockwise sweep may allocate, so memory stays bounded for any number of
+# pairs, queries or points.
+_BLOCK_ELEMS = 2_000_000
+
+
+def _blocks(count: int, width: int):
+    """Consecutive slices of range(count) of at most _BLOCK_ELEMS // width
+    items each (at least one), for temporaries of width elements per item."""
+    step = max(1, _BLOCK_ELEMS // width)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
 @dataclass(frozen=True)
 class WhitneyField:
     """A finite set of pairwise-distinct points, each carrying a jet."""
@@ -146,11 +160,14 @@ class WhitneyField:
             if tuple(j.point) != tuple(p):
                 raise InputError("jet base point differs from field point")
         pts = np.asarray(self.points, dtype=float)
-        if len(pts) > 1:
-            d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-            np.fill_diagonal(d2, np.inf)
+        # row blocks in order, so the reported pair is the first coincident
+        # pair in row-major order of the full distance matrix
+        for blk in _blocks(len(pts), pts.size):
+            d2 = np.sum((pts[blk, None, :] - pts[None, :, :]) ** 2, axis=-1)
+            d2.reshape(-1)[blk.start :: len(pts) + 1] = np.inf  # entries (i, i)
             if np.min(d2) <= 0.0:
                 i, j = np.unravel_index(np.argmin(d2), d2.shape)
+                i += blk.start
                 raise InputError(f"coincident points at indices {i} and {j}: {self.points[i]}")
 
     def __len__(self) -> int:

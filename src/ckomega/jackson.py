@@ -10,10 +10,14 @@ normalized to unit mass on [-pi, pi], drives three operators:
   with scale lambda = 4 ell sqrt(n) / pi, whose rescaling u -> (E_N f_ell)(lambda u)
   is a trigonometric polynomial of degree <= N per coordinate.
 
-Convolutions use the uniform periodic rule with the node count a multiple of
-4N+1 (see "Decisions" in the README: exactness on trigonometric polynomials and
-the ell=N coupling); the kernel normalization uses adaptive Gauss-Legendre with
-the removable singularity at t = 0 replaced by its limit value.
+All three run through one spectral engine: the periodic function is sampled
+once on a uniform lattice of at least 4N+1 nodes per axis, its FFT is cut to
+the kernel degree and multiplied by the kernel's Fourier multipliers, and the
+resulting trigonometric polynomial is evaluated at the query points, so the
+degree bound holds at every point (see "Decisions" in the README, also on the
+ell=N coupling). The multipliers come from the exact (4N+1)-node rule; the
+kernel normalization uses adaptive Gauss-Legendre with the removable
+singularity at t = 0 replaced by its limit value.
 
 Point-set callables follow one convention: f(X) takes an (m, n) array and
 returns (m,); derivative oracles take (alpha, X). Purely 1D periodic
@@ -24,13 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .cutoff import CutoffFamily
 from .errors import InputError
-from .fields import NormContext, mi_binom, mi_order, mi_sub, multi_indices
+from .fields import NormContext, _blocks, mi_binom, mi_order, mi_sub, multi_indices
 from .quadrature import adaptive_gauss_legendre, periodic_nodes
 
 # ---------------------------------------------------------------------------
@@ -64,19 +68,10 @@ def kernel_normalize(N: int) -> JacksonKernel:
     """Build J_N with gamma_N from adaptive quadrature of the raw kernel."""
     if N < 2:
         raise InputError("Jackson kernel needs N >= 2")
-    ntilde = N // 2
-
-    def raw(t):
-        s = np.sin(0.5 * t)
-        num = np.sin(0.5 * ntilde * t)
-        ratio = np.full(t.shape, float(ntilde))
-        ok = np.abs(s) > 1e-12
-        ratio[ok] = num[ok] / s[ok]
-        return ratio**4
-
+    raw = JacksonKernel(N, N // 2, 1.0)
     mass, _ = adaptive_gauss_legendre(raw, -math.pi, math.pi, rel_tol=1e-13,
-                                      start_panels=max(8, ntilde))
-    return JacksonKernel(N, ntilde, 1.0 / mass)
+                                      start_panels=max(8, raw.ntilde))
+    return JacksonKernel(N, raw.ntilde, 1.0 / mass)
 
 
 def kernel_mass_closed_form(N: int) -> float:
@@ -165,59 +160,59 @@ def _conv_node_count(N: int, n: int, target: int | None = None) -> int:
     return base * max(1, math.ceil(target / base))
 
 
-def jackson_smooth_1d(f, N: int, x, quad_target: int | None = None):
-    """(L_N f)(x) for a bounded continuous 2pi-periodic f (plain 1D arrays)."""
+def _jackson_multipliers(N: int) -> np.ndarray:
+    """Fourier multipliers c_q / c_0 of J_N for q = 0..degree, from the
+    (4N+1)-node periodic rule, which is exact on J_N(t) cos(q t)."""
     kernel = kernel_normalize(N)
-    m = _conv_node_count(N, 1, quad_target)
-    t, w = periodic_nodes(m)
-    J = kernel(t) * w
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty(xs.size)
-    chunk = max(1, 4_000_000 // m)
-    for s in range(0, xs.size, chunk):
-        xb = xs[s : s + chunk]
-        vals = np.asarray(f((xb[:, None] - t[None, :]).ravel()), dtype=float)
-        out[s : s + chunk] = vals.reshape(xb.size, m) @ J
-    return float(out[0]) if np.ndim(x) == 0 else out
+    t, _ = periodic_nodes(4 * N + 1)
+    c = np.cos(np.outer(np.arange(kernel.degree + 1), t)) @ kernel(t)
+    return c / c[0]
 
 
-def _tensor_convolve(cell_fn, ell: int, N: int, X: np.ndarray, n: int,
-                     quad_target: int | None = None) -> np.ndarray:
-    """Tensor-product circle convolution of a lattice-periodic function given
-    by its fundamental-cell evaluation cell_fn (applied to reduced points)."""
+def _jackson_smooth(cell_fn, N: int, X: np.ndarray, lam: float,
+                    quad_target: int | None = None) -> np.ndarray:
+    """Jackson smoothing at the rows of X of the (2 pi lam)-periodic function
+    given on its fundamental cell by cell_fn.
+
+    cell_fn is sampled once on the uniform lattice of u = x / lam, with
+    2 floor(m/2) + 1 nodes per axis for m = _conv_node_count(N, n), the
+    sample's Fourier coefficients up to the kernel degree are multiplied by
+    the Jackson multipliers, and the resulting trigonometric polynomial is
+    evaluated at X / lam in query blocks.
+    """
+    n = X.shape[1]
     if n > 3:
         raise InputError("tensor quadrature limited to n <= 3")
-    kernel = kernel_normalize(N)
-    m = _conv_node_count(N, n, quad_target)
-    t, w = periodic_nodes(m)
-    J = kernel(t)
-    if n == 1:
-        T = t[:, None]
-        W = J * w
-    else:
-        mesh = np.meshgrid(*([t] * n), indexing="ij")
-        T = np.stack([g.ravel() for g in mesh], axis=1)
-        jm = np.meshgrid(*([J] * n), indexing="ij")
-        W = np.prod(np.stack([g.ravel() for g in jm], axis=1), axis=1) * w**n
-    lam = length_scale(ell, n)
-    period = lattice_period(ell, n)
+    M = _conv_node_count(N, n, quad_target) // 2
+    period = 2.0 * math.pi * lam
+    tp = fit_trig_poly(lambda U: cell_fn(reduce_to_cell(lam * U, period)), M, n, lam)
+    mult = _jackson_multipliers(N)
+    D = mult.size - 1
+    sym = np.concatenate([mult[:0:-1], mult])  # frequencies -D..D
+    coeffs = tp.coeffs[(slice(M - D, M + D + 1),) * n] * reduce(np.multiply.outer, [sym] * n)
+    smoothed = TensorTrigPoly(coeffs, D, lam)
     out = np.empty(X.shape[0])
-    chunk = max(1, int(4_000_000 // T.shape[0]))
-    for s in range(0, X.shape[0], chunk):
-        xb = X[s : s + chunk]
-        Y = xb[:, None, :] - lam * T[None, :, :]
-        Yr = reduce_to_cell(Y, period)
-        vals = np.asarray(cell_fn(Yr.reshape(-1, n)), dtype=float)
-        out[s : s + chunk] = vals.reshape(xb.shape[0], -1) @ W
+    # evaluate's complex temporaries take up to about 4 float64 elements per
+    # coefficient and query point
+    for blk in _blocks(X.shape[0], 4 * coeffs.size):
+        out[blk] = smoothed.evaluate(X[blk] / lam)
     return out
+
+
+def jackson_smooth_1d(f, N: int, x, quad_target: int | None = None):
+    """(L_N f)(x) for a bounded continuous 2pi-periodic f (plain 1D arrays)."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    out = _jackson_smooth(lambda Y: np.asarray(f(Y[:, 0]), dtype=float), N,
+                          xs.reshape(-1, 1), 1.0, quad_target)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def smooth_EN(f, ell: int, N: int, x, quad_target: int | None = None):
     """(E_N f_ell)(x): tensor convolution of the periodized f at scale lambda."""
     X, single, n = _as_points(x)
     cf = CutoffFamily(n, ell)
-    out = _tensor_convolve(lambda Y: cf.rho(Y) * np.asarray(f(Y), dtype=float),
-                           ell, N, X, n, quad_target)
+    out = _jackson_smooth(lambda Y: cf.rho(Y) * np.asarray(f(Y), dtype=float),
+                          N, X, length_scale(ell, n), quad_target)
     return float(out[0]) if single else out
 
 
@@ -248,7 +243,7 @@ def finite_rank_LNN(f_derivs, N: int, x, alpha, ell: int | None = None,
             )
         return total
 
-    out = _tensor_convolve(cell, ell, N, X, n, quad_target)
+    out = _jackson_smooth(cell, N, X, length_scale(ell, n), quad_target)
     return float(out[0]) if single else out
 
 
@@ -305,16 +300,14 @@ class TensorTrigPoly:
         U = np.atleast_2d(np.asarray(u, dtype=float))
         if U.shape[0] == 1 and U.shape[1] != self.n and U.shape[1] > 1 and self.n == 1:
             U = U.T
+        # contract one axis at a time, last axis first, so no temporary holds
+        # the (m, (2M+1)^n) product of all phases
         freqs = np.arange(-self.M, self.M + 1)
-        vals = np.ones((U.shape[0],) + self.coeffs.shape, dtype=complex)
-        for axis in range(self.n):
+        vals = np.exp(1j * np.outer(U[:, -1], freqs)) @ self.coeffs.reshape(-1, freqs.size).T
+        for axis in range(self.n - 2, -1, -1):
             phase = np.exp(1j * np.outer(U[:, axis], freqs))
-            shape = [U.shape[0]] + [1] * self.n
-            shape[axis + 1] = freqs.size
-            vals = vals * phase.reshape(shape)
-        out = np.tensordot(vals, self.coeffs, axes=(tuple(range(1, self.n + 1)),
-                                                    tuple(range(self.n))))
-        return np.real(out)
+            vals = np.einsum("pjq,pq->pj", vals.reshape(U.shape[0], -1, freqs.size), phase)
+        return np.real(vals[:, 0])
 
 
 def fit_trig_poly(fn_of_u, M: int, n: int = 1, scale: float = 1.0) -> TensorTrigPoly:

@@ -3,13 +3,14 @@ than on a sampled subset of it.
 
 The ratio sup_Q |p| / sup_{Q cap S} |p| over nonzero p of degree <= k is
 computed by LPs in the scale-normalized basis ((z - x)/r)^alpha: for every
-objective candidate point g (the cube grid united with the sample) and each
-sign, maximize +-p(g) subject to |p| <= 1 on the sample. An unbounded LP
-means the ratio is numerically infinite and is reported as CAPPED; the cap
-also bounds finite blow-ups. The liminf over shrinking radii is proxied by
-the minimum over a user-supplied radii ladder, so a positive verdict is
-one-sided: WEAK_MARKOV certifies boundedness along the ladder, NOT_DETECTED
-never disproves anything.
+objective candidate point g (the cube grid united with the sample), maximize
+p(g) subject to |p| <= 1 on the sample. That feasible set is centrally
+symmetric, so max p(g) = max |p(g)| and one LP per candidate suffices. An
+unbounded LP means the ratio is numerically infinite and is reported as
+CAPPED; the cap also bounds finite blow-ups. The liminf over shrinking radii
+is proxied by the minimum over a user-supplied radii ladder, so a positive
+verdict is one-sided: WEAK_MARKOV certifies boundedness along the ladder,
+NOT_DETECTED never disproves anything.
 """
 
 from __future__ import annotations
@@ -100,17 +101,16 @@ def markov_ratio(p: MarkovProbe) -> MarkovRatio:
     best = 0.0
     witness = None
     for row, cand in zip(G, candidates):
-        for sign in (1.0, -1.0):
-            sol = solve(LinearProgram(sign * row, lhs_ineq=lhs, rhs_ineq=rhs))
-            if sol.status == UNBOUNDED:
-                return MarkovRatio(math.inf, True, None)
-            if sol.status != OPTIMAL:
-                raise InputError(f"markov LP unexpectedly {sol.status}")
-            if sol.optimum > best:
-                best = sol.optimum
-                witness = tuple(cand)
-            if best > p.cap:
-                return MarkovRatio(math.inf, True, None)
+        sol = solve(LinearProgram(row, lhs_ineq=lhs, rhs_ineq=rhs))
+        if sol.status == UNBOUNDED:
+            return MarkovRatio(math.inf, True, None)
+        if sol.status != OPTIMAL:
+            raise InputError(f"markov LP unexpectedly {sol.status}")
+        if sol.optimum > best:
+            best = sol.optimum
+            witness = tuple(cand)
+        if best > p.cap:
+            return MarkovRatio(math.inf, True, None)
     return MarkovRatio(best, False, witness)
 
 
@@ -163,22 +163,22 @@ def classify_weak_markov(x, sampler, k: int, radii, threshold: float,
                          tuple(ratios), tuple(radii), threshold, tuple(warnings))
 
 
-def builtin_set_sampler(name: str, n: int):
+def builtin_set_sampler(name: str, n: int, resolution: int = DEFAULT_RESOLUTION):
     """Samplers for a few reference sets, used by the CLI and tests.
 
     cube: S = R^n (the sample is the whole cube grid); halfspace: x_1 >= 0;
     point: S = {origin}; segment: the x_1-axis inside R^n (measure zero for
-    n >= 2).
+    n >= 2). Grids and segments take resolution points per axis.
     """
     if name == "cube":
 
         def sampler(center, r):
-            return cube_grid(center, r)
+            return cube_grid(center, r, resolution)
 
     elif name == "halfspace":
 
         def sampler(center, r):
-            g = cube_grid(center, r)
+            g = cube_grid(center, r, resolution)
             return g[g[:, 0] >= 0.0]
 
     elif name == "point":
@@ -194,7 +194,7 @@ def builtin_set_sampler(name: str, n: int):
             c = np.asarray(center, dtype=float)
             if n >= 2 and np.max(np.abs(c[1:])) > r:
                 return np.zeros((0, n))
-            us = np.linspace(c[0] - r, c[0] + r, DEFAULT_RESOLUTION)
+            us = np.linspace(c[0] - r, c[0] + r, resolution)
             pts = np.zeros((us.size, n))
             pts[:, 0] = us
             return pts

@@ -20,6 +20,7 @@ from .fields import (
     Jet,
     NormContext,
     WhitneyField,
+    _blocks,
     mi_add_unit,
     mi_factorial,
     mi_order,
@@ -59,19 +60,6 @@ class LambdaReport:
     lam: float
     sup_witness: tuple  # (point index, alpha)
     osc_witness: tuple | None  # (i, j, z index 0/1, alpha) or None if single point
-
-
-# Size in float64 elements (about 16 MB) of the largest temporary one block of
-# a pairwise sweep may allocate, so memory stays bounded for any number of pairs.
-_BLOCK_ELEMS = 2_000_000
-
-
-def _blocks(count: int, width: int):
-    """Consecutive slices of range(count) of at most _BLOCK_ELEMS // width
-    items each (at least one), for temporaries of width elements per item."""
-    step = max(1, _BLOCK_ELEMS // width)
-    for start in range(0, count, step):
-        yield slice(start, min(start + step, count))
 
 
 def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ckomega.cli import main
+from ckomega.markov import cube_grid, markov_ratio, probe
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +128,33 @@ def test_markov_builtin_verdict(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["results"]["verdict"] == "WEAK_MARKOV"
+
+
+def test_markov_builtin_sampler_uses_resolution(capsys):
+    code, out, _ = run_cli(capsys, "markov", "--center", "[0.0]", "--set", "builtin:halfspace",
+                           "--k", "4", "--radii", "[1.0]", "--resolution", "9")
+    assert code == 0
+    ratio = json.loads(out)["results"]["ratios"][0]
+    # the halfspace sample at 9 and at the default 33 points per axis give
+    # different ratios, so the CLI value shows which sample was used
+    ratios = {}
+    for res in (9, 33):
+        grid = cube_grid([0.0], 1.0, res)
+        ratios[res] = markov_ratio(probe([0.0], 1.0, 4, grid[grid[:, 0] >= 0.0], resolution=9)).value
+    assert abs(ratios[9] - ratios[33]) > 1e-6
+    assert ratio == pytest.approx(ratios[9], rel=1e-12)
+
+
+def test_jackson_out_and_report_spellings_agree(capsys, tmp_path):
+    argv = ["jackson", "--f", "builtin:cos", "--N", "8", "--ell", "2", "--grid-points", "9"]
+    reports = []
+    for flag in ("--out", "--report"):
+        target = tmp_path / f"{flag[2:]}.json"
+        code, out, _ = run_cli(capsys, *argv, flag, str(target))
+        assert code == 0 and out == ""
+        reports.append(target.read_text())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["subcommand"] == "jackson"
 
 
 def test_jackson_report_fields(capsys):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ckomega import modulus as mo
-from ckomega import whitney
 from ckomega.errors import InputError
 from ckomega.extension import (
     NOT_LINEAR,
@@ -129,7 +128,7 @@ def test_mcshane_batch_matches_per_query_bitwise(monkeypatch, variant):
         ref = _mcshane_per_query(ext, X)
         assert np.array_equal(ext(X), ref)
         for queries_per_block in (1, 3, 8):
-            monkeypatch.setattr(whitney, "_BLOCK_ELEMS", queries_per_block * pts.size)
+            monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", queries_per_block * pts.size)
             assert np.array_equal(ext(X), ref)
         monkeypatch.undo()
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ckomega.cutoff import CutoffFamily
 from ckomega.errors import InputError
 from ckomega.fields import NormContext
 from ckomega.jackson import (
+    _conv_node_count,
     error_report,
     finite_rank_LNN,
     fit_trig_poly,
@@ -184,6 +186,71 @@ def test_smooth_EN_degree_bound():
         for f in fns:
             tp = fit_trig_poly(lambda U: smooth_EN(f, ell, N, lam * U), 2 * N, n=1, scale=lam)
             assert tp.tail_max(N) < 1e-10 * tp.max_coeff()
+
+
+@pytest.mark.parametrize("N", [8, 16, 32])
+def test_smoothing_degree_bound_off_grid(N):
+    # a (6N+1)-point fit samples off every node lattice the smoothing uses;
+    # the tail beyond N vanishes to rounding for a Lipschitz and a smooth f
+    ell = 2
+    lam = length_scale(ell, 1)
+    for g in (lambda y: np.abs(np.sin(y)), lambda y: np.exp(np.sin(y))):
+        fits = [
+            fit_trig_poly(lambda U: smooth_EN(lambda Y: g(Y[:, 0]), ell, N, lam * U),
+                          3 * N, n=1, scale=lam),
+            fit_trig_poly(lambda U: jackson_smooth_1d(g, N, U[:, 0]), 3 * N, n=1),
+        ]
+        for tp in fits:
+            assert tp.tail_max(N) < 1e-12 * tp.max_coeff()
+
+
+def test_smooth_1d_multipliers_match_squared_fejer():
+    # independent oracle: J_N is the normalized square of the Fejer sum
+    # sum_{|j| < M} (M - |j|) e^{ijt}, M = floor(N/2), so L_N cos(q .) is
+    # cos(q .) times the q-th coefficient of that square over the 0-th
+    N = 12
+    M = N // 2
+    fejer = np.array([M - abs(j) for j in range(-M + 1, M)], dtype=float)
+    square = np.convolve(fejer, fejer)[2 * M - 2:]
+    xs = np.linspace(-math.pi, math.pi, 41)
+    for q in range(2 * M + 3):
+        want = square[q] / square[0] if q < square.size else 0.0
+        got = jackson_smooth_1d(lambda x: np.cos(q * x), N, xs)
+        assert np.max(np.abs(got - want * np.cos(q * xs))) < 1e-13
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 8), (3, 4)])
+def test_smooth_EN_samples_f_once_whatever_the_query_count(n, N):
+    m = _conv_node_count(N, n)
+    lattice = (2 * (m // 2) + 1) ** n  # the odd count at or above m per axis
+    for P in (1, 257):
+        calls = []
+
+        def f(Y):
+            calls.append(Y.shape[0])
+            return np.cos(Y[:, 0])
+
+        X = np.random.default_rng(P).uniform(-1, 1, (P, n))
+        smooth_EN(f, 1, N, X)
+        assert calls == [lattice]
+
+
+def test_smoothing_memory_does_not_grow_with_queries():
+    rng = np.random.default_rng(12)
+    peaks = []
+    for P in (100, 100_000):
+        X = rng.uniform(-2, 2, (P, 1))
+        tracemalloc.start()
+        try:
+            smooth_EN(lambda Y: np.cos(Y[:, 0]), 2, 16, X)
+            jackson_smooth_1d(np.cos, 32, X[:, 0])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 100k points carry 1.6 MB of input and output; a per-point evaluation
+    # over the whole query set at once would need about 100 MB
+    assert peaks[1] < peaks[0] + 24e6
+    assert peaks[1] < 40e6
 
 
 def test_smooth_EN_sup_contraction():

@@ -13,6 +13,7 @@ from ckomega.markov import (
     markov_ratio,
     probe,
 )
+from ckomega.simplex import OPTIMAL, UNBOUNDED, LinearProgram, solve
 
 
 def test_full_grid_sample_gives_one():
@@ -84,6 +85,52 @@ def test_monotone_in_sample():
     r_small = markov_ratio(probe([0.0], 1.0, 1, small, resolution=17))
     r_big = markov_ratio(probe([0.0], 1.0, 1, bigger, resolution=17))
     assert r_big.value <= r_small.value + 1e-9
+
+
+def _two_sign_ratio(pr: MarkovProbe):
+    """Reference: maximize +p(g) and -p(g) separately for every candidate g."""
+    mis = multi_indices(len(pr.center), pr.k)
+
+    def basis(points):
+        z = (points - np.asarray(pr.center)[None, :]) / pr.r
+        return np.stack([np.prod(z ** np.asarray(a)[None, :], axis=1) for a in mis], axis=1)
+
+    S = basis(pr.sample)
+    best = 0.0
+    for row in basis(np.vstack([pr.grid, pr.sample])):
+        for sign in (1.0, -1.0):
+            sol = solve(LinearProgram(sign * row, lhs_ineq=np.vstack([S, -S]),
+                                      rhs_ineq=np.ones(2 * S.shape[0])))
+            if sol.status == UNBOUNDED:
+                return math.inf
+            assert sol.status == OPTIMAL
+            best = max(best, sol.optimum)
+    return best
+
+
+def test_one_sign_matches_two_sign_reference():
+    # {p : |p| <= 1 on the sample} is centrally symmetric, so the +p(g) LP
+    # alone attains max |p(g)|
+    rng = np.random.default_rng(9)
+    for _ in range(12):
+        n = int(rng.integers(1, 3))
+        k = int(rng.integers(0, 4 - n))
+        c = rng.uniform(-1, 1, n)
+        r = float(rng.uniform(0.5, 2.0))
+        sample = c[None, :] + rng.uniform(-r, r, (int(rng.integers(2, 9)), n))
+        pr = probe(c, r, k, sample, resolution=5)
+        got, want = markov_ratio(pr), _two_sign_ratio(pr)
+        if math.isinf(want):
+            assert got.capped
+        else:
+            assert not got.capped
+            assert got.value == pytest.approx(want, rel=1e-12)
+
+
+def test_builtin_samplers_take_the_resolution():
+    for name, count in (("cube", 81), ("halfspace", 45), ("segment", 9)):
+        assert builtin_set_sampler(name, 2, 9)((0.0, 0.0), 1.0).shape == (count, 2)
+    assert builtin_set_sampler("cube", 2)((0.0, 0.0), 1.0).shape == (33 * 33, 2)
 
 
 def _brute_ratio(pr: MarkovProbe, n_dirs=40000, seed=3):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ckomega import modulus as mo
-from ckomega import whitney
 from ckomega.errors import InputError, NumericalError
 from ckomega.fields import (
     NormContext,
@@ -236,7 +235,7 @@ def test_lambda_blocks_match_one_block_bitwise(monkeypatch, k):
     for pairs_per_block in (1, 2, 7):
         for f, ctx, ref in zip(fields, ctxs, whole):
             width = len(multi_indices(f.n, k)) ** 2 * f.n
-            monkeypatch.setattr(whitney, "_BLOCK_ELEMS", pairs_per_block * width)
+            monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", pairs_per_block * width)
             assert whitney_lambda(f, ctx) == ref
 
 
@@ -253,6 +252,44 @@ def test_lambda_memory_is_bounded_by_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 48e6
+
+
+def _first_coincident_pair(pts):
+    # the full (m, m) distance matrix, scanned in row-major order
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    return np.unravel_index(np.argmin(d2), d2.shape)
+
+
+def test_field_coincident_pair_independent_of_blocks(monkeypatch):
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3):
+        pts = rng.uniform(-1, 1, (12, n))
+        pts[9] = pts[4]
+        pts[7] = pts[5]
+        pts[11] = pts[5]
+        i, j = _first_coincident_pair(pts)
+        want = f"coincident points at indices {i} and {j}: {tuple(pts[i])}"
+        assert (i, j) == (4, 9)
+        for rows_per_block in (None, 1, 2, 5):
+            if rows_per_block is not None:
+                monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", rows_per_block * pts.size)
+            with pytest.raises(InputError) as err:
+                field_from_data(pts, np.zeros(len(pts)))
+            assert str(err.value) == want
+        monkeypatch.undo()
+
+
+def test_field_validation_memory_is_bounded_by_blocks():
+    # the whole (m, m, n) difference array at this size would be 96 MB
+    pts = np.random.default_rng(6).uniform(-1, 1, (2000, 3))
+    tracemalloc.start()
+    try:
+        field_from_data(pts, np.zeros(len(pts)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("k, n", [(0, 2), (2, 3)])
