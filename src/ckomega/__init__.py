@@ -6,7 +6,7 @@ via LP duality, and weak Markov ratios."""
 __version__ = "0.1.0"
 
 from . import cutoff, extension, jackson, markov, modulus, predual, quadrature, simplex, whitney
-from .errors import InputError, NumericalError, SizeError
+from .errors import InputError, NumericalError
 from .fields import Jet, NormContext, WhitneyField, jet, multi_indices
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "Jet",
     "NormContext",
     "NumericalError",
-    "SizeError",
     "WhitneyField",
     "cutoff",
     "extension",

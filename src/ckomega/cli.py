@@ -128,7 +128,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--n", type=int, default=None)
     q.add_argument("--out", default="-")
 
-    q = sub.add_parser("finiteness", help="subset-enumeration gap certifier")
+    q = sub.add_parser("finiteness", help="closed-form finiteness gap: lambda against its sup over subsets of size <= d")
     q.add_argument("--field", required=True)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--omega", default=None)
@@ -309,8 +309,7 @@ def _run_finiteness(args) -> dict:
     m = _load_modulus(args.omega)
     ctx = NormContext(fld.k, fld.n, m)
     rep = finiteness_gap(fld, args.d, ctx)
-    prov = {"n_points": len(fld), "k": fld.k, "n": fld.n, "seed": args.seed,
-            "subset_guard": 10**6}
+    prov = {"n_points": len(fld), "k": fld.k, "n": fld.n, "seed": args.seed}
     return _report("finiteness", {"d": args.d, "omega": modulus_to_json(m)}, rep.to_dict(), prov)
 
 

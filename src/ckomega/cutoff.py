@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import InputError
-from .fields import mi_order, multi_indices
+from .fields import _blocks, mi_order, multi_indices
 from .quadrature import _gl_nodes
 
 _H = 0.5  # bump radius
@@ -85,17 +85,21 @@ def _bump_deriv(v: np.ndarray, order: int) -> np.ndarray:
 def _bump_cdf(z: np.ndarray) -> np.ndarray:
     """Integral of phi from -h to z, exactly 0 below -h and 1 above h."""
     z = np.asarray(z, dtype=float)
-    upper = np.clip(z / _H, -1.0, 1.0)
+    upper = np.clip(z / _H, -1.0, 1.0).reshape(-1)
     x, w = _gl_nodes(_GL_ORDER)
-    # map the fixed rule onto [-1, upper] per element
+    # map the fixed rule onto [-1, upper] per element, one block of
+    # (elements, nodes) arrays at a time; einsum sums each row in one fixed
+    # order, so unlike a BLAS product the values do not depend on the blocks
     half = 0.5 * (upper + 1.0)
-    nodes = -1.0 + half[..., None] * (x + 1.0)
-    denom = 1.0 - np.minimum(nodes**2, 1.0)
-    vals = np.zeros_like(nodes)
-    safe = denom > 0.0
-    vals[safe] = np.exp(-1.0 / denom[safe])
-    integ = half * (vals @ w)
-    return _bump_norm() * _H * integ
+    integ = np.empty(half.shape)
+    for blk in _blocks(half.size, _GL_ORDER):
+        nodes = -1.0 + half[blk, None] * (x + 1.0)
+        denom = 1.0 - np.minimum(nodes**2, 1.0)
+        vals = np.zeros_like(nodes)
+        safe = denom > 0.0
+        vals[safe] = np.exp(-1.0 / denom[safe])
+        integ[blk] = half[blk] * np.einsum("ij,j->i", vals, w)
+    return (_bump_norm() * _H * integ).reshape(z.shape)
 
 
 def profile(u):

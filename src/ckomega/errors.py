@@ -8,10 +8,6 @@ class InputError(ValueError):
     """Malformed or out-of-domain input (bad grid, duplicate points, t <= 0, ...)."""
 
 
-class SizeError(InputError):
-    """A combinatorial or dimensional guard tripped (e.g. too many subsets)."""
-
-
 class NumericalError(RuntimeError):
     """A numerical procedure failed (quadrature non-convergence, solver breakdown,
     NaN/inf encountered where a finite value is required)."""

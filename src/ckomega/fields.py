@@ -180,15 +180,6 @@ class WhitneyField:
         """(num_points, num_multi_indices) array of jet coefficients."""
         return np.asarray([j.coeffs for j in self.jets], dtype=float)
 
-    def restrict(self, indices) -> "WhitneyField":
-        idx = list(indices)
-        return WhitneyField(
-            tuple(self.points[i] for i in idx),
-            tuple(self.jets[i] for i in idx),
-            self.k,
-            self.n,
-        )
-
     def scale(self, s: float) -> "WhitneyField":
         return WhitneyField(
             self.points,

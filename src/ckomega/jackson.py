@@ -36,6 +36,7 @@ from .cutoff import CutoffFamily
 from .errors import InputError
 from .fields import NormContext, _blocks, mi_binom, mi_order, mi_sub, multi_indices
 from .quadrature import adaptive_gauss_legendre, periodic_nodes
+from .whitney import _sampled_norm
 
 # ---------------------------------------------------------------------------
 # kernel
@@ -364,20 +365,6 @@ class ApproxReport:
         }
 
 
-def _sampled_norm(values_by_alpha, pair_values_by_alpha, ctx: NormContext, dists):
-    sup = 0.0
-    for _, vals in values_by_alpha.items():
-        if vals.size:
-            sup = max(sup, float(np.max(np.abs(vals))))
-    semi = 0.0
-    om = ctx.modulus(dists) if len(dists) else np.zeros(0)
-    for alpha, (vx, vy) in pair_values_by_alpha.items():
-        if mi_order(alpha) != ctx.k or not len(dists):
-            continue
-        semi = max(semi, float(np.max(np.abs(vx - vy) / om)))
-    return max(sup, semi), sup, semi
-
-
 def error_report(f_derivs, ell: int, N: int, ctx: NormContext, grid,
                  pairs=None, quad_target: int | None = None) -> ApproxReport:
     """Empirical ratios ||f_ell||/||f||, ||E_N f_ell||/||f|| and the sampled
@@ -393,39 +380,32 @@ def error_report(f_derivs, ell: int, N: int, ctx: NormContext, grid,
         raise InputError("grid must lie inside the fundamental cell")
     if pairs is None:
         pairs = list(zip(X[:-1], X[1:])) if X.shape[0] > 1 else []
-    px = np.array([p[0] for p in pairs]).reshape(-1, n) if pairs else np.zeros((0, n))
-    py = np.array([p[1] for p in pairs]).reshape(-1, n) if pairs else np.zeros((0, n))
-    dists = np.linalg.norm(px - py, axis=1) if pairs else np.zeros(0)
-    if pairs and np.any(dists == 0.0):
-        raise InputError("pair sample contains coincident endpoints")
+    px = np.array([p[0] for p in pairs], dtype=float).reshape(len(pairs), n)
+    py = np.array([p[1] for p in pairs], dtype=float).reshape(len(pairs), n)
+    points = np.vstack([X, px, py])
+    cuts = [X.shape[0], X.shape[0] + len(pairs)]
 
     cf = CutoffFamily(n, ell)
     mis = multi_indices(n, ctx.k)
 
     def all_values(evaluator):
-        vals = {a: np.asarray(evaluator(a, X), dtype=float) for a in mis}
-        pvals = {
-            a: (
-                np.asarray(evaluator(a, px), dtype=float),
-                np.asarray(evaluator(a, py), dtype=float),
-            )
-            for a in mis
-        }
+        # one call per alpha on grid and pair ends together, so the Jackson
+        # engine samples each lattice once
+        vals, pvals = {}, {}
+        for a in mis:
+            vals[a], vx, vy = np.split(np.asarray(evaluator(a, points), dtype=float), cuts)
+            pvals[a] = (vx, vy)
         return vals, pvals
 
-    f_vals, f_pvals = all_values(lambda a, P: f_derivs(a, P) if P.size else np.zeros(0))
+    f_vals, f_pvals = all_values(f_derivs)
     fl_vals, fl_pvals = all_values(
-        lambda a, P: periodized_derivative(f_derivs, ell, a, P, cutoff=cf)
-        if P.size else np.zeros(0)
-    )
+        lambda a, P: periodized_derivative(f_derivs, ell, a, P, cutoff=cf))
     en_vals, en_pvals = all_values(
-        lambda a, P: finite_rank_LNN(f_derivs, N, P, a, ell=ell, quad_target=quad_target)
-        if P.size else np.zeros(0)
-    )
+        lambda a, P: finite_rank_LNN(f_derivs, N, P, a, ell=ell, quad_target=quad_target))
 
-    norm_f = _sampled_norm(f_vals, f_pvals, ctx, dists)[0]
-    norm_fl = _sampled_norm(fl_vals, fl_pvals, ctx, dists)[0]
-    norm_en = _sampled_norm(en_vals, en_pvals, ctx, dists)[0]
+    norm_f = _sampled_norm(ctx, X, f_vals, px, py, f_pvals).value
+    norm_fl = _sampled_norm(ctx, X, fl_vals, px, py, fl_pvals).value
+    norm_en = _sampled_norm(ctx, X, en_vals, px, py, en_pvals).value
 
     errs = {a: float(np.max(np.abs(fl_vals[a] - en_vals[a]))) for a in mis}
     sup_err = max(errs.values())
@@ -435,7 +415,7 @@ def error_report(f_derivs, ell: int, N: int, ctx: NormContext, grid,
 
     return ApproxReport(
         N, ell, norm_f, norm_fl, norm_en, sup_err, errs,
-        ratio(norm_fl), ratio(norm_en), ratio(sup_err), X.shape[0], len(dists),
+        ratio(norm_fl), ratio(norm_en), ratio(sup_err), X.shape[0], len(pairs),
     )
 
 
@@ -470,7 +450,6 @@ def weakstar_check(fns, ctx: NormContext, probes, norm_cap: float,
         pairs.extend(zip(G[:-1], G[1:]))
     px = np.array([p[0] for p in pairs]).reshape(-1, ctx.n)
     py = np.array([p[1] for p in pairs]).reshape(-1, ctx.n)
-    dists = np.linalg.norm(px - py, axis=1)
     mis = multi_indices(ctx.n, ctx.k)
     top = [a for a in mis if mi_order(a) == ctx.k]
 
@@ -480,7 +459,7 @@ def weakstar_check(fns, ctx: NormContext, probes, norm_cap: float,
         # only the top order enters the seminorm, so only it is sampled on pairs
         pvals = {a: (np.asarray(f(a, px), dtype=float), np.asarray(f(a, py), dtype=float))
                  for a in top}
-        norms.append(_sampled_norm(vals, pvals, ctx, dists)[0])
+        norms.append(_sampled_norm(ctx, G, vals, px, py, pvals).value)
     if any(v > norm_cap for v in norms):
         return ConvergenceVerdict(False, "norm_bound", tuple(norms), norm_cap,
                                   math.inf, tol)

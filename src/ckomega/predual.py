@@ -1,5 +1,5 @@
 """Atomic functionals, dual pairing, LP-based predual norms, and the
-subset-enumeration finiteness certifier.
+finiteness certifier.
 
 The generating atoms are point evaluations delta_x^alpha (|alpha| <= k) and
 scaled differences (delta_x^alpha - delta_y^alpha)/omega(||x-y||) with
@@ -12,17 +12,20 @@ For k >= 1 only a bracket [lo, hi] is produced: lo maximizes the pairing over
 fields satisfying the pairwise compatibility constraints with lambda <= 1,
 hi is the minimum total-variation atomic decomposition over atoms supported
 on the functional's own points.
+
+The finiteness certifier compares the pairwise compatibility constant lambda
+of a field with its supremum over subsets of at most d points. lambda is a
+maximum over single points and pairs, so that supremum has a closed form
+read off one sweep over the full field; no subset is enumerated.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SizeError
+from .errors import InputError
 from .fields import (
     NormContext,
     WhitneyField,
@@ -342,38 +345,35 @@ class FinitenessReport:
 def finiteness_gap(field: WhitneyField, d: int, ctx: NormContext) -> FinitenessReport:
     """Compare the full trace quantity with its sup over card <= d subsets.
 
-    The trace quantity is the pairwise compatibility constant (for k = 0 the
-    exact trace norm). The left inequality subset_sup <= full holds exactly
-    (every subset maximum ranges over a subset of the same terms); for k = 0
-    and d >= 2 the ratio is exactly one.
+    The trace quantity is the pairwise compatibility constant lambda (for
+    k = 0 the exact trace norm). lambda is a maximum over single points and
+    pairs, so its sup over subsets is lam_sup for d = 1 (a single point has
+    no oscillation) and lambda itself for d >= 2: one sweep over the full
+    field gives the answer in closed form, and ratio is 1 whenever d >= 2.
+
+    witness_subset is the subset attaining the sup: () for lambda = 0, the
+    sup witness point when it attains lambda or d = 1, else the oscillation
+    witness pair. n_subsets and early_exit describe enumerating the subsets
+    in order of size, then lexicographically, and stopping at the first one
+    whose lambda reaches the full value: n_subsets is the witness's
+    1-based position in that order (m with early_exit False when d = 1 and
+    no point reaches lambda).
     """
     if d < 1:
         raise InputError("d must be >= 1")
     m = len(field)
-    total = sum(math.comb(m, s) for s in range(1, min(d, m) + 1))
-    if total > 10**6:
-        raise SizeError(f"{total} subsets exceed the 1e6 enumeration guard")
-
-    full = whitney_lambda(field, ctx).lam
-    subset_sup = 0.0
-    witness: tuple = ()
-    checked = 0
-    early = False
-    for size in range(1, min(d, m) + 1):
-        for combo in itertools.combinations(range(m), size):
-            v = whitney_lambda(field.restrict(combo), ctx).lam
-            checked += 1
-            if v > subset_sup:
-                subset_sup = v
-                witness = combo
-            if subset_sup >= full:
-                early = True
-                break
-        if early:
-            break
-
-    if subset_sup == 0.0:
-        ratio = 1.0 if full == 0.0 else math.inf
+    rep = whitney_lambda(field, ctx)
+    full = rep.lam
+    if rep.lam_sup == full:  # a single point attains lambda
+        i = rep.sup_witness[0]
+        subset_sup, witness, early, checked = full, (i,) if full > 0.0 else (), True, i + 1
+    elif d == 1:  # no subset reaches lambda, so all m points are enumerated
+        subset_sup, witness, early, checked = rep.lam_sup, (rep.sup_witness[0],), False, m
     else:
-        ratio = full / subset_sup
+        i, j = rep.osc_witness[:2]
+        # m singletons, then the pairs before (i, j) in lexicographic order, then (i, j)
+        subset_sup, witness, early = full, (i, j), True
+        checked = m + i * (m - 1) - i * (i - 1) // 2 + (j - i)
+    # subset_sup is 0 only for all-zero jets, where full is 0 as well
+    ratio = full / subset_sup if subset_sup > 0.0 else 1.0
     return FinitenessReport(full, subset_sup, ratio, d, witness, early, checked)

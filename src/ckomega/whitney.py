@@ -9,7 +9,6 @@ rule pullbacks of jets through a differentiable map.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -181,33 +180,48 @@ def ck_norm_estimate(deriv, ctx: NormContext, sample, pair_sample) -> NormEstima
     if pts.shape[1] != ctx.n:
         raise InputError("sample dimension mismatch")
     mis = multi_indices(ctx.n, ctx.k)
-    top = [alpha for alpha in mis if mi_order(alpha) == ctx.k]
+    pairs = list(pair_sample)
+    px = np.array([x for x, _ in pairs], dtype=float).reshape(len(pairs), ctx.n)
+    py = np.array([y for _, y in pairs], dtype=float).reshape(len(pairs), ctx.n)
 
-    def _d(alpha, x):
-        v = float(deriv(alpha, x))
-        if not math.isfinite(v):
-            raise NumericalError(f"derivative {alpha} at {x} is not finite")
-        return v
+    def at(alpha, X):
+        return np.array([float(deriv(alpha, x)) for x in X])
 
-    sup_part = 0.0
-    for x in pts:
-        for alpha in mis:
-            sup_part = max(sup_part, abs(_d(alpha, x)))
+    values = {alpha: at(alpha, pts) for alpha in mis}
+    pair_values = {alpha: (at(alpha, px), at(alpha, py)) for alpha in mis
+                   if mi_order(alpha) == ctx.k}
+    return _sampled_norm(ctx, pts, values, px, py, pair_values)
 
-    seminorm_part = 0.0
-    n_pairs = 0
-    for x, y in pair_sample:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        dist = float(np.linalg.norm(x - y))
-        if dist == 0.0:
-            raise InputError("pair sample contains coincident endpoints")
-        om = ctx.modulus(dist)
-        n_pairs += 1
-        for alpha in top:
-            seminorm_part = max(seminorm_part, abs(_d(alpha, x) - _d(alpha, y)) / om)
 
-    return NormEstimate(sup_part, seminorm_part, len(pts), n_pairs)
+def _sampled_norm(ctx: NormContext, grid, values, px, py, pair_values) -> NormEstimate:
+    """Sampled sup part and order-k oscillation part of a function given by
+    its derivative samples.
+
+    values maps alpha to D^alpha f on the rows of grid; pair_values maps alpha
+    to (D^alpha f(px), D^alpha f(py)) on the pairs (px[i], py[i]), of which
+    only |alpha| = k enters the seminorm. A non-finite sample raises
+    NumericalError naming alpha and the point; coincident pair endpoints
+    raise InputError.
+    """
+    dists = np.linalg.norm(px - py, axis=1)
+    if np.any(dists == 0.0):
+        raise InputError("pair sample contains coincident endpoints")
+    samples = [(alpha, grid, v) for alpha, v in values.items()]
+    for alpha, (vx, vy) in pair_values.items():
+        samples += [(alpha, px, vx), (alpha, py, vy)]
+    for alpha, X, v in samples:
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise NumericalError(f"derivative {alpha} at {X[bad[0]]} is not finite")
+
+    sup = max((float(np.max(np.abs(v))) for v in values.values() if v.size), default=0.0)
+    semi = 0.0
+    if len(dists):
+        om = ctx.modulus(dists)
+        for alpha, (vx, vy) in pair_values.items():
+            if mi_order(alpha) == ctx.k:
+                semi = max(semi, float(np.max(np.abs(vx - vy) / om)))
+    return NormEstimate(sup, semi, len(grid), len(dists))
 
 
 # ---------------------------------------------------------------------------

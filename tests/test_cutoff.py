@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,26 @@ def test_rho_deriv_vanishes_on_plateau_and_outside():
     cf = CutoffFamily(1, 2)
     X = np.array([[0.0], [1.5], [-2.0], [4.1], [7.0]])
     assert np.all(cf.rho_deriv(X, (1,)) == 0.0)
+
+
+def test_rho_blocks_match_one_block_bitwise(monkeypatch):
+    X = np.random.default_rng(2).uniform(-2.5, 2.5, (300, 3))
+    whole = CutoffFamily(3, 1).rho(X)
+    # a few transition-band elements per block of the quadrature arrays
+    monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", 7 * 96)
+    assert np.array_equal(CutoffFamily(3, 1).rho(X), whole)
+
+
+def test_rho_memory_is_bounded_by_blocks():
+    # the 51^3 lattice that smooth_EN samples at n = 3, N = 4; without
+    # blocks the quadrature arrays of its transition band peak near 200 MB
+    g = np.linspace(-4.0 * np.sqrt(3.0), 4.0 * np.sqrt(3.0), 51, endpoint=False)
+    X = np.stack([a.ravel() for a in np.meshgrid(g, g, g, indexing="ij")], axis=1)
+    cf = CutoffFamily(3, 1)
+    tracemalloc.start()
+    try:
+        cf.rho(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6

@@ -6,7 +6,7 @@ import pytest
 
 from ckomega import modulus as mo
 from ckomega.cutoff import CutoffFamily
-from ckomega.errors import InputError
+from ckomega.errors import InputError, NumericalError
 from ckomega.fields import NormContext
 from ckomega.jackson import (
     _conv_node_count,
@@ -409,6 +409,33 @@ def test_error_report_rejects_grid_outside_cell():
     ctx = NormContext(0, 1, mo.linear())
     with pytest.raises(InputError):
         error_report(sin_derivs, 1, 8, ctx, np.array([[100.0]]))
+
+
+def test_error_report_samples_each_lattice_once():
+    # E_N D^alpha f_ell needs f_derivs once per Leibniz term on the lattice:
+    # (0,) for alpha = (0,), (0,) and (1,) for alpha = (1,)
+    ctx = NormContext(1, 1, mo.linear())
+    grid = np.linspace(-2, 2, 33).reshape(-1, 1)
+    sizes = []
+
+    def counting(alpha, X):
+        sizes.append(X.shape[0])
+        return sin_derivs(alpha, X)
+
+    error_report(counting, 1, 8, ctx, grid)
+    # grid plus both ends of its 32 pairs is 97 points; larger calls sample a lattice
+    assert sum(size > 97 for size in sizes) == 3
+
+
+def test_error_report_rejects_non_finite_derivatives():
+    ctx = NormContext(1, 1, mo.linear())
+    grid = np.linspace(-2, 2, 9).reshape(-1, 1)
+
+    def nan_slope(alpha, X):
+        return np.full(X.shape[0], np.nan) if alpha == (1,) else sin_derivs(alpha, X)
+
+    with pytest.raises(NumericalError, match=r"\(1,\)"):
+        error_report(nan_slope, 1, 8, ctx, grid)
 
 
 # ---------------------------------------------------------------------------

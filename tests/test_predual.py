@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from ckomega import modulus as mo
-from ckomega.errors import InputError, SizeError
+from ckomega.errors import InputError
 from ckomega.extension import mcshane_extension
-from ckomega.fields import NormContext, field_from_data, field_from_jets, jet
+from ckomega.fields import NormContext, field_from_data, field_from_jets, jet, multi_indices
 from ckomega.predual import (
+    FinitenessReport,
     delta,
     difference,
     finiteness_gap,
@@ -17,6 +18,7 @@ from ckomega.predual import (
     predual_norm_k0,
     predual_norm_k0_certificate,
 )
+from ckomega.whitney import whitney_lambda
 
 CTX0 = NormContext(0, 1, mo.linear())
 
@@ -330,8 +332,73 @@ def test_finiteness_subset_sup_monotone_in_d():
             prev = rep.subset_sup
 
 
-def test_finiteness_combinatorial_guard():
+def _enumerated_gap(field, d, ctx):
+    """Reference: lambda of every subset of size <= d in (size, lexicographic)
+    order, stopping at the first subset whose lambda reaches the full value."""
+    m = len(field)
+    full = whitney_lambda(field, ctx).lam
+    sup, witness, checked, early = 0.0, (), 0, False
+    for size in range(1, min(d, m) + 1):
+        for combo in itertools.combinations(range(m), size):
+            v = whitney_lambda(field_from_jets([field.jets[i] for i in combo]), ctx).lam
+            checked += 1
+            if v > sup:
+                sup, witness = v, combo
+            if sup >= full:
+                early = True
+                break
+        if early:
+            break
+    if sup == 0.0:
+        ratio = 1.0 if full == 0.0 else float("inf")
+    else:
+        ratio = full / sup
+    return FinitenessReport(full, sup, ratio, d, witness, early, checked)
+
+
+def _differential_fields():
+    """Seeded fields over k = 0-3, n = 1-3, m = 1-8 with random, all-zero,
+    tied integer and sup-dominated jets."""
+    rng = np.random.default_rng(41)
+    moduli = (mo.linear(), mo.power(0.5), mo.capped(0.7, 1.0))
+    for trial in range(320):
+        k, n, m = int(rng.integers(0, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        J = len(multi_indices(n, k))
+        pts = rng.uniform(-1, 1, (m, n))
+        kind = trial % 4
+        if kind == 0:
+            coeffs = rng.normal(size=(m, J))
+        elif kind == 1:
+            coeffs = np.zeros((m, J))
+        elif kind == 2:  # integer points and jets: ties between pairs
+            pts = np.unique(rng.integers(-3, 4, (m, n)).astype(float), axis=0)
+            coeffs = rng.integers(-2, 3, (len(pts), J)).astype(float)
+        else:  # far-apart points with large jets: lam_sup attains lambda
+            pts = 50.0 * pts
+            coeffs = 10.0 * rng.normal(size=(m, J))
+        fld = field_from_jets([jet(p, c, k) for p, c in zip(pts, coeffs)])
+        yield fld, int(rng.integers(1, 4)), NormContext(k, n, moduli[trial % 3])
+
+
+def test_finiteness_closed_form_matches_enumeration():
+    kinds = set()
+    for fld, d, ctx in _differential_fields():
+        rep = finiteness_gap(fld, d, ctx)
+        assert rep == _enumerated_gap(fld, d, ctx)
+        kinds.add((len(rep.witness_subset), rep.early_exit))
+    # every branch of the closed form was reached
+    assert kinds == {(0, True), (1, True), (1, False), (2, True)}
+    for fld in (field_from_data([[0.3]], [-1.5]), field_from_data([[0.0], [1.0], [2.0]], [0, 0, 0])):
+        for d in (1, 2, 3):
+            assert finiteness_gap(fld, d, CTX0) == _enumerated_gap(fld, d, CTX0)
+
+
+def test_finiteness_large_d_is_one_sweep():
+    # 40 points at d = 8 are about 10^8 subsets to enumerate; the closed form
+    # needs one sweep over the 780 pairs
     pts = np.arange(40, dtype=float).reshape(-1, 1)
-    fld = field_from_data(pts, np.zeros(40))
-    with pytest.raises(SizeError):
-        finiteness_gap(fld, 8, CTX0)
+    for values in (np.zeros(40), np.random.default_rng(5).normal(size=40)):
+        fld = field_from_data(pts, values)
+        rep = finiteness_gap(fld, 8, CTX0)
+        assert rep.ratio == 1.0
+        assert rep.full == whitney_lambda(fld, CTX0).lam
