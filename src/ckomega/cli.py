@@ -28,7 +28,7 @@ from .markov import (
     classify_weak_markov,
 )
 from .modulus import default_grid, from_json as modulus_from_json, to_json as modulus_to_json, validate
-from .predual import AtomicFunctional, delta, difference, finiteness_gap, predual_norm_bracket, predual_norm_k0
+from .predual import AtomicFunctional, _k0_norm_lp, delta, difference, finiteness_gap, predual_norm_bracket
 from .whitney import whitney_lambda
 
 
@@ -294,13 +294,20 @@ def _run_predual_norm(args) -> dict:
     n = args.n or len(entries[0]["x"])
     ctx = NormContext(args.k, n, m)
     g = _parse_atoms(args.atoms, ctx)
+    prov = {"n_atoms": len(g.atoms), "support_size": len(g.support()), "seed": args.seed}
     if args.k == 0 and all(a.kind == "delta" for a in g.atoms):
-        value = predual_norm_k0(g, m)
-        results = {"norm": value, "exact": True}
+        _, sol = _k0_norm_lp(g, m)
+        results = {"norm": sol.optimum, "exact": True}
+        prov["lp"] = {
+            "formulation": "transshipment",
+            "rows": sol.dual_eq.size,
+            "vars": sol.x.size,
+            "iterations": sol.iterations,
+            "duality_gap": sol.duality_gap,
+        }
     else:
         lo, hi = predual_norm_bracket(g, ctx)
         results = {"norm_bracket": [lo, hi], "exact": False}
-    prov = {"n_atoms": len(g.atoms), "support_size": len(g.support()), "seed": args.seed}
     return _report("predual-norm", {"k": args.k, "n": n, "omega": modulus_to_json(m)}, results, prov)
 
 

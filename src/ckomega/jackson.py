@@ -368,7 +368,8 @@ class ApproxReport:
 def error_report(f_derivs, ell: int, N: int, ctx: NormContext, grid,
                  pairs=None, quad_target: int | None = None) -> ApproxReport:
     """Empirical ratios ||f_ell||/||f||, ||E_N f_ell||/||f|| and the sampled
-    C^k error ||f_ell - E_N f_ell|| / ||f|| on a grid in the fundamental cell."""
+    C^k error ||f_ell - E_N f_ell|| / ||f|| on a grid in the fundamental cell
+    and on pairs of points in it (default: consecutive grid points)."""
     X = np.atleast_2d(np.asarray(grid, dtype=float))
     if X.size == 0:
         raise InputError("degenerate grid")
@@ -376,13 +377,13 @@ def error_report(f_derivs, ell: int, N: int, ctx: NormContext, grid,
     if X.shape[1] != n:
         raise InputError("grid dimension mismatch")
     period = lattice_period(ell, n)
-    if np.max(np.abs(X)) >= 0.5 * period:
-        raise InputError("grid must lie inside the fundamental cell")
     if pairs is None:
         pairs = list(zip(X[:-1], X[1:])) if X.shape[0] > 1 else []
     px = np.array([p[0] for p in pairs], dtype=float).reshape(len(pairs), n)
     py = np.array([p[1] for p in pairs], dtype=float).reshape(len(pairs), n)
     points = np.vstack([X, px, py])
+    if np.max(np.abs(points)) >= 0.5 * period:
+        raise InputError("grid and pair endpoints must lie inside the fundamental cell")
     cuts = [X.shape[0], X.shape[0] + len(pairs)]
 
     cf = CutoffFamily(n, ell)

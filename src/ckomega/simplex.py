@@ -4,8 +4,11 @@ Internal LP layer powering predual norms, finiteness gaps and Markov ratios.
 Problems are small and dense, so determinism wins over speed: fixed Bland
 pivoting (smallest eligible index enters; ties in the ratio test broken by
 smallest basic index) makes identical inputs produce identical pivot
-sequences and outputs. Variables are free; absolute-value constraints are
-pre-lowered to paired inequalities by the callers.
+sequences and outputs. Variables are free, or all nonnegative with
+``nonneg=True``: free variables are split as x = p - q in the standard form,
+nonnegative ones keep one tableau column each and need no bound rows.
+Absolute-value constraints are pre-lowered to paired inequalities by the
+callers.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ INFEASIBLE = "INFEASIBLE"
 @dataclass(frozen=True)
 class LinearProgram:
     """max/min objective . x  subject to  lhs_ineq x <= rhs_ineq,
-    lhs_eq x = rhs_eq, x free."""
+    lhs_eq x = rhs_eq, x free (or x >= 0 with nonneg=True)."""
 
     objective: np.ndarray
     lhs_ineq: np.ndarray | None = None
@@ -36,6 +39,7 @@ class LinearProgram:
     lhs_eq: np.ndarray | None = None
     rhs_eq: np.ndarray | None = None
     sense: str = "max"
+    nonneg: bool = False
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.objective, dtype=float))
@@ -136,8 +140,13 @@ def solve(lp: LinearProgram) -> LPSolution:
     m, me = A.shape[0], E.shape[0]
     rows = m + me
 
-    # standard form: z = (p, q, s, a) >= 0, x = p - q, flipped rows have rhs >= 0
-    full = np.vstack([np.hstack([A, -A]), np.hstack([E, -E])]) if rows else np.zeros((0, 2 * nv))
+    # standard form: z = (x, s, a) >= 0 for nonnegative x, z = (p, q, s, a) >= 0
+    # with x = p - q for free x; flipped rows have rhs >= 0
+    nc = nv if lp.nonneg else 2 * nv  # structural columns
+    if lp.nonneg:
+        full = np.vstack([A, E])
+    else:
+        full = np.vstack([np.hstack([A, -A]), np.hstack([E, -E])]) if rows else np.zeros((0, nc))
     rhs = np.concatenate([b, d])
     flip = np.where(rhs < 0.0, -1.0, 1.0)
     full = full * flip[:, None]
@@ -152,20 +161,20 @@ def solve(lp: LinearProgram) -> LPSolution:
     need_art = []
     for i in range(rows):
         if i < m and flip[i] > 0:
-            basis[i] = 2 * nv + i
+            basis[i] = nc + i
         else:
             need_art.append(i)
     art = np.zeros((rows, len(need_art)))
     for j, i in enumerate(need_art):
         art[i, j] = 1.0
-        basis[i] = 2 * nv + m + j
+        basis[i] = nc + m + j
 
-    ncol = 2 * nv + m + len(need_art)
+    ncol = nc + m + len(need_art)
     T = np.zeros((rows + 1, ncol + 1))
     if rows:
-        T[:rows, : 2 * nv] = full
-        T[:rows, 2 * nv : 2 * nv + m] = slack
-        T[:rows, 2 * nv + m :ncol] = art
+        T[:rows, :nc] = full
+        T[:rows, nc : nc + m] = slack
+        T[:rows, nc + m :ncol] = art
         T[:rows, ncol] = rhs
     max_iter = 2000 + 60 * (rows + ncol)
     iterations = 0
@@ -173,10 +182,10 @@ def solve(lp: LinearProgram) -> LPSolution:
     if need_art:
         # phase 1: minimize sum of artificials
         cost1 = np.zeros(ncol + 1)
-        cost1[2 * nv + m : ncol] = 1.0
+        cost1[nc + m : ncol] = 1.0
         T[-1, :] = cost1
         for i in range(rows):
-            if basis[i] >= 2 * nv + m:  # basic artificial contributes to cost row
+            if basis[i] >= nc + m:  # basic artificial contributes to cost row
                 T[-1, :] -= T[i, :]
         status, it1, _ = _bland_iterate(T, basis, max_iter)
         iterations += it1
@@ -185,8 +194,8 @@ def solve(lp: LinearProgram) -> LPSolution:
         # drive remaining artificials out of the basis (degenerate at zero)
         drop_rows = []
         for i in range(rows):
-            if basis[i] >= 2 * nv + m:
-                row = T[i, : 2 * nv + m]
+            if basis[i] >= nc + m:
+                row = T[i, : nc + m]
                 nz = np.where(np.abs(row) > _PIVOT_TOL)[0]
                 if nz.size == 0:
                     drop_rows.append(i)
@@ -208,10 +217,11 @@ def solve(lp: LinearProgram) -> LPSolution:
             rows = len(keep)
 
     # phase 2: erase artificial columns, install true costs
-    T[:, 2 * nv + m : ncol] = 0.0
+    T[:, nc + m : ncol] = 0.0
     cost2 = np.zeros(ncol + 1)
     cost2[:nv] = -c
-    cost2[nv : 2 * nv] = c
+    if not lp.nonneg:
+        cost2[nv:nc] = c
     T[-1, :] = cost2
     for i in range(rows):
         if cost2[basis[i]] != 0.0:
@@ -220,27 +230,28 @@ def solve(lp: LinearProgram) -> LPSolution:
     iterations += it2
 
     if status == "unbounded":
+        # z moves along e_enter - T[:, enter] on the basis; x reads off its
+        # structural part (an entering slack moves x through the basis only)
         ray = np.zeros(nv)
-        if enter_j is not None and enter_j < 2 * nv:
-            if enter_j < nv:
-                ray[enter_j] = 1.0
-            else:
-                ray[enter_j - nv] = -1.0
-            for i in range(rows):
-                if basis[i] < nv:
-                    ray[basis[i]] -= T[i, enter_j]
-                elif basis[i] < 2 * nv:
-                    ray[basis[i] - nv] += T[i, enter_j]
+        if enter_j < nv:
+            ray[enter_j] = 1.0
+        elif enter_j < nc:
+            ray[enter_j - nv] = -1.0
+        for i in range(rows):
+            if basis[i] < nv:
+                ray[basis[i]] -= T[i, enter_j]
+            elif basis[i] < nc:
+                ray[basis[i] - nv] += T[i, enter_j]
         return LPSolution(UNBOUNDED, None, None, None, None, iterations, ray=ray)
 
     z = np.zeros(ncol)
     for i in range(rows):
         z[basis[i]] = T[i, ncol]
-    x = z[:nv] - z[nv : 2 * nv]
+    x = z[:nv] if lp.nonneg else z[:nv] - z[nv:nc]
     optimum = float(lp.objective @ x)
 
     dual_in, dual_eq, gap, comp, feas = _certify(
-        lp, x, c, basis, keep_rows, full, slack, flip, nv, m, me
+        lp, x, c, cost2[: nc + m], basis, keep_rows, full, slack, flip, m, me
     )
     if gap > 1e-7 * (1.0 + abs(optimum)):
         raise NumericalError(
@@ -259,14 +270,17 @@ def solve(lp: LinearProgram) -> LPSolution:
     )
 
 
-def _certify(lp, x, c, basis, keep_rows, full, slack, flip, nv, m, me):
+def _certify(lp, x, c, cost_std, basis, keep_rows, full, slack, flip, m, me):
     """Recover the dual vector from the final basis and compute residuals.
 
     Internally the problem is max c.x s.t. Ax <= b, Ex = d; its dual is
-    min b.y + d.w with A^T y + E^T w = c, y >= 0. In the standard min form
-    the basis equation B^T yhat = c_B holds, and the original multipliers are
-    lam_row = -flip_row * yhat_row (zero for rows dropped as redundant).
+    min b.y + d.w with A^T y + E^T w = c (>= c for nonnegative x), y >= 0.
+    In the standard min form, with costs cost_std on the structural and
+    slack columns, the basis equation B^T yhat = c_B holds, and the original
+    multipliers are lam_row = -flip_row * yhat_row (zero for rows dropped as
+    redundant).
     """
+    nv = lp.n_vars
     A = lp.lhs_ineq if lp.lhs_ineq is not None else np.zeros((0, nv))
     b = lp.rhs_ineq if lp.rhs_ineq is not None else np.zeros(0)
     E = lp.lhs_eq if lp.lhs_eq is not None else np.zeros((0, nv))
@@ -277,6 +291,8 @@ def _certify(lp, x, c, basis, keep_rows, full, slack, flip, nv, m, me):
         feas = max(feas, float(np.max(A @ x - b, initial=0.0)))
     if me:
         feas = max(feas, float(np.max(np.abs(E @ x - d), initial=0.0)))
+    if lp.nonneg:
+        feas = max(feas, float(np.max(-x, initial=0.0)))
 
     rows = len(keep_rows)
     y = np.zeros(m)
@@ -284,9 +300,6 @@ def _certify(lp, x, c, basis, keep_rows, full, slack, flip, nv, m, me):
     if rows:
         S = np.hstack([full, slack])[keep_rows, :]  # surviving standard-form rows
         B = S[:, basis]
-        cost_std = np.zeros(2 * nv + m)
-        cost_std[:nv] = -c
-        cost_std[nv : 2 * nv] = c
         c_B = cost_std[np.asarray(basis)]
         try:
             yhat = np.linalg.solve(B.T, c_B)

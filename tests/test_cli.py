@@ -122,6 +122,19 @@ def test_predual_norm_exact_and_bracket(capsys):
     assert lo <= hi + 1e-9
 
 
+def test_predual_norm_k0_reports_its_lp(capsys):
+    code, out, _ = run_cli(capsys, "predual-norm", "--k", "0", "--atoms",
+                           '[{"x":[0.0,0.0],"coef":1.0},{"x":[0.5,0.0],"coef":-2.0},'
+                           '{"x":[0.0,3.0],"coef":0.5}]')
+    assert code == 0
+    lp = json.loads(out)["provenance"]["lp"]
+    assert set(lp) == {"formulation", "rows", "vars", "iterations", "duality_gap"}
+    assert lp["formulation"] == "transshipment"
+    assert (lp["rows"], lp["vars"]) == (3, 12)  # m rows, m(m+1) variables
+    assert lp["iterations"] > 0
+    assert 0.0 <= lp["duality_gap"] <= 1e-9
+
+
 def test_markov_builtin_verdict(capsys):
     code, out, _ = run_cli(capsys, "markov", "--center", "[0.0]", "--set", "builtin:cube",
                            "--k", "1", "--radii", "[1.0, 0.5]", "--resolution", "9")

@@ -411,6 +411,14 @@ def test_error_report_rejects_grid_outside_cell():
         error_report(sin_derivs, 1, 8, ctx, np.array([[100.0]]))
 
 
+def test_error_report_rejects_pair_endpoints_outside_cell():
+    ctx = NormContext(0, 1, mo.linear())
+    grid = np.linspace(-0.5, 0.5, 5).reshape(-1, 1)
+    for pairs in ([([100.0], [101.0])], [([0.0], [100.0])]):
+        with pytest.raises(InputError):
+            error_report(sin_derivs, 1, 8, ctx, grid, pairs=pairs)
+
+
 def test_error_report_samples_each_lattice_once():
     # E_N D^alpha f_ell needs f_derivs once per Leibniz term on the lattice:
     # (0,) for alpha = (0,), (0,) and (1,) for alpha = (1,)

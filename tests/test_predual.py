@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ckomega.predual import (
     predual_norm_k0,
     predual_norm_k0_certificate,
 )
+from ckomega.simplex import OPTIMAL, LinearProgram, solve
 from ckomega.whitney import whitney_lambda
 
 CTX0 = NormContext(0, 1, mo.linear())
@@ -90,9 +92,16 @@ def test_norm_rejects_non_k0():
         predual_norm_k0(g, mo.linear())
 
 
-def _brute_force_k0(points, coeffs, omega):
-    """Vertex enumeration of {|u_i|<=1, |u_i-u_j|<=omega(d_ij)} (oracle)."""
-    m = len(points)
+def _u_lp(points, coeffs, omega):
+    """The dense primal k=0 norm LP on the distinct points (coefficients of a
+    repeated point summed): max c.u s.t. |u_i| <= 1, |u_i - u_j| <= omega(d_ij),
+    as (A, b, c) for A u <= b, m(m+1) rows."""
+    support = sorted({tuple(p) for p in points})
+    index = {p: i for i, p in enumerate(support)}
+    m = len(support)
+    c = np.zeros(m)
+    for p, v in zip(points, coeffs):
+        c[index[tuple(p)]] += v
     rows, rhs = [], []
     for i in range(m):
         e = np.zeros(m)
@@ -101,13 +110,18 @@ def _brute_force_k0(points, coeffs, omega):
         rhs += [1.0, 1.0]
     for i in range(m):
         for j in range(i + 1, m):
-            d = float(np.linalg.norm(np.asarray(points[i]) - np.asarray(points[j])))
+            d = float(np.linalg.norm(np.asarray(support[i]) - np.asarray(support[j])))
             e = np.zeros(m)
             e[i], e[j] = 1.0, -1.0
             rows += [e, -e]
             rhs += [omega(d), omega(d)]
-    A, b = np.array(rows), np.array(rhs)
-    c = np.asarray(coeffs)
+    return np.array(rows), np.array(rhs), c
+
+
+def _brute_force_k0(points, coeffs, omega):
+    """Vertex enumeration of {|u_i|<=1, |u_i-u_j|<=omega(d_ij)} (oracle)."""
+    A, b, c = _u_lp(points, coeffs, omega)
+    m = c.size
     best = None
     for combo in itertools.combinations(range(len(A)), m):
         sub = A[list(combo)]
@@ -118,6 +132,101 @@ def _brute_force_k0(points, coeffs, omega):
             val = c @ v
             best = val if best is None else max(best, val)
     return best
+
+
+def _dense_u_lp_k0(points, coeffs, omega):
+    """The k=0 norm as the dense u-LP on free variables (oracle)."""
+    A, b, c = _u_lp(points, coeffs, omega)
+    sol = solve(LinearProgram(c, lhs_ineq=A, rhs_ineq=b))
+    assert sol.status == OPTIMAL
+    return sol.optimum
+
+
+def _highs_k0(points, coeffs, omega):
+    """The same u-LP through HiGHS, with |u_i| <= 1 as variable bounds (oracle)."""
+    from scipy.optimize import linprog
+
+    A, b, c = _u_lp(points, coeffs, omega)
+    m = c.size
+    A, b = A[2 * m :], b[2 * m :]  # pair rows only
+    res = linprog(-c, A_ub=A if b.size else None, b_ub=b if b.size else None,
+                  bounds=[(-1.0, 1.0)] * m, method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+K0_MODULI = (
+    mo.power(0.5),
+    mo.linear(),
+    mo.capped(0.7, 0.5),
+    mo.table([(0.5, 0.6), (1.0, 0.9), (3.0, 1.5)]),
+)
+
+
+def _k0_case(rng, m, index):
+    """A seeded k=0 functional on m distinct points with repeated atoms (merged)
+    and, for m >= 2, one point whose atoms cancel; cycles through n = 1..3
+    and the four modulus kinds."""
+    n = 1 + index % 3
+    om = K0_MODULI[index % 4]
+    pts = [tuple(p) for p in rng.uniform(-2, 2, (m, n))]
+    coeffs = list(rng.normal(size=m))
+    points = list(pts)
+    for i in np.flatnonzero(rng.uniform(size=m) < 0.3):
+        points.append(pts[i])
+        coeffs.append(float(rng.normal()))
+    if m >= 2:
+        gone = int(rng.integers(m))
+        total = sum(c for p, c in zip(points, coeffs) if p == pts[gone])
+        points.append(pts[gone])
+        coeffs.append(-total)
+    g = functional([delta(p) for p in points], coeffs, NormContext(0, n, om))
+    return g, points, coeffs, om
+
+
+def _check_k0_certificate(g, om, value):
+    """u from the transshipment's row duals is feasible for the u-LP and
+    attains the norm."""
+    norm, support, u = predual_norm_k0_certificate(g, om)
+    assert norm == value
+    P = np.asarray(support)
+    c = np.zeros(len(support))
+    index = {p: i for i, p in enumerate(support)}
+    for a, coef in zip(g.atoms, g.coeffs):
+        c[index[a.x]] += coef
+    assert np.all(np.abs(u) <= 1.0 + 1e-9)
+    for i, j in itertools.combinations(range(len(support)), 2):
+        assert abs(u[i] - u[j]) <= om(float(np.linalg.norm(P[i] - P[j]))) + 1e-9
+    assert c @ u == pytest.approx(value, rel=1e-9, abs=1e-12)
+
+
+def test_k0_transshipment_matches_dense_u_lp():
+    rng = np.random.default_rng(4040)
+    for index, m in enumerate((1, 2, 3, 4, 5, 8, 12, 17, 23, 30, 40)):
+        g, points, coeffs, om = _k0_case(rng, m, index)
+        value = predual_norm_k0(g, om)
+        assert value == pytest.approx(_dense_u_lp_k0(points, coeffs, om), rel=1e-9, abs=1e-12)
+        _check_k0_certificate(g, om, value)
+
+
+def test_k0_transshipment_matches_highs():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(4141)
+    for index, m in enumerate(range(1, 41)):
+        g, points, coeffs, om = _k0_case(rng, m, index)
+        value = predual_norm_k0(g, om)
+        assert value == pytest.approx(_highs_k0(points, coeffs, om), rel=1e-9, abs=1e-12)
+        _check_k0_certificate(g, om, value)
+
+
+def test_k0_norm_m60_runtime():
+    rng = np.random.default_rng(60)
+    ctx = NormContext(0, 2, mo.power(0.5))
+    g = functional([delta(p) for p in rng.uniform(-2, 2, (60, 2))], rng.normal(size=60), ctx)
+    t0 = time.perf_counter()
+    value = predual_norm_k0(g)
+    assert time.perf_counter() - t0 < 5.0
+    assert value > 0.0
 
 
 def test_norm_matches_vertex_enumeration():

@@ -128,3 +128,74 @@ def test_degenerate_equality_redundant_rows():
         )
     )
     assert s.status == OPTIMAL and s.optimum == pytest.approx(1.0)
+
+
+def _random_nonneg_lp(rng, kind):
+    """Random LP on x >= 0 of a chosen kind: 'optimal' (a budget row bounds
+    every direction), 'infeasible' (an equality row with positive
+    coefficients and negative right-hand side) or 'unbounded' (an objective
+    that grows along a recession direction of the feasible set)."""
+    nv = int(rng.integers(1, 6))
+    m, me = int(rng.integers(0, 4)), int(rng.integers(0, 3))
+    x0 = rng.uniform(0.0, 1.0, nv)
+    A = rng.normal(size=(m, nv))
+    b = A @ x0 + rng.uniform(0.0, 1.0, m)
+    E = rng.normal(size=(me, nv))
+    d = E @ x0
+    c = rng.normal(size=nv)
+    if kind == "optimal":
+        A = np.vstack([A, np.ones(nv)])
+        b = np.append(b, x0.sum() + 1.0)
+    elif kind == "infeasible":
+        E = np.vstack([E, rng.uniform(0.5, 1.0, nv)])
+        d = np.append(d, -1.0)
+    else:
+        ray = rng.uniform(0.0, 1.0, nv)
+        ray[int(rng.integers(nv))] += 1.0
+        # rows that do not block the ray: A ray <= 0, E ray = 0
+        A = A - np.outer(np.maximum(A @ ray, 0.0) + rng.uniform(0.0, 1.0, m), ray) / (ray @ ray)
+        b = A @ x0 + rng.uniform(0.0, 1.0, m)
+        E = E - np.outer(E @ ray, ray) / (ray @ ray)
+        d = E @ x0
+        c = c - (c @ ray) * ray / (ray @ ray) + ray
+    return A, b, E, d, c
+
+
+def test_nonneg_matches_explicit_bound_rows():
+    rng = np.random.default_rng(31)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for trial in range(180):
+        kind = ("optimal", "infeasible", "unbounded")[trial % 3]
+        A, b, E, d, c = _random_nonneg_lp(rng, kind)
+        nv = c.size
+        sense = "max" if trial % 2 else "min"
+        if sense == "min":
+            c = -c
+        s = solve(LinearProgram(c, A, b, E, d, sense=sense, nonneg=True))
+        A_free, b_free = np.vstack([A, -np.eye(nv)]), np.concatenate([b, np.zeros(nv)])
+        f = solve(LinearProgram(c, A_free, b_free, E, d, sense=sense))
+        assert s.status == f.status == {"optimal": OPTIMAL, "infeasible": INFEASIBLE,
+                                         "unbounded": UNBOUNDED}[kind]
+        seen[s.status] += 1
+        if s.status == OPTIMAL:
+            assert s.optimum == pytest.approx(f.optimum, abs=1e-9 * (1 + abs(f.optimum)))
+            assert np.all(s.x >= -1e-12) and s.feasibility_residual <= 1e-9
+            y, w = s.dual_ineq, s.dual_eq
+            # the duals' objective is the optimum, and they are dual feasible
+            assert b @ y + d @ w == pytest.approx(s.optimum, abs=1e-9 * (1 + abs(s.optimum)))
+            reduced = A.T @ y + E.T @ w - c
+            assert np.all(reduced >= -1e-9 if sense == "max" else reduced <= 1e-9)
+        elif s.status == UNBOUNDED:
+            for r in (s.ray, f.ray):  # feasible and improving in both forms
+                assert np.all(r >= -1e-9)
+                assert np.all(A @ r <= 1e-9) and np.allclose(E @ r, 0.0, atol=1e-9)
+                assert (c @ r > 1e-9) if sense == "max" else (c @ r < -1e-9)
+    assert min(seen.values()) == 60
+
+
+def test_nonneg_needs_no_bound_rows():
+    # min x + 2y s.t. x + y = 1, x, y >= 0: the equality row is the only row
+    s = solve(LinearProgram([1.0, 2.0], lhs_eq=[[1.0, 1.0]], rhs_eq=[1.0], sense="min", nonneg=True))
+    assert s.status == OPTIMAL and s.optimum == 1.0
+    assert np.array_equal(s.x, [1.0, 0.0])
+    assert s.dual_eq == pytest.approx([1.0])
