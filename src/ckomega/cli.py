@@ -28,7 +28,7 @@ from .markov import (
     classify_weak_markov,
 )
 from .modulus import default_grid, from_json as modulus_from_json, to_json as modulus_to_json, validate
-from .predual import AtomicFunctional, _k0_norm_lp, delta, difference, finiteness_gap, predual_norm_bracket
+from .predual import AtomicFunctional, _bracket_solutions, _k0_norm_lp, delta, difference, finiteness_gap
 from .whitney import whitney_lambda
 
 
@@ -286,6 +286,17 @@ def _parse_atoms(spec, ctx: NormContext) -> AtomicFunctional:
     return AtomicFunctional(tuple(atoms), tuple(coeffs), ctx)
 
 
+def _lp_provenance(formulation: str, sol) -> dict:
+    rows = sum(d.size for d in (sol.dual_ineq, sol.dual_eq) if d is not None)
+    return {
+        "formulation": formulation,
+        "rows": rows,
+        "vars": sol.x.size,
+        "iterations": sol.iterations,
+        "duality_gap": sol.duality_gap,
+    }
+
+
 def _run_predual_norm(args) -> dict:
     m = _load_modulus(args.omega)
     entries = _load_json(args.atoms, "atoms")
@@ -298,16 +309,12 @@ def _run_predual_norm(args) -> dict:
     if args.k == 0 and all(a.kind == "delta" for a in g.atoms):
         _, sol = _k0_norm_lp(g, m)
         results = {"norm": sol.optimum, "exact": True}
-        prov["lp"] = {
-            "formulation": "transshipment",
-            "rows": sol.dual_eq.size,
-            "vars": sol.x.size,
-            "iterations": sol.iterations,
-            "duality_gap": sol.duality_gap,
-        }
+        prov["lp"] = _lp_provenance("transshipment", sol)
     else:
-        lo, hi = predual_norm_bracket(g, ctx)
-        results = {"norm_bracket": [lo, hi], "exact": False}
+        lo, hi = _bracket_solutions(g, ctx)
+        results = {"norm_bracket": [lo.optimum, hi.optimum], "exact": False}
+        prov["lp_lo"] = _lp_provenance("bracket-lo", lo)
+        prov["lp_hi"] = _lp_provenance("bracket-hi", hi)
     return _report("predual-norm", {"k": args.k, "n": n, "omega": modulus_to_json(m)}, results, prov)
 
 

@@ -28,17 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .fields import (
-    NormContext,
-    WhitneyField,
-    mi_factorial,
-    mi_order,
-    mi_sub,
-    multi_indices,
-)
-from .modulus import Modulus
+from .fields import NormContext, WhitneyField, mi_order, multi_indices
+from .modulus import Modulus, validate
 from .simplex import OPTIMAL, LinearProgram, solve
-from .whitney import whitney_lambda
+from .whitney import _reexpansion, whitney_lambda
 
 
 @dataclass(frozen=True)
@@ -172,6 +165,18 @@ def _k0_norm_lp(g: AtomicFunctional, omega: Modulus):
     for a in g.atoms:
         if a.kind != "delta" or a.alpha != zero:
             raise InputError("predual_norm_k0 handles k=0 delta atoms only")
+    if omega.kind == "table" and len(omega.breakpoints) > 1:
+        # Without the axioms a feasible u need not extend with the same
+        # constants, and the optimum then depends on points whose atoms
+        # cancel. A table is linear between breakpoints, where t/omega(t) is
+        # monotone, so checking them checks all of (0, inf); omega(0+) = 0
+        # holds by construction.
+        bad = [v for v in validate(omega, [t for t, _ in omega.breakpoints]).violations
+               if v.axiom != "omega(0+) = 0"]
+        if bad:
+            v = bad[0]
+            raise InputError(f"k=0 norm needs a modulus with {v.axiom}: it fails "
+                             f"between t = {v.t_lo} and t = {v.t_hi}")
     support = g.support()
     index = {p: i for i, p in enumerate(support)}
     m = len(support)
@@ -234,11 +239,36 @@ def predual_norm_bracket(g: AtomicFunctional, ctx: NormContext | None = None):
     hi: minimum total variation of a decomposition of g over atoms supported
     on the support points (a valid upper bound since every atom has norm <= 1).
     """
-    ctx = ctx or g.ctx
+    lo, hi = _bracket_solutions(g, ctx or g.ctx)
+    return lo.optimum, hi.optimum
+
+
+def _bracket_solutions(g: AtomicFunctional, ctx: NormContext):
+    """(lo, hi) LPSolutions of the two bracket LPs built by _bracket_lps."""
+    lo_lp, hi_lp = _bracket_lps(g, ctx)
+    lo = solve(lo_lp)
+    if lo.status != OPTIMAL:
+        raise InputError(f"bracket lower LP unexpectedly {lo.status}")
+    hi = solve(hi_lp)
+    if hi.status != OPTIMAL:
+        raise InputError(f"bracket upper LP unexpectedly {hi.status}")
+    return lo, hi
+
+
+def _bracket_lps(g: AtomicFunctional, ctx: NormContext):
+    """(lo, hi) LinearPrograms of the bracket, over the jet slots i*J + alpha
+    of the sorted support points x_i (no rows and no variables for an empty
+    support).
+
+    lo, on free slot variables: the rows +-e_slot <= 1 for each slot, then
+    for each pair i < j, z in (x_i, x_j) and alpha in turn the rows
+    +-(D^alpha T_i(z) - D^alpha T_j(z)) <= ||x_i - x_j||^(k-|alpha|) omega,
+    with T_i the Taylor polynomial of the slots of x_i.
+    hi, min total variation over the delta atoms on every slot and the
+    difference atoms of order k on every pair i < j, split as t = tp - tm.
+    """
     k, n, om = ctx.k, ctx.n, ctx.modulus
     support = g.support()
-    if not support:
-        return 0.0, 0.0
     mis = multi_indices(n, k)
     m, J = len(support), len(mis)
     idx = {p: i for i, p in enumerate(support)}
@@ -256,71 +286,43 @@ def predual_norm_bracket(g: AtomicFunctional, ctx: NormContext | None = None):
             gamma[slot(a.x, a.alpha)] += coef / w
             gamma[slot(a.y, a.alpha)] -= coef / w
 
-    # --- lo: LP over jet coefficients with lambda <= 1 constraints
-    rows, rhs = [], []
-    for i in range(m):
-        for alpha in mis:
-            e = np.zeros(m * J)
-            e[slot(support[i], alpha)] = 1.0
-            rows += [e, -e]
-            rhs += [1.0, 1.0]
+    pts = np.asarray(support, dtype=float).reshape(m, n)
+    pi, pj = np.triu_indices(m, 1)
+    pairs = np.arange(pi.size)[:, None]
+    dz = (pts[pi] - pts[pj]).T  # x_i - x_j, shape (n, pairs)
+    dist = np.linalg.norm(dz, axis=0)
+    w_om = np.atleast_1d(om(dist))
+    orders = np.array([mi_order(a) for a in mis], dtype=float)
 
-    def d_taylor_row(p, alpha, z):
-        """coefficients of D^alpha T_p(z) in the jet variables of point p"""
-        row = np.zeros(m * J)
-        dz = np.asarray(z) - np.asarray(p)
-        for beta in mis:
-            rem = mi_sub(beta, alpha)
-            if rem is None:
-                continue
-            row[slot(p, beta)] = float(np.prod(dz ** np.asarray(rem))) / mi_factorial(rem)
-        return row
+    # --- lo: the coefficient of slot (j, alpha + gamma) in D^alpha T_j(x_i)
+    # is the re-expansion weight dz^gamma / gamma!; across -dz it is the same
+    # weight times (-1)^|gamma|
+    op = _reexpansion(n, k)
+    w = op.weights(dz)
+    a_idx, g_idx = np.nonzero(np.arange(J)[:, None] < op.rows)  # |alpha + gamma| <= k
+    shifted, own = op.shift[a_idx, g_idx], np.arange(J)
+    A = np.zeros((2 * m * J + 4 * pi.size * J, m * J))
+    box = A[: 2 * m * J].reshape(m * J, 2, m * J)
+    s = np.arange(m * J)
+    box[s, 0, s], box[s, 1, s] = 1.0, -1.0
+    R = A[2 * m * J :].reshape(pi.size, 2, J, 2, m * J)  # (pair, z, alpha, +-, slot)
+    R[pairs, 0, a_idx, 0, pj[:, None] * J + shifted] = -w[g_idx].T
+    R[pairs, 0, own, 0, pi[:, None] * J + own] = 1.0
+    R[pairs, 1, a_idx, 0, pi[:, None] * J + shifted] = (w * op.sign[:, None])[g_idx].T
+    R[pairs, 1, own, 0, pj[:, None] * J + own] = -1.0
+    R[:, :, :, 1] = -R[:, :, :, 0]
+    bound = dist[:, None] ** (k - orders) * w_om[:, None]  # (pair, alpha)
+    rhs = np.concatenate([np.ones(2 * m * J), np.repeat(np.tile(bound, 2), 2)])
+    lo = LinearProgram(gamma, lhs_ineq=A, rhs_ineq=rhs)
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            p, q = support[i], support[j]
-            d = float(np.linalg.norm(np.asarray(p) - np.asarray(q)))
-            w = om(d)
-            for z in (p, q):
-                for alpha in mis:
-                    bound = d ** (k - mi_order(alpha)) * w
-                    row = d_taylor_row(p, alpha, z) - d_taylor_row(q, alpha, z)
-                    rows += [row, -row]
-                    rhs += [bound, bound]
-    sol = solve(LinearProgram(gamma, lhs_ineq=np.array(rows), rhs_ineq=np.array(rhs)))
-    if sol.status != OPTIMAL:
-        raise InputError(f"bracket lower LP unexpectedly {sol.status}")
-    lo = sol.optimum
-
-    # --- hi: min total variation decomposition over atoms on the support
-    columns = []
-    for p in support:
-        for alpha in mis:
-            col = np.zeros(m * J)
-            col[slot(p, alpha)] = 1.0
-            columns.append(col)
-    top = [alpha for alpha in mis if mi_order(alpha) == k]
-    for i in range(m):
-        for j in range(i + 1, m):
-            p, q = support[i], support[j]
-            d = float(np.linalg.norm(np.asarray(p) - np.asarray(q)))
-            w = om(d)
-            for alpha in top:
-                col = np.zeros(m * J)
-                col[slot(p, alpha)] = 1.0 / w
-                col[slot(q, alpha)] = -1.0 / w
-                columns.append(col)
-    M = np.array(columns).T  # (mJ, n_atoms)
-    na = M.shape[1]
-    # t = tp - tm, minimize sum(tp + tm) s.t. M (tp - tm) = gamma, tp, tm >= 0
-    sol = solve(
-        LinearProgram(
-            np.ones(2 * na), lhs_eq=np.hstack([M, -M]), rhs_eq=gamma, sense="min", nonneg=True
-        )
-    )
-    if sol.status != OPTIMAL:
-        raise InputError(f"bracket upper LP unexpectedly {sol.status}")
-    hi = sol.optimum
+    # --- hi: one column per slot, then per pair i < j and |alpha| = k
+    top = np.flatnonzero(orders == k)
+    D = np.zeros((m * J, pi.size, top.size))
+    D[pi[:, None] * J + top, pairs, np.arange(top.size)] = 1.0 / w_om[:, None]
+    D[pj[:, None] * J + top, pairs, np.arange(top.size)] = -1.0 / w_om[:, None]
+    M = np.hstack([np.eye(m * J), D.reshape(m * J, pi.size * top.size)])
+    hi = LinearProgram(np.ones(2 * M.shape[1]), lhs_eq=np.hstack([M, -M]), rhs_eq=gamma,
+                       sense="min", nonneg=True)
     return lo, hi
 
 

@@ -5,6 +5,12 @@ compatibility seminorm on Whitney fields (sup part and oscillation part with
 denominator ||x-y||^(k-|alpha|) * omega(||x-y||)), sampled C^{k,omega} norm
 estimates for callables (reported as lower bounds), and higher-order chain
 rule pullbacks of jets through a differentiable map.
+
+One Taylor re-expansion operator, D^alpha T(x + dz) = sum_gamma dz^gamma /
+gamma! c_{alpha+gamma}, serves taylor_eval, whitney_lambda and the predual
+bracket's rows: the monomials come from a recurrence (one product each, no
+powers), the sum over gamma runs in a fixed order, and a batch of B steps
+needs O(J) elements per step, J = dim P_k.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from .fields import (
     mi_add_unit,
     mi_factorial,
     mi_order,
-    mi_sub,
     multi_indices,
+    n_coefficients,
 )
 
 
@@ -32,22 +38,87 @@ def taylor_eval(j: Jet, alpha, z) -> float:
     """D^alpha of the jet's Taylor polynomial, evaluated at z.
 
     T(z) = sum_{|beta| <= k} c_beta / beta! (z - x)^beta, so
-    D^alpha T(z) = sum_{beta >= alpha} c_beta / (beta-alpha)! (z - x)^(beta-alpha).
+    D^alpha T(z) = sum_gamma c_{alpha+gamma} / gamma! (z - x)^gamma, the
+    jet re-expanded across the step z - x.
     """
     alpha = tuple(int(a) for a in alpha)
     if mi_order(alpha) > j.k:
         raise InputError(f"derivative order {alpha} exceeds jet order {j.k}")
+    mis = multi_indices(j.n, j.k)
+    if alpha not in mis:
+        raise InputError(f"{alpha} is not a multi-index on R^{j.n}")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (j.n,):
         raise InputError(f"evaluation point has dimension {z.shape}, jet has n={j.n}")
-    dz = z - np.asarray(j.point)
-    total = 0.0
-    for beta, c in zip(multi_indices(j.n, j.k), j.coeffs):
-        rem = mi_sub(beta, alpha)
-        if rem is None or c == 0.0:
-            continue
-        total += c / mi_factorial(rem) * float(np.prod(dz ** np.asarray(rem)))
-    return total
+    op = _reexpansion(j.n, j.k)
+    w = op.weights((z - np.asarray(j.point))[:, None])
+    return float(op.apply(w, np.asarray(j.coeffs)[:, None])[mis.index(alpha), 0])
+
+
+# ---------------------------------------------------------------------------
+# Taylor re-expansion operator
+
+
+class _Reexpansion:
+    """Re-expands order-k Taylor polynomials on R^n across a step dz:
+    D^alpha T(x + dz) = sum_gamma dz^gamma / gamma! * c_{alpha+gamma}.
+
+    Tables follow multi_indices(n, k), which is graded, so gamma - e_i comes
+    before gamma and every alpha with |alpha| <= r comes before every alpha
+    of larger order. For g >= 1, mis[g] = mis[parent[g]] + e_axis[g], axis
+    being the last nonzero coordinate of gamma; fact[g] = gamma!,
+    sign[g] = (-1)^|gamma|; shift[a, g] is the index of alpha + gamma, read
+    only for the rows[g] first alpha, those with |alpha + gamma| <= k.
+    """
+
+    def __init__(self, n: int, k: int):
+        mis = multi_indices(n, k)
+        J = len(mis)
+        index = {a: i for i, a in enumerate(mis)}
+        self.parent = np.zeros(J, dtype=np.intp)
+        self.axis = np.zeros(J, dtype=np.intp)
+        for g, gamma in enumerate(mis[1:], start=1):
+            self.axis[g] = max(i for i, e in enumerate(gamma) if e)
+            self.parent[g] = index[tuple(e - (i == self.axis[g]) for i, e in enumerate(gamma))]
+        self.fact = np.array([mi_factorial(g) for g in mis])
+        self.sign = np.array([(-1.0) ** mi_order(g) for g in mis])
+        self.rows = np.array([n_coefficients(n, k - mi_order(g)) for g in mis])
+        self.shift = np.array(
+            [[index.get(tuple(a + b for a, b in zip(alpha, gamma)), J) for gamma in mis]
+             for alpha in mis],
+            dtype=np.intp,
+        )
+
+    def weights(self, dz):
+        """(J, B) weights dz^gamma / gamma! for the B steps in the columns of
+        the (n, B) array dz; each monomial is one product of an earlier one
+        with a coordinate of dz. The weights for -dz are these times sign."""
+        w = np.empty((self.fact.size, dz.shape[1]))
+        w[0] = 1.0
+        for g in range(1, self.fact.size):
+            np.multiply(w[self.parent[g]], dz[self.axis[g]], out=w[g])
+        w /= self.fact[:, None]
+        return w
+
+    def apply(self, w, c):
+        """(J, B) derivatives D^alpha, at base + dz, of the Taylor polynomials
+        with coefficients in the columns of the (J, B) array c, for w =
+        weights(dz). Terms are summed in the fixed order gamma = 0, 1, ..., so
+        a column's value does not depend on B; gamma = 0 contributes c itself
+        exactly, which is all there is for k = 0."""
+        out = c.copy()
+        tmp = np.empty_like(out)
+        for g in range(1, w.shape[0]):
+            r = self.rows[g]
+            np.take(c, self.shift[:r, g], axis=0, out=tmp[:r])
+            tmp[:r] *= w[g]
+            out[:r] += tmp[:r]
+        return out
+
+
+@lru_cache(maxsize=None)
+def _reexpansion(n: int, k: int) -> _Reexpansion:
+    return _Reexpansion(n, k)
 
 
 @dataclass(frozen=True)
@@ -71,10 +142,11 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
 
     For k = 0 this equals the exact trace norm of the data (McShane). Every k
     runs through one vectorized sweep over the pairs i < j, taken in blocks
-    whose (block, J, J, n) re-expansion temporary stays below _BLOCK_ELEMS
-    elements. Witnesses are the first maximum in lexicographic order of
-    (point, alpha) and (i, j, z, alpha) respectively; osc_witness is None
-    only for a single-point field (constant data still has a witness).
+    whose per-pair temporaries (O(J) elements per pair: the monomial weights,
+    the gathered jets and the re-expanded derivatives) stay below
+    _BLOCK_ELEMS elements. Witnesses are the first maximum in lexicographic
+    order of (point, alpha) and (i, j, z, alpha) respectively; osc_witness is
+    None only for a single-point field (constant data still has a witness).
     """
     if field.k != ctx.k or field.n != ctx.n:
         raise InputError("field inconsistent with norm context")
@@ -91,59 +163,43 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
     lam_osc = 0.0
     osc_witness = None
     if m > 1:
-        pow_mat, mask, fact = _taylor_tables(n, k)
-        pts = field.points_array()
+        J = len(mis)
+        op = _reexpansion(n, k)
+        cT = coeffs.T.copy()
+        ptsT = field.points_array().T
         orders = np.array([mi_order(a) for a in mis], dtype=float)
         idx = np.arange(m)
         all_i, all_j = np.nonzero(idx[:, None] < idx)  # i < j in row-major order, as np.triu_indices
-
-        def apply(delta_z, c):
-            # derivatives of the Taylor polynomials with coefficients c,
-            # re-expanded at base + delta_z; batched over pairs
-            mono = np.prod(delta_z[:, None, None, :] ** pow_mat[None], axis=-1)
-            return np.einsum("pab,pb->pa", mono * mask[None] / fact[None], c)
-
-        for blk in _blocks(len(all_i), pow_mat.size):
+        # elements per pair alive at the peak, in the second op.apply: dz (n),
+        # dist and omega (2), den, w and the two gathered jets (4J), ratios
+        # (2J), and op.apply's out and tmp (2J)
+        for blk in _blocks(len(all_i), 8 * J + n + 2):
             ii, jj = all_i[blk], all_j[blk]
-            dz = pts[ii] - pts[jj]  # x_i - x_j, shape (B, n)
-            dist = np.linalg.norm(dz, axis=1)
+            dz = ptsT[:, ii] - ptsT[:, jj]  # x_i - x_j, shape (n, B)
+            dist = np.linalg.norm(dz, axis=0)
             om = np.atleast_1d(ctx.modulus(dist))
-            den = dist[:, None] ** (k - orders)[None, :] * om[:, None]  # (B, J)
+            den = dist ** (k - orders)[:, None] * om  # (J, B)
+            w = op.weights(dz)
+            ci, cj = cT[:, ii], cT[:, jj]
+            ratios = np.empty((2, J, len(ii)))
             # z = x_i: T_i derivs are the raw coefficients, T_j re-expanded across dz
-            num_zi = coeffs[ii] - apply(dz, coeffs[jj])
+            np.subtract(ci, op.apply(w, cj), out=ratios[0])
             # z = x_j: T_i re-expanded across -dz
-            num_zj = apply(-dz, coeffs[ii]) - coeffs[jj]
-            ratios = np.abs(np.stack([num_zi, num_zj], axis=1)) / den[:, None, :]  # (B, 2, J)
-            flat_idx = int(np.argmax(ratios))
-            best = float(ratios.reshape(-1)[flat_idx])
+            w *= op.sign[:, None]
+            np.subtract(op.apply(w, ci), cj, out=ratios[1])
+            np.abs(ratios, out=ratios)
+            ratios /= den
+            # first maximum in (pair, z, alpha) order
+            p_idx = int(np.argmax(np.max(ratios, axis=(0, 1))))
+            z_idx, a_idx = np.unravel_index(int(np.argmax(ratios[:, :, p_idx])), (2, J))
+            best = float(ratios[z_idx, a_idx, p_idx])
             # strict > keeps the earliest block's maximum: lexicographic first
             if osc_witness is None or best > lam_osc:
                 lam_osc = best
-                p_idx, z_idx, a_idx = np.unravel_index(flat_idx, ratios.shape)
                 osc_witness = (int(ii[p_idx]), int(jj[p_idx]), int(z_idx), mis[a_idx])
 
     lam = max(lam_sup, lam_osc)
     return LambdaReport(lam_sup, lam_osc, lam, sup_witness, osc_witness)
-
-
-@lru_cache(maxsize=None)
-def _taylor_tables(n: int, k: int):
-    """(J, J, n) exponent table with mask and factorials for batched
-    re-expansion: entry [a, b] covers the beta-alpha monomial when beta >= alpha."""
-    mis = multi_indices(n, k)
-    J = len(mis)
-    pow_mat = np.zeros((J, J, n))
-    mask = np.zeros((J, J))
-    fact = np.ones((J, J))
-    for a_idx, alpha in enumerate(mis):
-        for b_idx, beta in enumerate(mis):
-            rem = mi_sub(beta, alpha)
-            if rem is None:
-                continue
-            pow_mat[a_idx, b_idx, :] = rem
-            mask[a_idx, b_idx] = 1.0
-            fact[a_idx, b_idx] = mi_factorial(rem)
-    return pow_mat, mask, fact
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,32 @@ def test_predual_norm_k0_reports_its_lp(capsys):
     assert 0.0 <= lp["duality_gap"] <= 1e-9
 
 
+def test_predual_norm_k0_rejects_modulus_breaking_axioms(capsys):
+    code, _, err = run_cli(capsys, "predual-norm", "--k", "0", "--atoms",
+                           '[{"x":[0.0,0.0],"coef":1.0},{"x":[0.7,0.0],"coef":-2.0},'
+                           '{"x":[0.0,1.5],"coef":0.5}]',
+                           "--omega", '{"kind":"table","breakpoints":[[0.5,0.3],[1.0,1.2],[3.0,2.5]]}')
+    assert code == 1
+    assert "t/omega(t) nondecreasing" in err
+
+
+def test_predual_norm_bracket_reports_its_lps(capsys):
+    code, out, _ = run_cli(capsys, "predual-norm", "--k", "1", "--atoms",
+                           '[{"type":"diff","x":[0.0],"y":[1.0],"alpha":[1],"coef":1.0}]')
+    assert code == 0
+    rep = json.loads(out)
+    lo, hi = rep["provenance"]["lp_lo"], rep["provenance"]["lp_hi"]
+    for lp, formulation in ((lo, "bracket-lo"), (hi, "bracket-hi")):
+        assert set(lp) == {"formulation", "rows", "vars", "iterations", "duality_gap"}
+        assert lp["formulation"] == formulation
+        assert lp["iterations"] > 0
+        assert 0.0 <= lp["duality_gap"] <= 1e-9
+    # m=2 points, J=2 slots each, one pair: lo has 2mJ box rows and 4J pair
+    # rows on mJ free slots; hi has mJ rows on mJ + 1 atoms split in two
+    assert (lo["rows"], lo["vars"]) == (16, 4)
+    assert (hi["rows"], hi["vars"]) == (4, 10)
+
+
 def test_markov_builtin_verdict(capsys):
     code, out, _ = run_cli(capsys, "markov", "--center", "[0.0]", "--set", "builtin:cube",
                            "--k", "1", "--radii", "[1.0, 0.5]", "--resolution", "9")

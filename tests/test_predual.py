@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import numpy as np
@@ -7,9 +8,19 @@ import pytest
 from ckomega import modulus as mo
 from ckomega.errors import InputError
 from ckomega.extension import mcshane_extension
-from ckomega.fields import NormContext, field_from_data, field_from_jets, jet, multi_indices
+from ckomega.fields import (
+    NormContext,
+    field_from_data,
+    field_from_jets,
+    jet,
+    mi_factorial,
+    mi_order,
+    mi_sub,
+    multi_indices,
+)
 from ckomega.predual import (
     FinitenessReport,
+    _bracket_lps,
     delta,
     difference,
     finiteness_gap,
@@ -90,6 +101,21 @@ def test_norm_rejects_non_k0():
     g = functional([delta([0.0], [1])], [1.0], ctx1)
     with pytest.raises(InputError):
         predual_norm_k0(g, mo.linear())
+
+
+def test_k0_rejects_table_modulus_breaking_axioms():
+    # without the axioms the transshipment optimum depends on points whose
+    # atoms cancel (3.6426 on the support against 3.5977 with such a point kept)
+    ctx = NormContext(0, 2, mo.linear())
+    g = functional([delta([0.0, 0.0]), delta([0.7, 0.0]), delta([0.0, 1.5])], [1.0, -2.0, 0.5], ctx)
+    for om, axiom in ((mo.table([(0.5, 0.3), (1.0, 1.2), (3.0, 2.5)]), "t/omega(t) nondecreasing"),
+                      (mo.table([(1.0, 1.0), (2.0, 0.5)]), "omega nondecreasing")):
+        with pytest.raises(InputError, match=re.escape(axiom)):
+            predual_norm_k0(g, om)
+        with pytest.raises(InputError, match=re.escape(axiom)):
+            predual_norm_k0_certificate(g, om)
+    # one breakpoint satisfies the axioms by construction
+    assert predual_norm_k0(g, mo.table([(1.0, 2.0)])) > 0.0
 
 
 def _u_lp(points, coeffs, omega):
@@ -373,6 +399,94 @@ def test_bracket_order_random():
         g = functional(atoms, coeffs, ctx)
         lo, hi = predual_norm_bracket(g, ctx)
         assert lo <= hi + 1e-7
+
+
+def _loop_bracket_lps(g, ctx):
+    """Reference (lo, hi) bracket LPs: one lo row per (pair, z, alpha) from a
+    per-beta Taylor row with monomials by **, one hi column per pair and
+    alpha, in the order of _bracket_lps."""
+    k, n, om = ctx.k, ctx.n, ctx.modulus
+    support = g.support()
+    mis = multi_indices(n, k)
+    m, J = len(support), len(mis)
+    idx = {p: i for i, p in enumerate(support)}
+
+    def slot(p, alpha):
+        return idx[p] * J + mis.index(alpha)
+
+    gamma = np.zeros(m * J)
+    for a, coef in zip(g.atoms, g.coeffs):
+        if a.kind == "delta":
+            gamma[slot(a.x, a.alpha)] += coef
+        else:
+            w = om(float(np.linalg.norm(np.asarray(a.x) - np.asarray(a.y))))
+            gamma[slot(a.x, a.alpha)] += coef / w
+            gamma[slot(a.y, a.alpha)] -= coef / w
+
+    def d_taylor_row(p, alpha, z):
+        row = np.zeros(m * J)
+        dz = np.asarray(z) - np.asarray(p)
+        for beta in mis:
+            rem = mi_sub(beta, alpha)
+            if rem is not None:
+                row[slot(p, beta)] = float(np.prod(dz ** np.asarray(rem))) / mi_factorial(rem)
+        return row
+
+    rows, rhs = [], []
+    for s in range(m * J):
+        e = np.zeros(m * J)
+        e[s] = 1.0
+        rows += [e, -e]
+        rhs += [1.0, 1.0]
+    columns = list(np.eye(m * J))
+    for i, j in itertools.combinations(range(m), 2):
+        p, q = support[i], support[j]
+        d = float(np.linalg.norm(np.asarray(p) - np.asarray(q)))
+        w = om(d)
+        for z in (p, q):
+            for alpha in mis:
+                row = d_taylor_row(p, alpha, z) - d_taylor_row(q, alpha, z)
+                rows += [row, -row]
+                rhs += [d ** (k - mi_order(alpha)) * w] * 2
+        for alpha in mis:
+            if mi_order(alpha) == k:
+                col = np.zeros(m * J)
+                col[slot(p, alpha)] = 1.0 / w
+                col[slot(q, alpha)] = -1.0 / w
+                columns.append(col)
+    M = np.array(columns).T
+    lo = LinearProgram(gamma, lhs_ineq=np.array(rows), rhs_ineq=np.array(rhs))
+    hi = LinearProgram(np.ones(2 * M.shape[1]), lhs_eq=np.hstack([M, -M]), rhs_eq=gamma,
+                       sense="min", nonneg=True)
+    return lo, hi
+
+
+def test_bracket_lps_match_taylor_row_loop():
+    rng = np.random.default_rng(41)
+    for trial in range(32):
+        n, k, om = 1 + trial % 2, 1 + (trial // 2) % 2, K0_MODULI[(trial // 4) % 4]
+        m = int(rng.integers(2, 6))
+        pts = rng.uniform(-1, 1, (m, n))
+        mis = multi_indices(n, k)
+        top = [a for a in mis if mi_order(a) == k]
+        atoms = [delta(p, mis[rng.integers(len(mis))]) for p in pts]
+        for _ in range(2):
+            i, j = rng.choice(m, 2, replace=False)
+            atoms.append(difference(pts[i], pts[j], top[rng.integers(len(top))]))
+        ctx = NormContext(k, n, om)
+        g = functional(atoms, rng.normal(size=len(atoms)), ctx)
+        got, want = _bracket_lps(g, ctx), _loop_bracket_lps(g, ctx)
+        pairs = [(got[0].lhs_ineq, want[0].lhs_ineq), (got[0].rhs_ineq, want[0].rhs_ineq),
+                 (got[1].lhs_eq, want[1].lhs_eq), (got[0].objective, want[0].objective)]
+        values = [(solve(a).optimum, solve(b).optimum) for a, b in zip(got, want)]
+        for a, b in pairs:
+            assert a.shape == b.shape
+            if (n, k) == (1, 1):  # the shape the duality workload uses
+                assert np.array_equal(a, b)
+            else:
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+        for a, b in values:
+            assert a == b if (n, k) == (1, 1) else a == pytest.approx(b, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

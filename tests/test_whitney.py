@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from ckomega import modulus as mo
 from ckomega.errors import InputError, NumericalError
+from ckomega.extension import mcshane_extension
 from ckomega.fields import (
     NormContext,
     field_from_data,
@@ -15,15 +17,21 @@ from ckomega.fields import (
     field_from_json,
     field_to_json,
     jet,
+    mi_factorial,
     mi_order,
+    mi_sub,
     multi_indices,
 )
 from ckomega.whitney import (
+    LambdaReport,
     ck_norm_estimate,
     faa_di_bruno_pullback,
     taylor_eval,
     whitney_lambda,
 )
+
+MODULI = (mo.linear(), mo.power(0.5), mo.capped(0.7, 0.8),
+          mo.table([(0.1, 0.2), (0.5, 0.6), (2.0, 1.5)]))
 
 
 def random_field(rng, k, n, m, spread=1.0):
@@ -57,6 +65,34 @@ def test_taylor_eval_order_error():
     j1 = jet([0.0], [0.0, 1.0], 1)
     with pytest.raises(InputError):
         taylor_eval(j1, (2,), [0.0])
+    with pytest.raises(InputError):
+        taylor_eval(j1, (0, 0), [0.0])
+
+
+def _loop_taylor_eval(j, alpha, z):
+    """Reference: one term c_beta / (beta - alpha)! (z - x)^(beta - alpha)
+    per beta >= alpha, monomials by **."""
+    dz = np.asarray(z, dtype=float) - np.asarray(j.point)
+    total = 0.0
+    for beta, c in zip(multi_indices(j.n, j.k), j.coeffs):
+        rem = mi_sub(beta, alpha)
+        if rem is None or c == 0.0:
+            continue
+        total += c / mi_factorial(rem) * float(np.prod(dz ** np.asarray(rem)))
+    return total
+
+
+def test_taylor_eval_matches_loop():
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        k, n = trial % 4, 1 + trial % 3
+        mis = multi_indices(n, k)
+        j = jet(rng.uniform(-1, 1, n), rng.normal(size=len(mis)), k)
+        z = rng.uniform(-2, 2, n)
+        scale = np.sum(np.abs(j.coeffs)) * (1.0 + np.max(np.abs(z - np.asarray(j.point)))) ** k
+        for alpha in mis:
+            assert taylor_eval(j, alpha, z) == pytest.approx(
+                _loop_taylor_eval(j, alpha, z), rel=1e-12, abs=1e-14 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +121,8 @@ def test_lambda_k1_hand_example():
 
 
 def brute_lambda(field, ctx):
-    """Independent oracle: direct loop over (x, y, z, alpha) with taylor_eval."""
+    """Independent oracle: direct loop over (x, y, z, alpha) with the
+    reference Taylor loop."""
     mis = multi_indices(ctx.n, ctx.k)
     pts = field.points_array()
     lam_sup = max(abs(c) for j in field.jets for c in j.coeffs)
@@ -98,7 +135,8 @@ def brute_lambda(field, ctx):
             om = ctx.modulus(d)
             for z in (pts[i], pts[j]):
                 for a in mis:
-                    num = abs(taylor_eval(field.jets[i], a, z) - taylor_eval(field.jets[j], a, z))
+                    num = abs(_loop_taylor_eval(field.jets[i], a, z)
+                              - _loop_taylor_eval(field.jets[j], a, z))
                     lam_osc = max(lam_osc, num / (d ** (ctx.k - mi_order(a)) * om))
     return max(lam_sup, lam_osc)
 
@@ -196,12 +234,10 @@ def _k0_loop_reference(field, ctx):
 
 def test_lambda_k0_matches_pair_loop_bitwise():
     rng = np.random.default_rng(11)
-    moduli = (mo.linear(), mo.power(0.5), mo.capped(0.7, 0.8),
-              mo.table([(0.1, 0.2), (0.5, 0.6), (2.0, 1.5)]))
     for trial in range(40):
         n = int(rng.integers(1, 4))
         f = random_field(rng, 0, n, int(rng.integers(2, 40)))
-        ctx = NormContext(0, n, moduli[trial % 4])
+        ctx = NormContext(0, n, MODULI[trial % 4])
         rep = whitney_lambda(f, ctx)
         assert (rep.lam_osc, rep.osc_witness) == _k0_loop_reference(f, ctx)
 
@@ -234,14 +270,80 @@ def test_lambda_blocks_match_one_block_bitwise(monkeypatch, k):
     whole = [whitney_lambda(f, ctx) for f, ctx in zip(fields, ctxs)]
     for pairs_per_block in (1, 2, 7):
         for f, ctx, ref in zip(fields, ctxs, whole):
-            width = len(multi_indices(f.n, k)) ** 2 * f.n
+            width = 8 * len(multi_indices(f.n, k)) + f.n + 2  # whitney_lambda's per-pair width
             monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", pairs_per_block * width)
             assert whitney_lambda(f, ctx) == ref
 
 
+def _exponent_tensor_lambda(field, ctx):
+    """Reference engine: every pair's (J, J, n) exponent tensor, raised by **
+    and multiplied over n, then contracted with einsum, all pairs at once."""
+    k, n = ctx.k, ctx.n
+    mis = multi_indices(n, k)
+    J = len(mis)
+    pow_mat, mask, fact = np.zeros((J, J, n)), np.zeros((J, J)), np.ones((J, J))
+    for a_idx, alpha in enumerate(mis):
+        for b_idx, beta in enumerate(mis):
+            rem = mi_sub(beta, alpha)
+            if rem is not None:
+                pow_mat[a_idx, b_idx], mask[a_idx, b_idx] = rem, 1.0
+                fact[a_idx, b_idx] = mi_factorial(rem)
+    coeffs = np.abs(field.coeff_matrix())
+    i_sup, a_sup = np.unravel_index(int(np.argmax(coeffs)), coeffs.shape)
+    lam_sup = float(coeffs[i_sup, a_sup])
+    coeffs = field.coeff_matrix()
+    m = len(field)
+    if m == 1:
+        return LambdaReport(lam_sup, 0.0, lam_sup, (int(i_sup), mis[a_sup]), None)
+    pts = field.points_array()
+    ii, jj = np.triu_indices(m, 1)
+
+    def apply(delta_z, c):
+        mono = np.prod(delta_z[:, None, None, :] ** pow_mat[None], axis=-1)
+        return np.einsum("pab,pb->pa", mono * mask[None] / fact[None], c)
+
+    dz = pts[ii] - pts[jj]
+    dist = np.linalg.norm(dz, axis=1)
+    orders = np.array([mi_order(a) for a in mis], dtype=float)
+    den = dist[:, None] ** (k - orders)[None, :] * np.atleast_1d(ctx.modulus(dist))[:, None]
+    num = np.stack([coeffs[ii] - apply(dz, coeffs[jj]), apply(-dz, coeffs[ii]) - coeffs[jj]], axis=1)
+    ratios = np.abs(num) / den[:, None, :]
+    p_idx, z_idx, a_idx = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    lam_osc = float(ratios[p_idx, z_idx, a_idx])
+    return LambdaReport(lam_sup, lam_osc, max(lam_sup, lam_osc), (int(i_sup), mis[a_sup]),
+                        (int(ii[p_idx]), int(jj[p_idx]), int(z_idx), mis[a_idx]))
+
+
+def test_lambda_matches_exponent_tensor_engine():
+    rng = np.random.default_rng(17)
+    for trial in range(240):
+        k, n, om = trial % 4, 1 + (trial // 4) % 3, MODULI[(trial // 12) % 4]
+        m = int(rng.integers(1, 25))
+        f = _lattice_field(rng, k, n, m) if trial % 5 == 0 else random_field(rng, k, n, m)
+        ctx = NormContext(k, n, om)
+        got, want = whitney_lambda(f, ctx), _exponent_tensor_lambda(f, ctx)
+        if k == 0:
+            assert got == want
+            assert mcshane_extension(f, om).lam == want.lam_osc
+            continue
+        for name in ("lam", "lam_sup", "lam_osc"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+        assert (got.sup_witness, got.osc_witness) == (want.sup_witness, want.osc_witness)
+
+
+def test_lambda_k2_runtime():
+    # m=300, n=3, k=2: 44850 pairs, about 0.9 s for the exponent-tensor engine
+    f = random_field(np.random.default_rng(12), 2, 3, 300)
+    ctx = NormContext(2, 3, mo.power(0.5))
+    whitney_lambda(f, ctx)
+    start = time.perf_counter()
+    whitney_lambda(f, ctx)
+    assert time.perf_counter() - start < 0.4
+
+
 def test_lambda_memory_is_bounded_by_blocks():
-    # one block's (block, J, J, n) temporary is about 16 MB; the whole
-    # (pairs, J, J, n) array at this size would be over 100 MB
+    # one block's temporaries are about 16 MB; the exponent tensor of all
+    # pairs, (pairs, J, J, n), would be over 100 MB at this size
     rng = np.random.default_rng(5)
     f = random_field(rng, 3, 3, 150)
     ctx = NormContext(3, 3, mo.power(0.5))
