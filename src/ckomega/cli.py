@@ -154,7 +154,7 @@ def _run_validate_omega(args) -> dict:
     grid = default_grid() if args.grid == "default" else [float(t) for t in _load_json(args.grid, "grid")]
     rep = validate(m, grid)
     results = rep.to_dict()
-    prov = {"grid": list(grid), "seed": args.seed, "zero_limit_threshold": 1e-6}
+    prov = {"grid": list(grid), "seed": args.seed}
     return _report("validate-omega", {"omega": modulus_to_json(m)}, results, prov)
 
 
@@ -287,10 +287,9 @@ def _parse_atoms(spec, ctx: NormContext) -> AtomicFunctional:
 
 
 def _lp_provenance(formulation: str, sol) -> dict:
-    rows = sum(d.size for d in (sol.dual_ineq, sol.dual_eq) if d is not None)
     return {
         "formulation": formulation,
-        "rows": rows,
+        "rows": sol.dual_eq.size,
         "vars": sol.x.size,
         "iterations": sol.iterations,
         "duality_gap": sol.duality_gap,

@@ -5,12 +5,15 @@ The ratio sup_Q |p| / sup_{Q cap S} |p| over nonzero p of degree <= k is
 computed by LPs in the scale-normalized basis ((z - x)/r)^alpha: for every
 objective candidate point g (the cube grid united with the sample), maximize
 p(g) subject to |p| <= 1 on the sample. That feasible set is centrally
-symmetric, so max p(g) = max |p(g)| and one LP per candidate suffices. An
-unbounded LP means the ratio is numerically infinite and is reported as
-CAPPED; the cap also bounds finite blow-ups. The liminf over shrinking radii
-is proxied by the minimum over a user-supplied radii ladder, so a positive
-verdict is one-sided: WEAK_MARKOV certifies boundedness along the ladder,
-NOT_DETECTED never disproves anything.
+symmetric, so max p(g) = max |p(g)| and one LP per candidate suffices. It is
+solved in its LP dual, min ||mu||_1 s.t. S^T mu = G_g with mu = mu+ - mu-,
+which has J = dim P_k rows: p = 0 is feasible, so the optima agree, and an
+infeasible dual (G_g outside the span of the sample's monomial vectors)
+means an unbounded primal, a numerically infinite ratio, reported as
+CAPPED; the cap also bounds finite blow-ups. The liminf over shrinking
+radii is proxied by the minimum over a user-supplied radii ladder, so a
+positive verdict is one-sided: WEAK_MARKOV certifies boundedness along the
+ladder, NOT_DETECTED never disproves anything.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .fields import multi_indices
-from .simplex import OPTIMAL, UNBOUNDED, LinearProgram, solve
+from .simplex import INFEASIBLE, OPTIMAL, LinearProgram, solve
 
 DEFAULT_CAP = 1e6
 DEFAULT_RESOLUTION = 33
@@ -89,23 +92,23 @@ def _basis_matrix(points: np.ndarray, center, r: float, mis) -> np.ndarray:
 
 
 def markov_ratio(p: MarkovProbe) -> MarkovRatio:
-    """Extremal ratio of the probe; CAPPED if any extremal LP is unbounded or
-    the value exceeds the cap."""
+    """Extremal ratio of the probe; CAPPED if any extremal LP is unbounded
+    (its dual infeasible) or the value exceeds the cap."""
     n = len(p.center)
     mis = multi_indices(n, p.k)
     S = _basis_matrix(p.sample, p.center, p.r, mis)
-    lhs = np.vstack([S, -S])
-    rhs = np.ones(2 * S.shape[0])
+    lhs = np.hstack([S.T, -S.T])  # columns mu+ then mu-
+    cost = np.ones(lhs.shape[1])
     candidates = np.vstack([p.grid, p.sample])
     G = _basis_matrix(candidates, p.center, p.r, mis)
     best = 0.0
     witness = None
     for row, cand in zip(G, candidates):
-        sol = solve(LinearProgram(row, lhs_ineq=lhs, rhs_ineq=rhs))
-        if sol.status == UNBOUNDED:
+        sol = solve(LinearProgram(cost, lhs, row))
+        if sol.status == INFEASIBLE:
             return MarkovRatio(math.inf, True, None)
         if sol.status != OPTIMAL:
-            raise InputError(f"markov LP unexpectedly {sol.status}")
+            raise NumericalError(f"markov LP unexpectedly {sol.status}")
         if sol.optimum > best:
             best = sol.optimum
             witness = tuple(cand)

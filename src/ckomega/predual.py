@@ -13,7 +13,10 @@ support points and a ground node; the duals of its rows are an optimal u.
 For k >= 1 only a bracket [lo, hi] is produced: lo maximizes the pairing over
 fields satisfying the pairwise compatibility constraints with lambda <= 1,
 hi is the minimum total-variation atomic decomposition over atoms supported
-on the functional's own points.
+on the functional's own points. Every LP here is in the solver's one form,
+min c.x s.t. Ax = b, x >= 0: the transshipment and hi are posed that way,
+and lo is solved in its LP dual, whose row duals are an optimal field. A
+status other than OPTIMAL from any of them raises NumericalError.
 
 The finiteness certifier compares the pairwise compatibility constant lambda
 of a field with its supremum over subsets of at most d points. lambda is a
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .fields import NormContext, WhitneyField, mi_order, multi_indices
 from .modulus import Modulus, validate
 from .simplex import OPTIMAL, LinearProgram, solve
@@ -169,10 +172,8 @@ def _k0_norm_lp(g: AtomicFunctional, omega: Modulus):
         # Without the axioms a feasible u need not extend with the same
         # constants, and the optimum then depends on points whose atoms
         # cancel. A table is linear between breakpoints, where t/omega(t) is
-        # monotone, so checking them checks all of (0, inf); omega(0+) = 0
-        # holds by construction.
-        bad = [v for v in validate(omega, [t for t, _ in omega.breakpoints]).violations
-               if v.axiom != "omega(0+) = 0"]
+        # monotone, so checking them checks all of (0, inf).
+        bad = validate(omega, [t for t, _ in omega.breakpoints]).violations
         if bad:
             v = bad[0]
             raise InputError(f"k=0 norm needs a modulus with {v.axiom}: it fails "
@@ -195,17 +196,10 @@ def _k0_norm_lp(g: AtomicFunctional, omega: Modulus):
     # pivots than pair order at m = 28-60).
     order = np.argsort(cost, kind="stable")
     ground = np.eye(m)
-    sol = solve(
-        LinearProgram(
-            np.concatenate([np.ones(2 * m), cost[order]]),
-            lhs_eq=np.hstack([ground, -ground, arcs[:, order]]),
-            rhs_eq=c,
-            sense="min",
-            nonneg=True,
-        )
-    )
+    sol = solve(LinearProgram(np.concatenate([np.ones(2 * m), cost[order]]),
+                              np.hstack([ground, -ground, arcs[:, order]]), c))
     if sol.status != OPTIMAL:
-        raise InputError(f"k=0 norm LP unexpectedly {sol.status}")
+        raise NumericalError(f"k=0 norm LP unexpectedly {sol.status}")
     return support, sol
 
 
@@ -235,7 +229,8 @@ def predual_norm_bracket(g: AtomicFunctional, ctx: NormContext | None = None):
     lo: max <f, g> over Whitney fields on the support with the pairwise
     compatibility constant lambda <= 1 (a valid lower bound: lambda
     underestimates the true trace norm up to fixed equivalence constants, and
-    every atom has |<f, atom>| <= 1 under these constraints).
+    every atom has |<f, atom>| <= 1 under these constraints), solved in its
+    LP dual, whose row duals are an optimal field.
     hi: minimum total variation of a decomposition of g over atoms supported
     on the support points (a valid upper bound since every atom has norm <= 1).
     """
@@ -248,10 +243,10 @@ def _bracket_solutions(g: AtomicFunctional, ctx: NormContext):
     lo_lp, hi_lp = _bracket_lps(g, ctx)
     lo = solve(lo_lp)
     if lo.status != OPTIMAL:
-        raise InputError(f"bracket lower LP unexpectedly {lo.status}")
+        raise NumericalError(f"bracket lower LP unexpectedly {lo.status}")
     hi = solve(hi_lp)
     if hi.status != OPTIMAL:
-        raise InputError(f"bracket upper LP unexpectedly {hi.status}")
+        raise NumericalError(f"bracket upper LP unexpectedly {hi.status}")
     return lo, hi
 
 
@@ -260,10 +255,14 @@ def _bracket_lps(g: AtomicFunctional, ctx: NormContext):
     of the sorted support points x_i (no rows and no variables for an empty
     support).
 
-    lo, on free slot variables: the rows +-e_slot <= 1 for each slot, then
-    for each pair i < j, z in (x_i, x_j) and alpha in turn the rows
+    lo is the LP dual min rhs.y s.t. A^T y = gamma, y >= 0 of max gamma.f
+    s.t. A f <= rhs over free slot values f. The rows of A (the columns of
+    A^T, one variable y each) are +-e_slot <= 1 for each slot, then for each
+    pair i < j, z in (x_i, x_j) and alpha in turn
     +-(D^alpha T_i(z) - D^alpha T_j(z)) <= ||x_i - x_j||^(k-|alpha|) omega,
-    with T_i the Taylor polynomial of the slots of x_i.
+    with T_i the Taylor polynomial of the slots of x_i. f = 0 is feasible and
+    the box rows bound f, so both LPs have the same finite optimum, and an
+    optimal f is lo's dual_eq.
     hi, min total variation over the delta atoms on every slot and the
     difference atoms of order k on every pair i < j, split as t = tp - tm.
     """
@@ -296,24 +295,23 @@ def _bracket_lps(g: AtomicFunctional, ctx: NormContext):
 
     # --- lo: the coefficient of slot (j, alpha + gamma) in D^alpha T_j(x_i)
     # is the re-expansion weight dz^gamma / gamma!; across -dz it is the same
-    # weight times (-1)^|gamma|
+    # weight times (-1)^|gamma|. Column r of At is primal row r.
     op = _reexpansion(n, k)
     w = op.weights(dz)
     a_idx, g_idx = np.nonzero(np.arange(J)[:, None] < op.rows)  # |alpha + gamma| <= k
     shifted, own = op.shift[a_idx, g_idx], np.arange(J)
-    A = np.zeros((2 * m * J + 4 * pi.size * J, m * J))
-    box = A[: 2 * m * J].reshape(m * J, 2, m * J)
+    At = np.zeros((m * J, 2 * m * J + 4 * pi.size * J))
     s = np.arange(m * J)
-    box[s, 0, s], box[s, 1, s] = 1.0, -1.0
-    R = A[2 * m * J :].reshape(pi.size, 2, J, 2, m * J)  # (pair, z, alpha, +-, slot)
-    R[pairs, 0, a_idx, 0, pj[:, None] * J + shifted] = -w[g_idx].T
-    R[pairs, 0, own, 0, pi[:, None] * J + own] = 1.0
-    R[pairs, 1, a_idx, 0, pi[:, None] * J + shifted] = (w * op.sign[:, None])[g_idx].T
-    R[pairs, 1, own, 0, pj[:, None] * J + own] = -1.0
-    R[:, :, :, 1] = -R[:, :, :, 0]
+    At[s, 2 * s], At[s, 2 * s + 1] = 1.0, -1.0
+    R = At[:, 2 * m * J :].reshape(m * J, pi.size, 2, J, 2)  # (slot, pair, z, alpha, +-), a view
+    R[pj[:, None] * J + shifted, pairs, 0, a_idx, 0] = -w[g_idx].T
+    R[pi[:, None] * J + own, pairs, 0, own, 0] = 1.0
+    R[pi[:, None] * J + shifted, pairs, 1, a_idx, 0] = (w * op.sign[:, None])[g_idx].T
+    R[pj[:, None] * J + own, pairs, 1, own, 0] = -1.0
+    R[..., 1] = -R[..., 0]
     bound = dist[:, None] ** (k - orders) * w_om[:, None]  # (pair, alpha)
     rhs = np.concatenate([np.ones(2 * m * J), np.repeat(np.tile(bound, 2), 2)])
-    lo = LinearProgram(gamma, lhs_ineq=A, rhs_ineq=rhs)
+    lo = LinearProgram(rhs, At, gamma)
 
     # --- hi: one column per slot, then per pair i < j and |alpha| = k
     top = np.flatnonzero(orders == k)
@@ -321,8 +319,7 @@ def _bracket_lps(g: AtomicFunctional, ctx: NormContext):
     D[pi[:, None] * J + top, pairs, np.arange(top.size)] = 1.0 / w_om[:, None]
     D[pj[:, None] * J + top, pairs, np.arange(top.size)] = -1.0 / w_om[:, None]
     M = np.hstack([np.eye(m * J), D.reshape(m * J, pi.size * top.size)])
-    hi = LinearProgram(np.ones(2 * M.shape[1]), lhs_eq=np.hstack([M, -M]), rhs_eq=gamma,
-                       sense="min", nonneg=True)
+    hi = LinearProgram(np.ones(2 * M.shape[1]), np.hstack([M, -M]), gamma)
     return lo, hi
 
 

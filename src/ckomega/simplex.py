@@ -1,14 +1,16 @@
-"""Dense two-phase simplex with Bland's rule.
+"""Dense two-phase simplex with Bland's rule, on one standard form.
 
-Internal LP layer powering predual norms, finiteness gaps and Markov ratios.
-Problems are small and dense, so determinism wins over speed: fixed Bland
-pivoting (smallest eligible index enters; ties in the ratio test broken by
-smallest basic index) makes identical inputs produce identical pivot
-sequences and outputs. Variables are free, or all nonnegative with
-``nonneg=True``: free variables are split as x = p - q in the standard form,
-nonnegative ones keep one tableau column each and need no bound rows.
-Absolute-value constraints are pre-lowered to paired inequalities by the
-callers.
+Internal LP layer powering predual norms and Markov ratios. Every LP is
+
+    min c.x  subject to  A x = b,  x >= 0;
+
+callers whose natural problem has free variables or inequality rows pose its
+LP dual instead, which is of this form, and read their free variables off
+the duals of its rows (``LPSolution.dual_eq``). Problems are small and
+dense, so determinism wins over speed: fixed Bland pivoting (smallest
+eligible index enters; ties in the ratio test broken by smallest basic
+index) makes identical inputs produce identical pivot sequences and outputs.
+The tableau holds the structural columns, then one artificial per row.
 """
 
 from __future__ import annotations
@@ -30,39 +32,35 @@ INFEASIBLE = "INFEASIBLE"
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max/min objective . x  subject to  lhs_ineq x <= rhs_ineq,
-    lhs_eq x = rhs_eq, x free (or x >= 0 with nonneg=True)."""
+    """min objective . x  subject to  lhs_eq x = rhs_eq,  x >= 0
+    (no rows when lhs_eq is None)."""
 
     objective: np.ndarray
-    lhs_ineq: np.ndarray | None = None
-    rhs_ineq: np.ndarray | None = None
     lhs_eq: np.ndarray | None = None
     rhs_eq: np.ndarray | None = None
-    sense: str = "max"
-    nonneg: bool = False
+
+    # Not fields: perfbench's tracer (tracer._tableau_mb) still reads the
+    # inequality rows of an earlier free-variable form; there are none.
+    lhs_ineq = None
+    rhs_ineq = None
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        object.__setattr__(self, "objective", c)
         nv = c.size
-        for name, lhs, rhs in (
-            ("ineq", self.lhs_ineq, self.rhs_ineq),
-            ("eq", self.lhs_eq, self.rhs_eq),
-        ):
-            if lhs is None:
-                if rhs is not None:
-                    raise InputError(f"{name}: bounds without a matrix")
-                continue
-            a = np.atleast_2d(np.asarray(lhs, dtype=float))
-            b = np.atleast_1d(np.asarray(rhs, dtype=float))
+        if self.lhs_eq is None:
+            if self.rhs_eq is not None:
+                raise InputError("rhs_eq given without lhs_eq")
+            a, b = np.zeros((0, nv)), np.zeros(0)
+        else:
+            a = np.atleast_2d(np.asarray(self.lhs_eq, dtype=float))
+            b = np.atleast_1d(np.asarray(self.rhs_eq, dtype=float))
             if a.shape[0] != b.size:
-                raise InputError(f"{name}: row count {a.shape[0]} != bound count {b.size}")
+                raise InputError(f"{a.shape[0]} rows for {b.size} right-hand sides")
             if a.shape[1] != nv:
-                raise InputError(f"{name}: {a.shape[1]} columns for {nv} variables")
-            object.__setattr__(self, f"lhs_{name}", a)
-            object.__setattr__(self, f"rhs_{name}", b)
-        if self.sense not in ("max", "min"):
-            raise InputError("sense must be 'max' or 'min'")
+                raise InputError(f"{a.shape[1]} columns for {nv} variables")
+        object.__setattr__(self, "objective", c)
+        object.__setattr__(self, "lhs_eq", a)
+        object.__setattr__(self, "rhs_eq", b)
         if nv > 10**4 or self.n_rows > 10**4:
             raise InputError("dense solver guard: dimensions exceed 1e4")
 
@@ -72,9 +70,7 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        m = 0 if self.lhs_ineq is None else self.lhs_ineq.shape[0]
-        me = 0 if self.lhs_eq is None else self.lhs_eq.shape[0]
-        return m + me
+        return self.lhs_eq.shape[0]
 
 
 @dataclass(frozen=True)
@@ -82,13 +78,24 @@ class LPSolution:
     status: str
     optimum: float | None
     x: np.ndarray | None
-    dual_ineq: np.ndarray | None
-    dual_eq: np.ndarray | None
+    dual_eq: np.ndarray | None  # w with A^T w <= c and b.w = optimum, if OPTIMAL
     iterations: int
     feasibility_residual: float | None = None
     duality_gap: float | None = None
     complementarity_residual: float | None = None
-    ray: np.ndarray | None = field(default=None, repr=False)  # improving direction if UNBOUNDED
+    ray: np.ndarray | None = field(default=None, repr=False)  # d >= 0, A d = 0, c.d < 0 if UNBOUNDED
+
+
+def _pivot(T, r, j):
+    """Pivot tableau T on (r, j), updating only the rows with a nonzero
+    entry in column j: the others would subtract an exact zero."""
+    T[r, :] /= T[r, j]
+    factors = T[:, j].copy()
+    factors[r] = 0.0
+    nz = np.flatnonzero(factors)
+    T[nz] -= np.outer(factors[nz], T[r, :])
+    T[:, j] = 0.0
+    T[r, j] = 1.0
 
 
 def _bland_iterate(T, basis, max_iter):
@@ -112,13 +119,7 @@ def _bland_iterate(T, basis, max_iter):
         best = np.min(ratios)
         tied = rows[ratios <= best + 1e-12]
         r = int(tied[np.argmin([basis[i] for i in tied])])  # Bland: smallest basic index leaves
-        piv = T[r, j]
-        T[r, :] /= piv
-        factors = T[:, j].copy()
-        factors[r] = 0.0
-        T -= np.outer(factors, T[r, :])
-        T[:, j] = 0.0
-        T[r, j] = 1.0
+        _pivot(T, r, j)
         basis[r] = j
         it += 1
         if it > max_iter:
@@ -131,128 +132,65 @@ def solve(lp: LinearProgram) -> LPSolution:
     OPTIMAL solutions carry the dual vector and the residuals used to certify
     them: primal feasibility, duality gap and complementary slackness.
     """
-    c = lp.objective if lp.sense == "max" else -lp.objective
-    nv = lp.n_vars
-    A = lp.lhs_ineq if lp.lhs_ineq is not None else np.zeros((0, nv))
-    b = lp.rhs_ineq if lp.rhs_ineq is not None else np.zeros(0)
-    E = lp.lhs_eq if lp.lhs_eq is not None else np.zeros((0, nv))
-    d = lp.rhs_eq if lp.rhs_eq is not None else np.zeros(0)
-    m, me = A.shape[0], E.shape[0]
-    rows = m + me
-
-    # standard form: z = (x, s, a) >= 0 for nonnegative x, z = (p, q, s, a) >= 0
-    # with x = p - q for free x; flipped rows have rhs >= 0
-    nc = nv if lp.nonneg else 2 * nv  # structural columns
-    if lp.nonneg:
-        full = np.vstack([A, E])
-    else:
-        full = np.vstack([np.hstack([A, -A]), np.hstack([E, -E])]) if rows else np.zeros((0, nc))
-    rhs = np.concatenate([b, d])
-    flip = np.where(rhs < 0.0, -1.0, 1.0)
-    full = full * flip[:, None]
-    rhs = rhs * flip
-    slack = np.zeros((rows, m))
-    for i in range(m):
-        slack[i, i] = flip[i]
-
-    # initial basis: slack columns where usable (+1 coefficient), else artificials
-    basis = [-1] * rows
-    keep_rows = list(range(rows))
-    need_art = []
-    for i in range(rows):
-        if i < m and flip[i] > 0:
-            basis[i] = nc + i
-        else:
-            need_art.append(i)
-    art = np.zeros((rows, len(need_art)))
-    for j, i in enumerate(need_art):
-        art[i, j] = 1.0
-        basis[i] = nc + m + j
-
-    ncol = nc + m + len(need_art)
+    c, A, b = lp.objective, lp.lhs_eq, lp.rhs_eq
+    rows, nv = A.shape
+    # rows flipped so that the rhs is >= 0; the artificials are a feasible basis
+    flip = np.where(b < 0.0, -1.0, 1.0)
+    full = A * flip[:, None]
+    ncol = nv + rows
     T = np.zeros((rows + 1, ncol + 1))
-    if rows:
-        T[:rows, :nc] = full
-        T[:rows, nc : nc + m] = slack
-        T[:rows, nc + m :ncol] = art
-        T[:rows, ncol] = rhs
+    T[:rows, :nv] = full
+    T[:rows, nv:ncol] = np.eye(rows)
+    T[:rows, ncol] = b * flip
+    basis = list(range(nv, ncol))
     max_iter = 2000 + 60 * (rows + ncol)
     iterations = 0
+    drop_rows = []
 
-    if need_art:
+    if rows:
         # phase 1: minimize sum of artificials
-        cost1 = np.zeros(ncol + 1)
-        cost1[nc + m : ncol] = 1.0
-        T[-1, :] = cost1
+        T[-1, nv:ncol] = 1.0
         for i in range(rows):
-            if basis[i] >= nc + m:  # basic artificial contributes to cost row
-                T[-1, :] -= T[i, :]
+            T[-1, :] -= T[i, :]
         status, it1, _ = _bland_iterate(T, basis, max_iter)
         iterations += it1
         if status != "optimal" or -T[-1, ncol] > _PHASE1_TOL:
-            return LPSolution(INFEASIBLE, None, None, None, None, iterations)
-        # drive remaining artificials out of the basis (degenerate at zero)
-        drop_rows = []
+            return LPSolution(INFEASIBLE, None, None, None, iterations)
+        # drive remaining artificials out of the basis (degenerate at zero);
+        # a row with no structural entry left is redundant and dropped
         for i in range(rows):
-            if basis[i] >= nc + m:
-                row = T[i, : nc + m]
-                nz = np.where(np.abs(row) > _PIVOT_TOL)[0]
+            if basis[i] >= nv:
+                nz = np.where(np.abs(T[i, :nv]) > _PIVOT_TOL)[0]
                 if nz.size == 0:
                     drop_rows.append(i)
                     continue
                 j = int(nz[0])
-                piv = T[i, j]
-                T[i, :] /= piv
-                factors = T[:, j].copy()
-                factors[i] = 0.0
-                T -= np.outer(factors, T[i, :])
-                T[:, j] = 0.0
-                T[i, j] = 1.0
+                _pivot(T, i, j)
                 basis[i] = j
-        if drop_rows:
-            keep = [i for i in range(rows) if i not in drop_rows]
-            T = T[keep + [rows], :]
-            basis = [basis[i] for i in keep]
-            keep_rows = [keep_rows[i] for i in keep]
-            rows = len(keep)
+    keep_rows = [i for i in range(rows) if i not in drop_rows]
+    basis = [basis[i] for i in keep_rows]
 
-    # phase 2: erase artificial columns, install true costs
-    T[:, nc + m : ncol] = 0.0
-    cost2 = np.zeros(ncol + 1)
-    cost2[:nv] = -c
-    if not lp.nonneg:
-        cost2[nv:nc] = c
-    T[-1, :] = cost2
-    for i in range(rows):
-        if cost2[basis[i]] != 0.0:
-            T[-1, :] -= cost2[basis[i]] * T[i, :]
+    # phase 2 on the structural columns and the rhs, with the true costs
+    T = T[np.ix_(keep_rows + [rows], np.r_[:nv, ncol])]
+    T[-1, :nv], T[-1, nv] = c, 0.0
+    for i, j in enumerate(basis):
+        if c[j] != 0.0:
+            T[-1, :] -= c[j] * T[i, :]
     status, it2, enter_j = _bland_iterate(T, basis, max_iter)
     iterations += it2
 
     if status == "unbounded":
-        # z moves along e_enter - T[:, enter] on the basis; x reads off its
-        # structural part (an entering slack moves x through the basis only)
+        # x moves along e_enter - T[:, enter] on the basis
         ray = np.zeros(nv)
-        if enter_j < nv:
-            ray[enter_j] = 1.0
-        elif enter_j < nc:
-            ray[enter_j - nv] = -1.0
-        for i in range(rows):
-            if basis[i] < nv:
-                ray[basis[i]] -= T[i, enter_j]
-            elif basis[i] < nc:
-                ray[basis[i] - nv] += T[i, enter_j]
-        return LPSolution(UNBOUNDED, None, None, None, None, iterations, ray=ray)
+        ray[enter_j] = 1.0
+        for i, j in enumerate(basis):
+            ray[j] -= T[i, enter_j]
+        return LPSolution(UNBOUNDED, None, None, None, iterations, ray=ray)
 
-    z = np.zeros(ncol)
-    for i in range(rows):
-        z[basis[i]] = T[i, ncol]
-    x = z[:nv] if lp.nonneg else z[:nv] - z[nv:nc]
-    optimum = float(lp.objective @ x)
-
-    dual_in, dual_eq, gap, comp, feas = _certify(
-        lp, x, c, cost2[: nc + m], basis, keep_rows, full, slack, flip, m, me
-    )
+    x = np.zeros(nv)
+    x[basis] = T[: len(basis), nv]
+    optimum = float(c @ x)
+    dual, gap, comp, feas = _certify(lp, x, full, flip, basis, keep_rows)
     if gap > 1e-7 * (1.0 + abs(optimum)):
         raise NumericalError(
             f"duality gap {gap:.3e} exceeds certificate tolerance after {iterations} iterations"
@@ -261,8 +199,7 @@ def solve(lp: LinearProgram) -> LPSolution:
         OPTIMAL,
         optimum,
         x,
-        dual_in,
-        dual_eq,
+        dual,
         iterations,
         feasibility_residual=feas,
         duality_gap=gap,
@@ -270,52 +207,24 @@ def solve(lp: LinearProgram) -> LPSolution:
     )
 
 
-def _certify(lp, x, c, cost_std, basis, keep_rows, full, slack, flip, m, me):
+def _certify(lp, x, full, flip, basis, keep_rows):
     """Recover the dual vector from the final basis and compute residuals.
 
-    Internally the problem is max c.x s.t. Ax <= b, Ex = d; its dual is
-    min b.y + d.w with A^T y + E^T w = c (>= c for nonnegative x), y >= 0.
-    In the standard min form, with costs cost_std on the structural and
-    slack columns, the basis equation B^T yhat = c_B holds, and the original
-    multipliers are lam_row = -flip_row * yhat_row (zero for rows dropped as
+    The dual of min c.x s.t. Ax = b, x >= 0 is max b.w s.t. A^T w <= c. On
+    the flipped rows that survive phase 1 the basis equation B^T what = c_B
+    holds, and w_row = flip_row * what_row (zero for rows dropped as
     redundant).
     """
-    nv = lp.n_vars
-    A = lp.lhs_ineq if lp.lhs_ineq is not None else np.zeros((0, nv))
-    b = lp.rhs_ineq if lp.rhs_ineq is not None else np.zeros(0)
-    E = lp.lhs_eq if lp.lhs_eq is not None else np.zeros((0, nv))
-    d = lp.rhs_eq if lp.rhs_eq is not None else np.zeros(0)
-
-    feas = 0.0
-    if m:
-        feas = max(feas, float(np.max(A @ x - b, initial=0.0)))
-    if me:
-        feas = max(feas, float(np.max(np.abs(E @ x - d), initial=0.0)))
-    if lp.nonneg:
-        feas = max(feas, float(np.max(-x, initial=0.0)))
-
-    rows = len(keep_rows)
-    y = np.zeros(m)
-    w = np.zeros(me)
-    if rows:
-        S = np.hstack([full, slack])[keep_rows, :]  # surviving standard-form rows
-        B = S[:, basis]
-        c_B = cost_std[np.asarray(basis)]
+    c, A, b = lp.objective, lp.lhs_eq, lp.rhs_eq
+    feas = max(float(np.max(np.abs(A @ x - b), initial=0.0)), float(np.max(-x, initial=0.0)))
+    w = np.zeros(b.size)
+    if keep_rows:
+        B = full[keep_rows][:, basis]
         try:
-            yhat = np.linalg.solve(B.T, c_B)
+            what = np.linalg.solve(B.T, c[basis])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular basis while extracting duals: {exc}") from exc
-        for pos, i in enumerate(keep_rows):
-            lam = -flip[i] * yhat[pos]
-            if i < m:
-                y[i] = lam
-            else:
-                w[i - m] = lam
-        y = np.where(np.abs(y) < 1e-11, 0.0, y)
-
-    primal = float(c @ x)
-    dual_val = float(b @ y + d @ w)
-    gap = abs(primal - dual_val)
-    comp = float(np.max(np.abs(y * (b - A @ x)), initial=0.0)) if m else 0.0
-    sign = 1.0 if lp.sense == "max" else -1.0
-    return sign * y, sign * w, gap, comp, feas
+        w[keep_rows] = flip[keep_rows] * what
+    gap = abs(float(c @ x) - float(b @ w))
+    comp = float(np.max(np.abs(x * (c - A.T @ w)), initial=0.0))
+    return w, gap, comp, feas

@@ -168,13 +168,17 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
         cT = coeffs.T.copy()
         ptsT = field.points_array().T
         orders = np.array([mi_order(a) for a in mis], dtype=float)
-        idx = np.arange(m)
-        all_i, all_j = np.nonzero(idx[:, None] < idx)  # i < j in row-major order, as np.triu_indices
+        # pairs i < j in row-major order, as np.triu_indices; row i starts at
+        # pair number starts[i], so each block derives its own (i, j)
+        rows = np.arange(m)
+        starts = rows * (2 * m - rows - 1) // 2
         # elements per pair alive at the peak, in the second op.apply: dz (n),
         # dist and omega (2), den, w and the two gathered jets (4J), ratios
         # (2J), and op.apply's out and tmp (2J)
-        for blk in _blocks(len(all_i), 8 * J + n + 2):
-            ii, jj = all_i[blk], all_j[blk]
+        for blk in _blocks(m * (m - 1) // 2, 8 * J + n + 2):
+            p = np.arange(blk.start, blk.stop)
+            ii = np.searchsorted(starts, p, side="right") - 1
+            jj = p - starts[ii] + ii + 1
             dz = ptsT[:, ii] - ptsT[:, jj]  # x_i - x_j, shape (n, B)
             dist = np.linalg.norm(dz, axis=0)
             om = np.atleast_1d(ctx.modulus(dist))

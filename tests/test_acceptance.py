@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from free_lp import solve_free
 
 from ckomega import modulus as mo
 from ckomega.extension import hermite_extension, mcshane_extension
@@ -40,7 +41,7 @@ from ckomega.predual import (
     predual_norm_k0_certificate,
 )
 from ckomega.quadrature import periodic_nodes
-from ckomega.simplex import OPTIMAL, LinearProgram, solve
+from ckomega.simplex import OPTIMAL
 from ckomega.whitney import faa_di_bruno_pullback, whitney_lambda
 
 
@@ -454,7 +455,7 @@ def test_criterion_12_property_suites_1000_trials():
             A = np.vstack([np.eye(nv), -np.eye(nv), rng.normal(size=(2, nv))])
             x0 = rng.uniform(-1, 1, nv)
             b = np.concatenate([np.full(2 * nv, 2.0), A[2 * nv :] @ x0 + rng.uniform(0.1, 1, 2)])
-            sol = solve(LinearProgram(rng.normal(size=nv), lhs_ineq=A, rhs_ineq=b))
+            sol = solve_free(rng.normal(size=nv), lhs_ineq=A, rhs_ineq=b)
             assert sol.status == OPTIMAL
             assert sol.duality_gap <= 1e-7 * (1.0 + abs(sol.optimum))
             gap_checks += 1

@@ -42,6 +42,34 @@ def test_validate_omega_table_violation(capsys):
     assert not rep["results"]["ok"]
 
 
+def test_validate_omega_steep_moduli_clean(capsys):
+    # both vanish at 0+ although omega is still large at the smallest grid point
+    for spec in ('{"kind":"power","exponent":0.05}',
+                 '{"kind":"table","breakpoints":[[1e-20,1.0]]}'):
+        code, out, _ = run_cli(capsys, "validate-omega", "--omega", spec, "--grid", "default")
+        assert code == 0
+        assert json.loads(out)["results"]["violations"] == []
+
+
+@pytest.mark.parametrize("module, argv", [
+    ("predual", ["predual-norm", "--k", "0", "--atoms", '[{"x":[0.0],"coef":1.0},{"x":[1.0],"coef":-1.0}]']),
+    ("predual", ["predual-norm", "--k", "1", "--atoms",
+                 '[{"type":"diff","x":[0.0],"y":[1.0],"alpha":[1],"coef":1.0}]']),
+    ("markov", ["markov", "--center", "[0.0]", "--set", "builtin:cube", "--k", "1",
+                "--radii", "[1.0]", "--resolution", "5"]),
+])
+def test_unexpected_lp_status_exits_2(capsys, monkeypatch, module, argv):
+    import importlib
+
+    from ckomega.simplex import UNBOUNDED, LPSolution
+
+    mod = importlib.import_module(f"ckomega.{module}")
+    monkeypatch.setattr(mod, "solve", lambda lp: LPSolution(UNBOUNDED, None, None, None, 0))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "unexpectedly UNBOUNDED" in err
+
+
 def test_finiteness_two_point_ratio_one(capsys, tmp_path):
     p = tmp_path / "twopoint.json"
     p.write_text(FIELD_2PT)
@@ -155,9 +183,10 @@ def test_predual_norm_bracket_reports_its_lps(capsys):
         assert lp["formulation"] == formulation
         assert lp["iterations"] > 0
         assert 0.0 <= lp["duality_gap"] <= 1e-9
-    # m=2 points, J=2 slots each, one pair: lo has 2mJ box rows and 4J pair
-    # rows on mJ free slots; hi has mJ rows on mJ + 1 atoms split in two
-    assert (lo["rows"], lo["vars"]) == (16, 4)
+    # m=2 points, J=2 slots each, one pair: lo, in its dual, has mJ rows on
+    # one variable per primal row (2mJ box rows and 4J pair rows); hi has mJ
+    # rows on mJ + 1 atoms split in two
+    assert (lo["rows"], lo["vars"]) == (4, 16)
     assert (hi["rows"], hi["vars"]) == (4, 10)
 
 

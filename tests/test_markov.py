@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from free_lp import solve_free
 
 from ckomega.errors import InputError
 from ckomega.fields import multi_indices
@@ -13,7 +14,7 @@ from ckomega.markov import (
     markov_ratio,
     probe,
 )
-from ckomega.simplex import OPTIMAL, UNBOUNDED, LinearProgram, solve
+from ckomega.simplex import OPTIMAL, UNBOUNDED
 
 
 def test_full_grid_sample_gives_one():
@@ -88,7 +89,8 @@ def test_monotone_in_sample():
 
 
 def _two_sign_ratio(pr: MarkovProbe):
-    """Reference: maximize +p(g) and -p(g) separately for every candidate g."""
+    """Reference: maximize +p(g) and -p(g) separately for every candidate g,
+    in the primal free form."""
     mis = multi_indices(len(pr.center), pr.k)
 
     def basis(points):
@@ -99,8 +101,8 @@ def _two_sign_ratio(pr: MarkovProbe):
     best = 0.0
     for row in basis(np.vstack([pr.grid, pr.sample])):
         for sign in (1.0, -1.0):
-            sol = solve(LinearProgram(sign * row, lhs_ineq=np.vstack([S, -S]),
-                                      rhs_ineq=np.ones(2 * S.shape[0])))
+            sol = solve_free(sign * row, lhs_ineq=np.vstack([S, -S]),
+                             rhs_ineq=np.ones(2 * S.shape[0]))
             if sol.status == UNBOUNDED:
                 return math.inf
             assert sol.status == OPTIMAL
@@ -125,6 +127,15 @@ def test_one_sign_matches_two_sign_reference():
         else:
             assert not got.capped
             assert got.value == pytest.approx(want, rel=1e-12)
+
+
+def test_halfspace_k2_resolution_17_completes():
+    # the primal over the 2|S| rows +-S c <= 1 cycled here (Bland's rule with
+    # tolerance ties); the J-row dual finishes, at |T_2(3)| = 17
+    sample = builtin_set_sampler("halfspace", 2, 17)((0.0, 0.0), 1.0)
+    r = markov_ratio(probe([0.0, 0.0], 1.0, 2, sample, resolution=17))
+    assert not r.capped
+    assert r.value == pytest.approx(17.0, rel=1e-9)
 
 
 def test_builtin_samplers_take_the_resolution():

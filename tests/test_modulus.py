@@ -30,6 +30,17 @@ def test_builtin_kinds_validate_clean():
         assert rep.ok, (m, rep.violations)
 
 
+def test_steep_moduli_validate_clean():
+    # omega(0+) = 0 holds by construction even where omega is still large at
+    # the smallest grid point: t^0.05 is 0.5 at t = 1e-6, and this table
+    # rises to 1 within t = 1e-20
+    grid = mo.default_grid()
+    for m in (mo.power(0.05), mo.table([[1e-20, 1.0]])):
+        rep = mo.validate(m, grid)
+        assert rep.ok and rep.violations == (), (m, rep.violations)
+        assert rep.to_dict()["ok"] is True
+
+
 def test_table_encoding_t_squared_violates_second_axiom():
     m = mo.table([[0.1, 0.01], [1.0, 1.0]])
     rep = mo.validate(m, [0.1, 1.0])

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from free_lp import solve_free
 
 from ckomega import modulus as mo
 from ckomega.errors import InputError
@@ -163,7 +164,7 @@ def _brute_force_k0(points, coeffs, omega):
 def _dense_u_lp_k0(points, coeffs, omega):
     """The k=0 norm as the dense u-LP on free variables (oracle)."""
     A, b, c = _u_lp(points, coeffs, omega)
-    sol = solve(LinearProgram(c, lhs_ineq=A, rhs_ineq=b))
+    sol = solve_free(c, lhs_ineq=A, rhs_ineq=b)
     assert sol.status == OPTIMAL
     return sol.optimum
 
@@ -402,8 +403,9 @@ def test_bracket_order_random():
 
 
 def _loop_bracket_lps(g, ctx):
-    """Reference (lo, hi) bracket LPs: one lo row per (pair, z, alpha) from a
-    per-beta Taylor row with monomials by **, one hi column per pair and
+    """Reference (lo, hi) bracket LPs: one primal lo row per (pair, z, alpha)
+    from a per-beta Taylor row with monomials by **, posed in lo's dual as
+    one column of the transposed rows each, and one hi column per pair and
     alpha, in the order of _bracket_lps."""
     k, n, om = ctx.k, ctx.n, ctx.modulus
     support = g.support()
@@ -455,9 +457,8 @@ def _loop_bracket_lps(g, ctx):
                 col[slot(q, alpha)] = -1.0 / w
                 columns.append(col)
     M = np.array(columns).T
-    lo = LinearProgram(gamma, lhs_ineq=np.array(rows), rhs_ineq=np.array(rhs))
-    hi = LinearProgram(np.ones(2 * M.shape[1]), lhs_eq=np.hstack([M, -M]), rhs_eq=gamma,
-                       sense="min", nonneg=True)
+    lo = LinearProgram(np.array(rhs), lhs_eq=np.array(rows).T, rhs_eq=gamma)
+    hi = LinearProgram(np.ones(2 * M.shape[1]), lhs_eq=np.hstack([M, -M]), rhs_eq=gamma)
     return lo, hi
 
 
@@ -476,8 +477,8 @@ def test_bracket_lps_match_taylor_row_loop():
         ctx = NormContext(k, n, om)
         g = functional(atoms, rng.normal(size=len(atoms)), ctx)
         got, want = _bracket_lps(g, ctx), _loop_bracket_lps(g, ctx)
-        pairs = [(got[0].lhs_ineq, want[0].lhs_ineq), (got[0].rhs_ineq, want[0].rhs_ineq),
-                 (got[1].lhs_eq, want[1].lhs_eq), (got[0].objective, want[0].objective)]
+        pairs = [(got[0].lhs_eq, want[0].lhs_eq), (got[0].objective, want[0].objective),
+                 (got[1].lhs_eq, want[1].lhs_eq), (got[0].rhs_eq, want[0].rhs_eq)]
         values = [(solve(a).optimum, solve(b).optimum) for a, b in zip(got, want)]
         for a, b in pairs:
             assert a.shape == b.shape

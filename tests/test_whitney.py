@@ -356,6 +356,20 @@ def test_lambda_memory_is_bounded_by_blocks():
     assert peak < 48e6
 
 
+def test_lambda_pair_indices_are_bounded_by_blocks():
+    # 4.5 million pairs: index arrays of all of them would be 72 MB, while
+    # each block derives its own (i, j) from its range of the i < j order
+    rng = np.random.default_rng(3000)
+    f = field_from_data(rng.uniform(-1, 1, (3000, 2)), rng.normal(size=3000))
+    tracemalloc.start()
+    try:
+        whitney_lambda(f, NormContext(0, 2, mo.power(0.5)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
 def _first_coincident_pair(pts):
     # the full (m, m) distance matrix, scanned in row-major order
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
