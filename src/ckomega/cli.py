@@ -196,12 +196,8 @@ def _run_extend(args) -> dict:
         jets = None
     else:
         op = hermite_extension(fld)
-        jets = []
-        values = []
-        for q in Q:
-            j = op.evaluate_jet(float(q[0]))
-            values.append(j.coeffs[0])
-            jets.append(list(j.coeffs))
+        J = op.jets(Q[:, 0])
+        values, jets = J[:, 0].tolist(), J.tolist()
     if args.audit:
         for q in Q:
             rec = depth_audit(op, float(q[0]) if args.method == "hermite1d" else q)

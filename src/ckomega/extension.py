@@ -7,6 +7,12 @@ two-point Hermite blend of degree 2k+1 for general k, which is linear in the
 data and admits a depth audit (the value at any x is a fixed linear
 combination of at most 2(k+1) jet entries at no more than two source points).
 
+On a gap [a, b], h = b - a, s = (x - a)/h, the blend is D^j F(x) = sum over
+e in {a, b}, r <= k of h^(r-j) psi_{e,r}^(j)(s) c_r(e), with c_r(e) the
+order-r jet entry at e and psi_{e,r} the two-point Hermite cardinal
+polynomials (de Boor, A Practical Guide to Splines, 1978), tabulated once
+per k. Values, jets and depth audits all read these weights.
+
 Outside the data hull the 1D extension freezes: the nearest endpoint's Taylor
 polynomial is multiplied by the smooth profile equal to 1 up to distance 1
 and 0 beyond distance 2, which keeps the extension bounded.
@@ -16,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
-from .cutoff import profile_deriv
+from .cutoff import profile, profile_deriv
 from .errors import InputError
-from .fields import Jet, NormContext, WhitneyField, _blocks, jet
+from .fields import Jet, NormContext, WhitneyField, _blocks
 from .modulus import Modulus
 from .whitney import whitney_lambda
 
@@ -98,31 +104,29 @@ def mcshane_extend(field: WhitneyField, omega: Modulus, x, variant: str = "min")
 # 1D Hermite blend
 
 
-def _hermite_gap_poly(a: float, b: float, jet_a: Jet, jet_b: Jet, k: int) -> np.ndarray:
-    """Monomial coefficients (in t = x - a) of the unique degree-(2k+1)
-    polynomial matching both endpoint jets; Newton divided differences with
-    repeated nodes."""
-    nodes = [a] * (k + 1) + [b] * (k + 1)
-    jets = {a: jet_a, b: jet_b}
-    size = len(nodes)
-    dd = [[0.0] * size for _ in range(size)]
-    for i in range(size):
-        dd[i][i] = jets[nodes[i]].coeffs[0]
-    for r in range(1, size):
-        for i in range(size - r):
-            j = i + r
-            if nodes[i] == nodes[j]:
-                dd[i][j] = jets[nodes[i]].coeffs[r] / math.factorial(r)
-            else:
-                dd[i][j] = (dd[i + 1][j] - dd[i][j - 1]) / (nodes[j] - nodes[i])
-    # Newton basis products in t = x - a: factors are t (node a) or t - (b - a)
-    coeffs = np.zeros(1)
-    basis = np.ones(1)
-    for j in range(size):
-        coeffs = P.polyadd(coeffs, dd[0][j] * basis)
-        shift = 0.0 if nodes[j] == a else (b - a)
-        basis = P.polymul(basis, np.array([-shift, 1.0]))
-    return coeffs
+@lru_cache(maxsize=None)
+def _cardinal(k: int) -> np.ndarray:
+    """Cardinal polynomials psi_{0,r}(s) = s^r / r! (1 - s)^(k+1) sum_{i <= k-r}
+    C(k+i, i) s^i and psi_{1,r}(s) = (-1)^r psi_{0,r}(1 - s), r <= k, whose
+    j-th derivatives (j <= k) are 1 at endpoint e if j = r, else 0. Entry
+    [0, p, j, e, r] multiplies s^p in psi_{e,r}^(j)(s), [1, p, j, e, r] u^p in
+    the same function of u = 1 - s: evaluating near s = 1 in s loses about
+    1e-10 relative at k = 3 and gaps of 1e-3. r! psi has integer coefficients,
+    so every entry is rounded once."""
+    deg = 2 * k + 1
+    one_minus = np.array([[math.comb(p, q) * (-1) ** q for q in range(deg + 1)] for p in range(deg + 1)])
+    table = np.zeros((2, deg + 1, k + 1, 2, k + 1))
+    for r in range(k + 1):
+        left = np.zeros(deg + 1, dtype=np.int64)  # r! psi_{0,r}
+        left[r:] = np.convolve(one_minus[k + 1, : k + 2], [math.comb(k + i, i) for i in range(k - r + 1)])
+        for e, poly in enumerate((left, (-1) ** r * left @ one_minus)):
+            for j in range(k + 1):
+                perm = [math.perm(p, j) for p in range(j, deg + 1)]
+                table[0, : deg + 1 - j, j, e, r] = poly[j:] * perm / math.factorial(r)
+    jr = np.arange(k + 1)
+    table[1] = (-1.0) ** (jr[:, None, None] + jr) * table[0, :, :, ::-1]
+    table.flags.writeable = False  # shared by every caller of the cache
+    return table
 
 
 @dataclass(frozen=True)
@@ -132,59 +136,91 @@ class HermiteExtension1D:
     field: WhitneyField
     knots: tuple[float, ...]
     order: tuple[int, ...]  # field indices sorted by knot
-    gap_polys: tuple
 
     @property
     def k(self) -> int:
         return self.field.k
 
-    def _tail_jet(self, x: float, side: int) -> Jet:
-        """Taylor polynomial of the hull endpoint times the smooth clamp."""
+    @cached_property
+    def _arrays(self):
+        """knots, order, jet coefficients; per gap its stencil and h^(r-j)."""
+        knots, order, jr = np.asarray(self.knots), np.asarray(self.order), np.arange(self.k + 1)
+        hpow = np.diff(knots)[:, None, None, None] ** (jr - jr[:, None, None])
+        return knots, order, self.field.coeff_matrix(), np.stack([order[:-1], order[1:]], 1), hpow
+
+    def _weights(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Stencils idx (P, 2) and weights w (P, k+1, 2, k+1) with D^j F(x_q) =
+        sum_{e, r} w[q, j, e, r] c_r(idx[q, e]): identity weights on a knot,
+        the cardinal table in a gap, the hull endpoint's Taylor polynomial
+        times the clamp profile (Leibniz) in a tail, where the one point is
+        repeated with zero weights. A row does not depend on P."""
+        xs = np.asarray(xs, dtype=float).ravel()
+        if not np.isfinite(xs).all():
+            raise InputError("queries must be finite")
         k = self.k
-        idx = self.order[0] if side < 0 else self.order[-1]
-        endpoint = self.knots[0] if side < 0 else self.knots[-1]
-        ejet = self.field.jets[idx]
-        dist = (endpoint - x) if side < 0 else (x - endpoint)
-        sg = -1.0 if side < 0 else 1.0  # d(dist)/dx
-        tvals = [
-            sum(
-                ejet.coeffs[r] / math.factorial(r - j) * (x - endpoint) ** (r - j)
-                for r in range(j, k + 1)
-            )
-            for j in range(k + 1)
-        ]
-        svals = [float(profile_deriv(np.array([dist]), j)[0]) * sg**j for j in range(k + 1)]
-        coeffs = [
-            sum(math.comb(j, i) * tvals[i] * svals[j - i] for i in range(j + 1))
-            for j in range(k + 1)
-        ]
-        return jet([x], coeffs, k)
+        knots, order, _, pairs, hpow = self._arrays
+        pos = np.searchsorted(knots, xs)
+        hit = knots[np.minimum(pos, knots.size - 1)] == xs
+        left, right = xs < knots[0], xs > knots[-1]
+        gap = ~(hit | left | right)
+        idx = np.empty((xs.size, 2), dtype=np.intp)
+        w = np.zeros((xs.size, k + 1, 2, k + 1))
+
+        if np.count_nonzero(hit):
+            idx[hit] = order[pos[hit], None]
+            w[hit, :, 0, :] = np.eye(k + 1)
+
+        if np.count_nonzero(gap):
+            g = pos[gap] - 1
+            idx[gap] = pairs[g]
+            a, b, x = knots[g], knots[g + 1], xs[gap]
+            s, u = (x - a) / (b - a), (b - x) / (b - a)
+            v = np.minimum(s, u)[:, None, None, None]
+            table = _cardinal(k)[(u < s).astype(np.intp)]
+            psi = table[:, -1] * v
+            for p in range(2 * k, 0, -1):  # Horner
+                psi += table[:, p]
+                psi *= v
+            w[gap] = (psi + table[:, 0]) * hpow[g]
+
+        tail = left | right
+        if np.count_nonzero(tail):
+            end = np.where(left[tail], 0, knots.size - 1)
+            idx[tail] = order[end, None]
+            t = xs[tail] - knots[end]
+            sig = np.empty((t.size, k + 1, 1))  # D^i of the clamp of |t|, times t^p / p! below
+            for i in range(k + 1):
+                sig[:, i, 0] = profile_deriv(np.abs(t), i)
+            sig[:, 1::2] *= np.sign(t)[:, None, None]
+            outer = sig * (t[:, None, None] ** np.arange(k + 1) / [math.factorial(p) for p in range(k + 1)])
+            wt = outer.copy()
+            for i in range(1, k + 1):  # D^j (T sigma) = sum_i C(j, i) T^(i) sigma^(j-i)
+                binom = [[math.comb(j, i)] for j in range(i, k + 1)]
+                wt[:, i:, i:] += binom * outer[:, : k + 1 - i, : k + 1 - i]
+            w[tail, :, 0, :] = wt
+        return idx, w
+
+    def jets(self, xs) -> np.ndarray:
+        """(P, k+1) array of D^j F at the points of xs (flattened), j = 0..k."""
+        xs = np.asarray(xs, dtype=float).ravel()
+        k = self.k
+        out = np.empty((xs.size, k + 1))
+        for blk in _blocks(xs.size, 8 * (k + 1) ** 2 * (k + 2)):
+            idx, w = self._weights(xs[blk])
+            terms = w * self._arrays[2][idx][:, None]  # (B, k+1, 2, k+1)
+            acc = terms[..., 0]
+            for r in range(1, k + 1):  # fixed order: a row does not depend on the block
+                acc = acc + terms[..., r]
+            out[blk] = acc[..., 0] + acc[..., 1]
+        return out
 
     def evaluate_jet(self, x: float) -> Jet:
         """Values D^alpha F(x) for alpha <= k, packed as a jet at x."""
         x = float(x)
-        k = self.k
-        for pos, knot in enumerate(self.knots):
-            if x == knot:  # a data point's own jet wins
-                j0 = self.field.jets[self.order[pos]]
-                return jet([x], j0.coeffs, k)
-        if x < self.knots[0]:
-            return self._tail_jet(x, -1)
-        if x > self.knots[-1]:
-            return self._tail_jet(x, +1)
-        gap = int(np.searchsorted(self.knots, x)) - 1
-        coeffs = self.gap_polys[gap]
-        t = x - self.knots[gap]
-        out = []
-        cur = coeffs
-        for _ in range(k + 1):
-            out.append(float(P.polyval(t, cur)))
-            cur = P.polyder(cur)
-        return jet([x], out, k)
+        return Jet((x,), tuple(self.jets([x])[0].tolist()), self.k)
 
     def __call__(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        vals = np.array([self.evaluate_jet(v).coeffs[0] for v in xs])
+        vals = self.jets(x)[:, 0]
         return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
@@ -193,13 +229,7 @@ def hermite_extension(field: WhitneyField) -> HermiteExtension1D:
         raise InputError("Hermite blend extension is 1D only")
     order = tuple(int(i) for i in np.argsort([p[0] for p in field.points]))
     knots = tuple(field.points[i][0] for i in order)
-    polys = []
-    for g in range(len(knots) - 1):
-        a, b = knots[g], knots[g + 1]
-        polys.append(
-            _hermite_gap_poly(a, b, field.jets[order[g]], field.jets[order[g + 1]], field.k)
-        )
-    return HermiteExtension1D(field, knots, order, tuple(polys))
+    return HermiteExtension1D(field, knots, order)
 
 
 def hermite_extend_1d(field: WhitneyField, x) -> Jet:
@@ -218,12 +248,11 @@ NOT_LINEAR = "NOT_LINEAR"
 class DepthRecord:
     """Active source points and weights reproducing F(x) for a linear operator.
 
-    entries are (field point index, derivative order alpha, weight); applying
-    the weights to the jet entries of any data reproduces the extension value
-    at x. constant_residual is |sum of order-0 weights applied to constant-one
-    data minus the operator's own value on that data| (the clamp makes the
-    constant decay beyond distance 1 from the hull, so the check compares
-    against the operator, not against 1).
+    entries are (field point index, derivative order alpha, weight), the
+    nonzero order-0 weights at x; applied to the jet entries of any data they
+    reproduce the extension value at x. constant_residual is |sum of the
+    alpha = 0 weights - the exact extension of constant-one data|: 1 inside
+    the hull (the blend reproduces constants), the clamp profile outside.
     """
 
     linear: bool
@@ -243,41 +272,10 @@ def depth_audit(op, x) -> DepthRecord:
     if not isinstance(op, HermiteExtension1D):
         raise InputError("depth audit supports McShane and 1D Hermite operators")
     x = float(x)
-    field = op.field
-    k = field.k
-    knots = op.knots
-    if x in knots:
-        active = [op.order[knots.index(x)]]
-    elif x < knots[0]:
-        active = [op.order[0]]
-    elif x > knots[-1]:
-        active = [op.order[-1]]
-    else:
-        gap = int(np.searchsorted(knots, x)) - 1
-        active = [op.order[gap], op.order[gap + 1]]
-
-    entries = []
-    for idx in active:
-        for order_a in range(k + 1):
-            sub_jets = []
-            for j in active:
-                coeffs = [0.0] * (k + 1)
-                if j == idx:
-                    coeffs[order_a] = 1.0
-                sub_jets.append(jet([field.points[j][0]], coeffs, k))
-            sub = WhitneyField(
-                tuple(field.points[j] for j in active), tuple(sub_jets), k, 1
-            )
-            w = hermite_extension(sub)(x)
-            if w != 0.0:
-                entries.append((idx, order_a, w))
-
-    const_weight = sum(w for _, a, w in entries if a == 0)
-    ones = WhitneyField(
-        tuple(field.points[j] for j in active),
-        tuple(jet([field.points[j][0]], [1.0] + [0.0] * k, k) for j in active),
-        k,
-        1,
-    )
-    residual = abs(const_weight - hermite_extension(ones)(x))
-    return DepthRecord(True, tuple(entries), len(active), residual)
+    idx, w = op._weights([x])
+    active = list(dict.fromkeys(int(i) for i in idx[0]))  # a repeated index is one point
+    entries = tuple((i, a, float(w[0, 0, e, a])) for e, i in enumerate(active)
+                    for a in range(op.k + 1) if w[0, 0, e, a] != 0.0)
+    const_weight = sum(wt for _, a, wt in entries if a == 0)
+    dist = max(op.knots[0] - x, x - op.knots[-1], 0.0)
+    return DepthRecord(True, entries, len(active), abs(const_weight - float(profile(dist))))

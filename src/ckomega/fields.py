@@ -98,6 +98,8 @@ class Jet:
             )
         if not all(math.isfinite(c) for c in self.coeffs):
             raise InputError("jet coefficients must be finite")
+        if not all(math.isfinite(x) for x in self.point):
+            raise InputError(f"jet base point must be finite, got {self.point}")
 
     @property
     def n(self) -> int:
@@ -251,22 +253,33 @@ def field_from_json(obj) -> WhitneyField:
         obj = json.loads(obj)
     try:
         k, n = int(obj["k"]), int(obj["n"])
-        points = obj["points"]
-        jets_spec = obj["jets"]
-    except (KeyError, TypeError) as exc:
+        points = list(obj["points"])
+        jets_spec = list(obj["jets"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"field JSON needs k, n, points, jets: {exc}") from exc
     if len(points) != len(jets_spec):
         raise InputError("field JSON: one jet list per point required")
     jets_ = []
-    for p, entries in zip(points, jets_spec):
+    for i, (p, entries) in enumerate(zip(points, jets_spec)):
+        if not isinstance(p, (list, tuple)) or not isinstance(entries, (list, tuple)):
+            raise InputError(f"field JSON: point {i} needs a coordinate list and a jet list, "
+                             f"got {p!r} and {entries!r}")
         values = {}
         for e in entries:
-            alpha = tuple(int(a) for a in e["alpha"])
+            try:
+                alpha = tuple(int(a) for a in e["alpha"])
+                values[alpha] = float(e["value"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"field JSON: jet entry {e!r} of point {i} needs an integer "
+                                 f"alpha list and a numeric value") from exc
             if len(alpha) != n or mi_order(alpha) > k:
                 raise InputError(f"bad multi-index {alpha} for n={n}, k={k}")
-            values[alpha] = float(e["value"])
-        jets_.append(jet_from_dict(p, values, k))
-    return WhitneyField(tuple(tuple(float(x) for x in p) for p in points), tuple(jets_), k, n)
+        try:
+            point = [float(x) for x in p]
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"field JSON: point {i} coordinates {p!r} are not numbers") from exc
+        jets_.append(jet_from_dict(point, values, k))
+    return WhitneyField(tuple(j.point for j in jets_), tuple(jets_), k, n)
 
 
 def field_to_json(f: WhitneyField) -> dict:

@@ -53,8 +53,8 @@ class MarkovProbe:
     resolution: int = field(default=DEFAULT_RESOLUTION)
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise InputError("probe radius must be positive")
+        if not 0 < self.r < math.inf:
+            raise InputError("probe radius must be positive and finite")
         s = np.atleast_2d(np.asarray(self.sample, dtype=float))
         g = np.atleast_2d(np.asarray(self.grid, dtype=float))
         if s.size == 0:
@@ -64,6 +64,8 @@ class MarkovProbe:
         n = len(self.center)
         if s.shape[1] != n or g.shape[1] != n:
             raise InputError("sample/grid dimension mismatch")
+        if not (np.isfinite(self.center).all() and np.isfinite(s).all()):
+            raise InputError("probe center and set sample must be finite")
         if np.max(np.abs(s - np.asarray(self.center)[None, :])) > self.r * (1 + 1e-12):
             raise InputError("set sample must lie inside the cube")
         object.__setattr__(self, "sample", s)

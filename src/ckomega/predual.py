@@ -26,6 +26,7 @@ read off one sweep over the full field; no subset is enumerated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,8 @@ class AtomicFunctional:
         merged: dict[Atom, float] = {}
         for a, c in zip(self.atoms, self.coeffs):
             a.validate(self.ctx)
+            if not math.isfinite(c):
+                raise InputError(f"coefficient {c} of atom {a} is not finite")
             merged[a] = merged.get(a, 0.0) + float(c)
         pruned = [(a, c) for a, c in merged.items() if c != 0.0]
         object.__setattr__(self, "atoms", tuple(a for a, _ in pruned))

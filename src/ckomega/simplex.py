@@ -58,6 +58,8 @@ class LinearProgram:
                 raise InputError(f"{a.shape[0]} rows for {b.size} right-hand sides")
             if a.shape[1] != nv:
                 raise InputError(f"{a.shape[1]} columns for {nv} variables")
+        if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+            raise InputError("LP data must be finite")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "lhs_eq", a)
         object.__setattr__(self, "rhs_eq", b)

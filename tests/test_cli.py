@@ -163,6 +163,35 @@ def test_predual_norm_k0_reports_its_lp(capsys):
     assert 0.0 <= lp["duality_gap"] <= 1e-9
 
 
+@pytest.mark.parametrize("points, jets, names", [
+    ([[0.0]], [[1.0]], "jet entry 1.0"),  # entry is not an object
+    ([[0.0]], [[{"alpha": [0]}]], "jet entry {'alpha': [0]}"),  # no value
+    ([[0.0]], [[{"alpha": [0], "value": "abc"}]], "'value': 'abc'"),  # non-numeric value
+    ([0.0], [[{"alpha": [0], "value": 1.0}]], "point 0"),  # point is not a list
+    ([[0.0]], [5], "point 0"),  # per-point jets entry is not a list
+])
+def test_norm_malformed_field_json_exit_1(capsys, points, jets, names):
+    bad = json.dumps({"k": 0, "n": 1, "points": points, "jets": jets})
+    code, _, err = run_cli(capsys, "norm", "--field", bad)
+    assert code == 1
+    assert err.startswith("input error: field JSON") and names in err
+
+
+@pytest.mark.parametrize("queries", ["[[NaN]]", "[[0.5], [Infinity]]"])
+def test_extend_hermite_non_finite_query_exit_1(capsys, queries):
+    code, _, err = run_cli(capsys, "extend", "--input", FIELD_2PT, "--queries", queries,
+                           "--method", "hermite1d", "--audit")
+    assert code == 1
+    assert "input error" in err and "queries must be finite" in err
+
+
+def test_predual_norm_nan_weight_exit_1(capsys):
+    code, _, err = run_cli(capsys, "predual-norm", "--k", "0", "--atoms",
+                           '[{"x":[0.0],"coef":1.0},{"x":[1.0],"coef":NaN}]')
+    assert code == 1
+    assert "input error" in err and "not finite" in err
+
+
 def test_predual_norm_k0_rejects_modulus_breaking_axioms(capsys):
     code, _, err = run_cli(capsys, "predual-norm", "--k", "0", "--atoms",
                            '[{"x":[0.0,0.0],"coef":1.0},{"x":[0.7,0.0],"coef":-2.0},'

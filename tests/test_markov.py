@@ -53,6 +53,14 @@ def test_sample_outside_cube_rejected():
         probe([0.0], 1.0, 1, np.array([[2.0]]))
 
 
+def test_non_finite_probe_rejected():
+    for center, sample in (([0.0], [[0.5], [np.nan]]), ([np.nan], [[0.5]]), ([0.0], [[np.inf]])):
+        with pytest.raises(InputError, match="must be finite"):
+            MarkovProbe(tuple(center), 1.0, 1, np.array(sample), cube_grid([0.0], 1.0, 5))
+    with pytest.raises(InputError, match="positive and finite"):
+        probe([0.0], np.nan, 1, np.array([[0.0]]))
+
+
 def test_ratio_at_least_one():
     rng = np.random.default_rng(0)
     for _ in range(15):

@@ -76,6 +76,13 @@ def test_atom_validation():
         difference([0.0], [0.0])
 
 
+def test_non_finite_coefficient_rejected():
+    with pytest.raises(InputError, match="not finite"):
+        predual_norm_k0(functional([delta([0.0]), delta([1.0])], [1.0, np.nan], CTX0))
+    with pytest.raises(InputError, match="not finite"):
+        functional([delta([0.0])], [np.inf], CTX0)
+
+
 def test_atom_deduplication():
     g = functional([delta([0.0]), delta([0.0]), delta([1.0])], [1.0, 2.0, 0.0], CTX0)
     assert len(g.atoms) == 1

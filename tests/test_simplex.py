@@ -51,6 +51,16 @@ def test_dimension_mismatch_rejected():
         LinearProgram(np.array([1.0, 2.0]), lhs_eq=[[1.0, 0.0, 1.0]], rhs_eq=[1.0])
 
 
+@pytest.mark.parametrize("c, a, b", [
+    ([1.0, np.nan], [[1.0, 1.0]], [1.0]),
+    ([1.0, 1.0], [[1.0, np.inf]], [1.0]),
+    ([1.0, 1.0], [[1.0, 1.0]], [-np.inf]),
+])
+def test_non_finite_data_rejected(c, a, b):
+    with pytest.raises(InputError, match="LP data must be finite"):
+        LinearProgram(c, a, b)
+
+
 def test_one_standard_form():
     # min c.x s.t. Ax = b, x >= 0 is the only form: three settable fields;
     # lhs_ineq / rhs_ineq are read-only None class attributes

@@ -11,12 +11,14 @@ from ckomega import modulus as mo
 from ckomega.errors import InputError, NumericalError
 from ckomega.extension import mcshane_extension
 from ckomega.fields import (
+    Jet,
     NormContext,
     field_from_data,
     field_from_jets,
     field_from_json,
     field_to_json,
     jet,
+    jet_from_dict,
     mi_factorial,
     mi_order,
     mi_sub,
@@ -413,6 +415,19 @@ def test_field_json_round_trip(k, n):
     f = random_field(np.random.default_rng(k), k, n, 5)
     assert field_from_json(field_to_json(f)) == f
     assert field_from_json(json.dumps(field_to_json(f))) == f
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: jet([p], [1.0], 0),
+    lambda p: jet_from_dict([p], {(0,): 1.0}, 0),
+    lambda p: Jet((p,), (1.0,), 0),
+    lambda p: field_from_data([[p], [1.0]], [1.0, 2.0]),
+    lambda p: field_from_json({"k": 0, "n": 1, "points": [[p]], "jets": [[{"alpha": [0], "value": 1.0}]]}),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_base_point_rejected(build, bad):
+    with pytest.raises(InputError, match="jet base point must be finite"):
+        build(bad)
 
 
 # ---------------------------------------------------------------------------
