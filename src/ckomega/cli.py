@@ -185,8 +185,17 @@ def _run_extend(args) -> dict:
     m = _load_modulus(args.omega)
     queries = _load_json(args.queries, "queries")
     if isinstance(queries, dict):
+        if "points" not in queries:
+            raise InputError("queries object has no 'points' list")
         queries = queries["points"]
-    Q = np.atleast_2d(np.asarray(queries, dtype=float))
+    try:
+        Q = np.atleast_2d(np.asarray(queries, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"queries must be a list of numeric points: {exc}") from exc
+    if Q.ndim != 2:
+        raise InputError(f"queries must be a list of points, got an array of shape {Q.shape}")
+    if not np.isfinite(Q).all():
+        raise InputError("queries must be finite")
     if Q.shape[1] != fld.n:
         raise InputError(f"queries have dimension {Q.shape[1]}, field has n={fld.n}")
     audits = []
@@ -351,7 +360,10 @@ def _run_markov(args) -> dict:
     verdict = classify_weak_markov(center, sampler, args.k, radii, args.threshold,
                                    resolution=args.resolution)
     prov = {"resolution": args.resolution, "cap": 1e6, "seed": args.seed,
-            "one_sided": "NOT_DETECTED never disproves the property"}
+            "one_sided": "NOT_DETECTED never disproves the property",
+            "lps": [None if d is None else d.lps for d in verdict.details],
+            "pruned": [None if d is None else d.pruned for d in verdict.details],
+            "pivots": sum(d.pivots for d in verdict.details if d is not None)}
     return _report("markov", {"center": center, "set": set_desc, "k": args.k,
                               "threshold": args.threshold}, verdict.to_dict(), prov)
 

@@ -152,19 +152,25 @@ class CutoffFamily:
 
     def rho(self, X) -> np.ndarray:
         """Evaluate rho_ell at points X of shape (m, n); returns (m,)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        vals = profile(X / self.ell)
-        return np.prod(vals, axis=1)
+        return self.rho_deriv(X, (0,) * self.n)
 
     def rho_deriv(self, X, alpha) -> np.ndarray:
-        """D^alpha rho_ell at points X; exact tensor derivative."""
+        """D^alpha rho_ell at points X; exact tensor derivative.
+
+        Each factor is evaluated once per distinct coordinate of its column
+        (a lattice has few), then gathered; the product runs over the axes in
+        order, as ``np.prod(..., axis=1)`` does, so the values are the
+        per-point ones bitwise."""
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.n:
             raise InputError("multi-index dimension mismatch")
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.n:
+            raise InputError(f"points have dimension {X.shape[1]}, cutoff has n={self.n}")
         out = np.ones(X.shape[0])
         for i, a in enumerate(alpha):
-            out = out * profile_deriv(X[:, i] / self.ell, a)
+            u, where = np.unique(X[:, i] / self.ell, return_inverse=True)
+            out = out * profile_deriv(u, a)[where]
         return out / self.ell ** mi_order(alpha)
 
 

@@ -85,6 +85,7 @@ class LPSolution:
     feasibility_residual: float | None = None
     duality_gap: float | None = None
     complementarity_residual: float | None = None
+    basis: np.ndarray | None = field(default=None, repr=False)  # structural columns of the optimal basis, one per kept row
     ray: np.ndarray | None = field(default=None, repr=False)  # d >= 0, A d = 0, c.d < 0 if UNBOUNDED
 
 
@@ -154,9 +155,12 @@ def solve(lp: LinearProgram) -> LPSolution:
         T[-1, nv:ncol] = 1.0
         for i in range(rows):
             T[-1, :] -= T[i, :]
-        status, it1, _ = _bland_iterate(T, basis, max_iter)
+        # phase 1 is bounded below by 0, so an "unbounded" stop is rounding
+        # drift on a reduced cost near -_COST_TOL: only the artificial sum
+        # decides feasibility
+        _, it1, _ = _bland_iterate(T, basis, max_iter)
         iterations += it1
-        if status != "optimal" or -T[-1, ncol] > _PHASE1_TOL:
+        if -T[-1, ncol] > _PHASE1_TOL:
             return LPSolution(INFEASIBLE, None, None, None, iterations)
         # drive remaining artificials out of the basis (degenerate at zero);
         # a row with no structural entry left is redundant and dropped
@@ -206,6 +210,7 @@ def solve(lp: LinearProgram) -> LPSolution:
         feasibility_residual=feas,
         duality_gap=gap,
         complementarity_residual=comp,
+        basis=np.array(basis, dtype=int),
     )
 
 

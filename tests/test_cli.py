@@ -185,6 +185,21 @@ def test_extend_hermite_non_finite_query_exit_1(capsys, queries):
     assert "input error" in err and "queries must be finite" in err
 
 
+@pytest.mark.parametrize("method", ["mcshane", "hermite1d"])
+@pytest.mark.parametrize("queries, names", [
+    ('[["a"]]', "queries must be a list of numeric points"),
+    ("[[0.5], [1.0, 2.0]]", "queries must be a list of numeric points"),
+    ("[[[0.5]]]", "queries must be a list of points"),
+    ('{"x": [0.5]}', "queries object has no 'points' list"),
+    ("[[NaN]]", "queries must be finite"),
+])
+def test_extend_malformed_queries_exit_1(capsys, method, queries, names):
+    code, _, err = run_cli(capsys, "extend", "--input", FIELD_2PT, "--queries", queries,
+                           "--method", method)
+    assert code == 1
+    assert err.startswith("input error: ") and names in err
+
+
 def test_predual_norm_nan_weight_exit_1(capsys):
     code, _, err = run_cli(capsys, "predual-norm", "--k", "0", "--atoms",
                            '[{"x":[0.0],"coef":1.0},{"x":[1.0],"coef":NaN}]')
@@ -296,3 +311,19 @@ def test_out_file_writing(tmp_path, capsys):
     assert out == ""
     rep = json.loads(target.read_text())
     assert rep["subcommand"] == "norm"
+
+
+def test_markov_provenance_counts_lps(capsys):
+    # 2D halfspace, k=1, resolution 33, default 11-radius ladder: every ratio
+    # is |T_1(3)| = 3, and cached bases bound all but a few of the 1650
+    # candidates per radius
+    code, out, _ = run_cli(capsys, "markov", "--center", "[0.0, 0.0]", "--set",
+                           "builtin:halfspace", "--k", "1", "--resolution", "33")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["results"]["ratios"] == pytest.approx([3.0] * 11, rel=1e-12)
+    prov = rep["provenance"]
+    assert len(prov["lps"]) == len(prov["pruned"]) == 11
+    assert all(1 <= lps <= 10 for lps in prov["lps"])
+    assert all(lps + pruned == 33 * 33 + 33 * 17 for lps, pruned in zip(prov["lps"], prov["pruned"]))
+    assert prov["pivots"] >= sum(prov["lps"])

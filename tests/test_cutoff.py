@@ -116,3 +116,26 @@ def test_rho_memory_is_bounded_by_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 150e6
+
+
+def _per_point(cf, X, alpha):
+    """Reference: every factor evaluated at every point, as rho used to be."""
+    vals = np.stack([profile_deriv(X[:, i] / cf.ell, a) for i, a in enumerate(alpha)], axis=1)
+    return np.prod(vals, axis=1) / cf.ell ** sum(alpha)
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+def test_rho_per_coordinate_matches_per_point_bitwise(ell):
+    g = np.linspace(-2.5 * ell, 2.5 * ell, 21)
+    lattice = np.stack([a.ravel() for a in np.meshgrid(g, g, g, indexing="ij")], axis=1)
+    scattered = np.random.default_rng(3).uniform(-2.5 * ell, 2.5 * ell, (500, 3))
+    cf = CutoffFamily(3, ell)
+    for X in (lattice, scattered):
+        assert np.array_equal(cf.rho(X), np.prod(profile(X / ell), axis=1))
+        for alpha in [(0, 0, 0), (1, 0, 2), (3, 1, 1), (0, 4, 0)]:
+            assert np.array_equal(cf.rho_deriv(X, alpha), _per_point(cf, X, alpha))
+
+
+def test_rho_rejects_wrong_dimension():
+    with pytest.raises(InputError, match="dimension"):
+        CutoffFamily(2, 1).rho(np.zeros((4, 3)))

@@ -8,13 +8,14 @@ from ckomega.errors import InputError
 from ckomega.fields import multi_indices
 from ckomega.markov import (
     MarkovProbe,
+    _basis_matrix,
     builtin_set_sampler,
     classify_weak_markov,
     cube_grid,
     markov_ratio,
     probe,
 )
-from ckomega.simplex import OPTIMAL, UNBOUNDED
+from ckomega.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve
 
 
 def test_full_grid_sample_gives_one():
@@ -243,3 +244,122 @@ def test_cube_grid_shape_and_bounds():
     g = cube_grid([1.0, -1.0], 0.5, 5)
     assert g.shape == (25, 2)
     assert np.max(np.abs(g - np.array([1.0, -1.0])[None, :])) <= 0.5
+
+
+def _dual_lps(pr: MarkovProbe):
+    """The candidate LPs min ||mu||_1 s.t. S^T mu = G_g, as (cost, lhs, rows)."""
+    mis = multi_indices(len(pr.center), pr.k)
+    S = _basis_matrix(pr.sample, pr.center, pr.r, mis)
+    G = _basis_matrix(np.vstack([pr.grid, pr.sample]), pr.center, pr.r, mis)
+    lhs = np.hstack([S.T, -S.T])
+    return np.ones(lhs.shape[1]), lhs, G
+
+
+def _full_scan(pr: MarkovProbe):
+    """Reference: solve every candidate's LP, in scan order; (value, capped)."""
+    cost, lhs, G = _dual_lps(pr)
+    best = 0.0
+    for row in G:
+        sol = solve(LinearProgram(cost, lhs, row))
+        if sol.status == INFEASIBLE:
+            return math.inf, True
+        assert sol.status == OPTIMAL
+        best = max(best, sol.optimum)
+        if best > pr.cap:
+            return math.inf, True
+    return best, False
+
+
+def _seeded_probe(seed: int) -> MarkovProbe:
+    """Random, halfspace-grid, repeated-point and rank-deficient samples."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    k = int(rng.integers(0, 4 if n < 3 else 3))
+    c = rng.uniform(-1, 1, n)
+    r = float(2.0 ** rng.uniform(-3, 1))
+    res = {1: 9, 2: 5, 3: 3}[n]
+    J = len(multi_indices(n, k))
+    kind = (seed // 3) % 4
+    if kind == 0:
+        sample = c + rng.uniform(-r, r, (J + int(rng.integers(0, 8)), n))
+    elif kind == 1:
+        grid = cube_grid(c, r, int(rng.integers(3, {1: 17, 2: 8, 3: 5}[n])))
+        sample = grid[grid[:, 0] >= c[0] + r * rng.uniform(-0.5, 0.5)]
+    elif kind == 2:
+        base = c + rng.uniform(-r, r, (J + 2, n))
+        sample = base[rng.integers(0, len(base), 2 * J + 4)]
+    else:  # fewer points than J, or all on one coordinate line
+        if rng.uniform() < 0.5:
+            sample = c + rng.uniform(-r, r, (max(1, J - 1), n))
+        else:
+            sample = np.tile(c, (k + 3, 1))
+            sample[:, 0] += rng.uniform(-r, r, k + 3)
+    return probe(c, r, k, sample, resolution=res)
+
+
+def test_pruned_scan_matches_full_scan():
+    # U(g) = min over cached bases I of ||S_I^{-T} G_g||_1 bounds opt(g)
+    # above, so skipping g with U(g) <= best never lowers the maximum
+    capped = pruned = 0
+    for seed in range(216):
+        pr = _seeded_probe(seed)
+        got = markov_ratio(pr)
+        want, want_capped = _full_scan(pr)
+        assert got.capped == want_capped, seed
+        capped += got.capped
+        pruned += got.pruned
+        if not want_capped:
+            assert got.value == pytest.approx(want, rel=1e-12, abs=0.0), seed
+    assert 0 < capped < 216 and pruned > 0
+
+
+def test_lp_counts_are_pinned():
+    sample = builtin_set_sampler("halfspace", 2, 17)((0.0, 0.0), 1.0)
+    r = markov_ratio(probe([0.0, 0.0], 1.0, 1, sample, resolution=17))
+    assert r.value == pytest.approx(3.0, rel=1e-12)
+    assert r.lps <= 10 and r.lps + r.pruned == 17 * 17 + len(sample)
+    assert r.pivots > 0
+    # 1D: the first candidate's basis bounds all the others
+    for k in (2, 3):
+        pts = np.linspace(0, 1, 17).reshape(-1, 1)
+        r = markov_ratio(probe([0.0], 1.0, k, pts, resolution=33))
+        assert (r.lps, r.pruned) == (1, 33 + 17 - 1)
+
+
+def test_rank_deficient_sample_prunes_nothing():
+    # a sample on the x_1-axis leaves y outside the span: no basis has J
+    # rows, so nothing is cached and the first off-axis candidate is CAPPED
+    sample = builtin_set_sampler("segment", 2, 9)((0.0, 0.0), 1.0)
+    r = markov_ratio(probe([0.0, 0.0], 1.0, 1, sample, resolution=5))
+    assert r.capped and r.pruned == 0 and r.lps == 1
+
+
+# n=1, k=3: phase 1 once stopped on a column with no positive entry after a
+# reduced cost drifted to about -5e-8, and reported INFEASIBLE although the
+# artificial sum was zero; candidate 8 (sample point 6) is that LP.
+_PHASE1_CENTER = -0.6552604682572793
+_PHASE1_RADIUS = 1.7846137006141392
+_PHASE1_SAMPLE = [
+    0.953951484336925, -0.6278314513278245, -0.304298990335367, -1.3685235362967856,
+    -0.4872496394870949, -1.3228679181908396, -0.6487661479645199, -1.3086945821220959,
+    -1.8036518803280717, 0.9598647587879745, 0.915643365563344, -2.3577553033329677,
+    -1.4528566060270507, 0.9429402425299502, -0.16125862560320825,
+]
+
+
+def test_phase1_drift_is_not_infeasible():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    pr = probe([_PHASE1_CENTER], _PHASE1_RADIUS, 3, np.array(_PHASE1_SAMPLE).reshape(-1, 1),
+               resolution=2)
+    cost, lhs, G = _dual_lps(pr)
+    best = 0.0
+    for row in G:
+        ref = linprog(cost, A_eq=lhs, b_eq=row, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        sol = solve(LinearProgram(cost, lhs, row))
+        assert sol.status == OPTIMAL
+        assert sol.optimum == pytest.approx(ref.fun, rel=1e-9)
+        best = max(best, ref.fun)
+    r = markov_ratio(pr)
+    assert not r.capped
+    assert r.value == pytest.approx(best, rel=1e-9)
