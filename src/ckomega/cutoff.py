@@ -92,7 +92,9 @@ def _bump_cdf(z: np.ndarray) -> np.ndarray:
     # order, so unlike a BLAS product the values do not depend on the blocks
     half = 0.5 * (upper + 1.0)
     integ = np.empty(half.shape)
-    for blk in _blocks(half.size, _GL_ORDER):
+    # up to six (elements, nodes) arrays are alive at once: nodes, denom,
+    # vals, the masked denominators and their two images, and the mask
+    for blk in _blocks(half.size, 6 * _GL_ORDER):
         nodes = -1.0 + half[blk, None] * (x + 1.0)
         denom = 1.0 - np.minimum(nodes**2, 1.0)
         vals = np.zeros_like(nodes)

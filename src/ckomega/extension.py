@@ -28,7 +28,7 @@ import numpy as np
 
 from .cutoff import profile, profile_deriv
 from .errors import InputError
-from .fields import Jet, NormContext, WhitneyField, _blocks
+from .fields import Jet, NormContext, WhitneyField, _blocks, _distances
 from .modulus import Modulus
 from .whitney import whitney_lambda
 
@@ -61,28 +61,38 @@ class McShaneExtension:
         X = np.atleast_2d(np.asarray(x, dtype=float))
         if X.shape[1] != self.field.n:
             raise InputError("query dimension mismatch")
-        pts = self.field.points_array()
+        ptsT = self.field.points_array().T.copy()
         vals = self.field.coeff_matrix()[:, 0]
         out = np.empty(X.shape[0])
-        for blk in _blocks(X.shape[0], pts.size):
-            d = np.linalg.norm(X[blk, None, :] - pts[None, :, :], axis=-1)  # (B, m)
-            zero = d == 0.0
-            # omega rejects t = 0; hit rows are overwritten below
-            spread = self.lam * self.omega(np.where(zero, 1.0, d))
-            upper = np.min(vals + spread, axis=1)
-            lower = np.max(vals - spread, axis=1)
-            if self.variant == "min":
-                v = upper
-            elif self.variant == "max":
-                v = lower
-            else:
-                v = 0.5 * (upper + lower)
-            v = np.minimum(np.maximum(v, -self.sup_bound), self.sup_bound)
-            hit = zero.any(axis=1)
-            # interpolation is bitwise: the first datum at distance 0, not a min of rounded terms
-            v[hit] = vals[np.argmax(zero[hit], axis=1)]
-            out[blk] = v
+        # (query, point) elements alive at a block's peak: the distances,
+        # omega's value (or a capped modulus's power and minimum) and the
+        # spread (3), plus the == 0 mask and omega's argument checks, three
+        # eighths of one; they are freed before the next block
+        for blk in _blocks(X.shape[0], 4 * len(vals)):
+            out[blk] = self._block(X[blk].T, ptsT, vals)
         return float(out[0]) if np.ndim(x) == 1 or np.ndim(x) == 0 else out
+
+    def _block(self, XT, ptsT, vals):
+        """Values at the queries in the columns of XT, data points in the
+        columns of ptsT."""
+        d = _distances(XT[:, :, None], ptsT[:, None, :])  # (B, m)
+        zero = d == 0.0
+        # omega rejects t = 0; hit rows are overwritten below
+        np.copyto(d, 1.0, where=zero)
+        spread = self.lam * self.omega(d)
+        upper = np.min(np.add(vals, spread, out=d), axis=1)
+        lower = np.max(np.subtract(vals, spread, out=spread), axis=1)
+        if self.variant == "min":
+            v = upper
+        elif self.variant == "max":
+            v = lower
+        else:
+            v = 0.5 * (upper + lower)
+        v = np.minimum(np.maximum(v, -self.sup_bound), self.sup_bound)
+        hit = zero.any(axis=1)
+        # interpolation is bitwise: the first datum at distance 0, not a min of rounded terms
+        v[hit] = vals[np.argmax(zero[hit], axis=1)]
+        return v
 
 
 def mcshane_extension(field: WhitneyField, omega: Modulus, variant: str = "min") -> McShaneExtension:
@@ -205,7 +215,10 @@ class HermiteExtension1D:
         xs = np.asarray(xs, dtype=float).ravel()
         k = self.k
         out = np.empty((xs.size, k + 1))
-        for blk in _blocks(xs.size, 8 * (k + 1) ** 2 * (k + 2)):
+        # elements per query alive at the peak: the gathered cardinal table
+        # and the weight and term arrays, and about 16 for the positions,
+        # masks, stencils and gap coordinates
+        for blk in _blocks(xs.size, 8 * (k + 1) ** 2 * (k + 2) + 16):
             idx, w = self._weights(xs[blk])
             terms = w * self._arrays[2][idx][:, None]  # (B, k+1, 2, k+1)
             acc = terms[..., 0]

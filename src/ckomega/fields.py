@@ -128,18 +128,45 @@ def jet_from_dict(point, values: dict, k: int) -> Jet:
     return Jet(point, tuple(coeffs), k)
 
 
-# Size in float64 elements (about 16 MB) of the largest temporary one block of
-# a blockwise sweep may allocate, so memory stays bounded for any number of
-# pairs, queries or points.
-_BLOCK_ELEMS = 2_000_000
+# Size in float64 elements (2 MB) of the temporaries one block of a
+# blockwise sweep holds at once, so memory stays bounded for any number of
+# pairs, queries or points. It is sized to the L2 cache, not to a memory
+# budget: a block's temporaries are written and read again several times,
+# and each pass runs from cache only while they fit. On a 2 vCPU Xeon with
+# 4 MiB of L2, whitney_lambda at m = 300, n = 3, k = 2 takes 16-21 ms at
+# 2**18 or 2**19 elements and 33-35 ms at 2**21, about the 16 MB blocks this
+# replaced; 2**18 holds half the memory of 2**19. tests/block_sweep.py
+# reruns the sweep (README, "Decisions").
+_BLOCK_ELEMS = 1 << 18
 
 
 def _blocks(count: int, width: int):
     """Consecutive slices of range(count) of at most _BLOCK_ELEMS // width
-    items each (at least one), for temporaries of width elements per item."""
+    items each (at least one), for width elements of temporaries alive per
+    item at the sweep's peak."""
     step = max(1, _BLOCK_ELEMS // width)
     for start in range(0, count, step):
         yield slice(start, min(start + step, count))
+
+
+def _distances(a, b) -> np.ndarray:
+    """Euclidean distances between points given coordinate-major: a[c] and
+    b[c] hold the c-th coordinates and broadcast against each other.
+
+    The squared differences are summed one coordinate at a time in
+    coordinate order, the order of np.linalg.norm(a - b, axis=0), so every
+    pair and query sweep gets the same bits for the same two points at every
+    n. Two arrays of the broadcast shape are alive at once. Distinct points
+    closer than about 1e-162 underflow to distance 0.
+    """
+    d = np.subtract(a[0], b[0])
+    d *= d
+    tmp = np.empty_like(d)
+    for c in range(1, len(a)):
+        np.subtract(a[c], b[c], out=tmp)
+        tmp *= tmp
+        d += tmp
+    return np.sqrt(d, out=d)
 
 
 @dataclass(frozen=True)
@@ -161,14 +188,16 @@ class WhitneyField:
                 raise InputError("jet dimensions inconsistent with field")
             if tuple(j.point) != tuple(p):
                 raise InputError("jet base point differs from field point")
-        pts = np.asarray(self.points, dtype=float)
+        ptsT = np.asarray(self.points, dtype=float).T.copy()
+        m = ptsT.shape[1]
         # row blocks in order, so the reported pair is the first coincident
-        # pair in row-major order of the full distance matrix
-        for blk in _blocks(len(pts), pts.size):
-            d2 = np.sum((pts[blk, None, :] - pts[None, :, :]) ** 2, axis=-1)
-            d2.reshape(-1)[blk.start :: len(pts) + 1] = np.inf  # entries (i, i)
-            if np.min(d2) <= 0.0:
-                i, j = np.unravel_index(np.argmin(d2), d2.shape)
+        # pair in row-major order of the full distance matrix; a block's peak
+        # is the two arrays of the distance kernel and the last block's mask
+        for blk in _blocks(m, 3 * m):
+            zero = _distances(ptsT[:, blk, None], ptsT[:, None, :]) == 0.0
+            zero.reshape(-1)[blk.start :: m + 1] = False  # entries (i, i)
+            if zero.any():
+                i, j = np.unravel_index(np.argmax(zero), zero.shape)
                 i += blk.start
                 raise InputError(f"coincident points at indices {i} and {j}: {self.points[i]}")
 

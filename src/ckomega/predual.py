@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .fields import NormContext, WhitneyField, mi_order, multi_indices
+from .fields import NormContext, WhitneyField, _distances, mi_order, multi_indices
 from .modulus import Modulus, validate
 from .simplex import OPTIMAL, LinearProgram, solve
 from .whitney import _reexpansion, whitney_lambda
@@ -187,9 +187,9 @@ def _k0_norm_lp(g: AtomicFunctional, omega: Modulus):
     c = np.zeros(m)
     for a, coef in zip(g.atoms, g.coeffs):
         c[index[a.x]] += coef
-    P = np.asarray(support, dtype=float).reshape(m, n)
+    PT = np.asarray(support, dtype=float).reshape(m, n).T
     i, j = np.triu_indices(m, 1)
-    w = omega(np.linalg.norm(P[i] - P[j], axis=1))
+    w = omega(_distances(PT[:, i], PT[:, j]))
     inc = np.zeros((m, i.size))  # arc i -> j: +1 at i, -1 at j
     inc[i, np.arange(i.size)] = 1.0
     inc[j, np.arange(i.size)] = -1.0

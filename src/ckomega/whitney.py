@@ -26,6 +26,7 @@ from .fields import (
     NormContext,
     WhitneyField,
     _blocks,
+    _distances,
     mi_add_unit,
     mi_factorial,
     mi_order,
@@ -105,12 +106,15 @@ class _Reexpansion:
         with coefficients in the columns of the (J, B) array c, for w =
         weights(dz). Terms are summed in the fixed order gamma = 0, 1, ..., so
         a column's value does not depend on B; gamma = 0 contributes c itself
-        exactly, which is all there is for k = 0."""
+        exactly, which is all there is for k = 0. c should be C-contiguous:
+        np.take copies any other c whole, once per gamma."""
         out = c.copy()
         tmp = np.empty_like(out)
         for g in range(1, w.shape[0]):
             r = self.rows[g]
-            np.take(c, self.shift[:r, g], axis=0, out=tmp[:r])
+            # every index read is below J (a test checks the table), and
+            # mode="clip" writes straight into tmp where "raise" buffers it
+            np.take(c, self.shift[:r, g], axis=0, out=tmp[:r], mode="clip")
             tmp[:r] *= w[g]
             out[:r] += tmp[:r]
         return out
@@ -144,9 +148,12 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
     runs through one vectorized sweep over the pairs i < j, taken in blocks
     whose per-pair temporaries (O(J) elements per pair: the monomial weights,
     the gathered jets and the re-expanded derivatives) stay below
-    _BLOCK_ELEMS elements. Witnesses are the first maximum in lexicographic
-    order of (point, alpha) and (i, j, z, alpha) respectively; osc_witness is
-    None only for a single-point field (constant data still has a witness).
+    _BLOCK_ELEMS elements, a size that keeps them in the L2 cache. Pair
+    distances come from the shared kernel fields._distances, so lambda and
+    the McShane queries see the same distance bits for the same two points.
+    Witnesses are the first maximum in lexicographic order of (point, alpha)
+    and (i, j, z, alpha) respectively; osc_witness is None only for a
+    single-point field (constant data still has a witness).
     """
     if field.k != ctx.k or field.n != ctx.n:
         raise InputError("field inconsistent with norm context")
@@ -172,19 +179,21 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
         # pair number starts[i], so each block derives its own (i, j)
         rows = np.arange(m)
         starts = rows * (2 * m - rows - 1) // 2
-        # elements per pair alive at the peak, in the second op.apply: dz (n),
+        # elements per pair alive at the peak, in the second op.apply: the
+        # pair numbers and indices (3), the two gathered points and dz (3n),
         # dist and omega (2), den, w and the two gathered jets (4J), ratios
         # (2J), and op.apply's out and tmp (2J)
-        for blk in _blocks(m * (m - 1) // 2, 8 * J + n + 2):
+        for blk in _blocks(m * (m - 1) // 2, 8 * J + 3 * n + 5):
             p = np.arange(blk.start, blk.stop)
             ii = np.searchsorted(starts, p, side="right") - 1
             jj = p - starts[ii] + ii + 1
-            dz = ptsT[:, ii] - ptsT[:, jj]  # x_i - x_j, shape (n, B)
-            dist = np.linalg.norm(dz, axis=0)
+            xi, xj = ptsT[:, ii], ptsT[:, jj]
+            dz = xi - xj  # shape (n, B)
+            dist = _distances(xi, xj)
             om = np.atleast_1d(ctx.modulus(dist))
             den = dist ** (k - orders)[:, None] * om  # (J, B)
             w = op.weights(dz)
-            ci, cj = cT[:, ii], cT[:, jj]
+            ci, cj = cT.take(ii, axis=1), cT.take(jj, axis=1)  # C order, as apply reads rows
             ratios = np.empty((2, J, len(ii)))
             # z = x_i: T_i derivs are the raw coefficients, T_j re-expanded across dz
             np.subtract(ci, op.apply(w, cj), out=ratios[0])
@@ -263,7 +272,7 @@ def _sampled_norm(ctx: NormContext, grid, values, px, py, pair_values) -> NormEs
     NumericalError naming alpha and the point; coincident pair endpoints
     raise InputError.
     """
-    dists = np.linalg.norm(px - py, axis=1)
+    dists = _distances(px.T, py.T)
     if np.any(dists == 0.0):
         raise InputError("pair sample contains coincident endpoints")
     samples = [(alpha, grid, v) for alpha, v in values.items()]

@@ -257,6 +257,22 @@ def test_markov_builtin_sampler_uses_resolution(capsys):
     assert ratio == pytest.approx(ratios[9], rel=1e-12)
 
 
+@pytest.mark.parametrize("set_spec", ["builtin:cube", "[[0.0], [0.5]]"])
+@pytest.mark.parametrize("option, value, names", [
+    ("--resolution", "-1", "resolution must be an integer >= 2"),
+    ("--resolution", "0", "resolution must be an integer >= 2"),
+    ("--resolution", "1", "resolution must be an integer >= 2"),
+    ("--threshold", "nan", "threshold must be finite"),
+    ("--threshold", "inf", "threshold must be finite"),
+])
+def test_markov_bad_resolution_or_threshold_exit_1(capsys, set_spec, option, value, names):
+    code, out, err = run_cli(capsys, "markov", "--center", "[0.0]", "--set", set_spec,
+                             "--k", "1", "--radii", "[1.0]", option, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: ") and names in err
+
+
 def test_jackson_out_and_report_spellings_agree(capsys, tmp_path):
     argv = ["jackson", "--f", "builtin:cos", "--N", "8", "--ell", "2", "--grid-points", "9"]
     reports = []

@@ -98,8 +98,9 @@ def test_rho_deriv_vanishes_on_plateau_and_outside():
 def test_rho_blocks_match_one_block_bitwise(monkeypatch):
     X = np.random.default_rng(2).uniform(-2.5, 2.5, (300, 3))
     whole = CutoffFamily(3, 1).rho(X)
-    # a few transition-band elements per block of the quadrature arrays
-    monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", 7 * 96)
+    # seven transition-band elements per block: the quadrature counts
+    # 6 * 96 temporaries per element
+    monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", 7 * 6 * 96)
     assert np.array_equal(CutoffFamily(3, 1).rho(X), whole)
 
 

@@ -1,10 +1,12 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import ckomega.fields
 from ckomega import modulus as mo
 from ckomega.cutoff import profile_deriv
 from ckomega.errors import InputError
@@ -126,17 +128,39 @@ def _mcshane_per_query(ext, X):
 @pytest.mark.parametrize("variant", ["min", "max", "average"])
 def test_mcshane_batch_matches_per_query_bitwise(monkeypatch, variant):
     rng = np.random.default_rng(4)
-    for n, om in ((1, mo.linear()), (2, mo.power(0.5)), (3, mo.capped(0.6, 0.9))):
-        pts = rng.uniform(-1, 1, (11, n))
-        ext = mcshane_extension(field_from_data(pts, rng.normal(size=11)), om, variant)
-        X = rng.uniform(-1.5, 1.5, (40, n))
+    moduli = (mo.linear(), mo.power(0.5), mo.capped(0.6, 0.9), mo.table([(0.5, 0.3), (1.0, 0.5)]))
+    # the reference's distances sum over a trailing axis, in coordinate order
+    # up to n = 7; mixed magnitudes make any other order round differently
+    for n in range(1, 8):
+        scale = 10.0 ** rng.integers(-3, 3, n)
+        pts = rng.uniform(-1, 1, (11, n)) * scale
+        ext = mcshane_extension(field_from_data(pts, rng.normal(size=11)), moduli[n % 4], variant)
+        X = rng.uniform(-1.5, 1.5, (40, n)) * scale
         X[::4] = pts[rng.integers(0, 11, 10)]  # data-point hits, some on block edges
         ref = _mcshane_per_query(ext, X)
         assert np.array_equal(ext(X), ref)
         for queries_per_block in (1, 3, 8):
-            monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", queries_per_block * pts.size)
+            # the query sweep's width is 4 elements per (query, data point)
+            monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", queries_per_block * 4 * len(pts))
             assert np.array_equal(ext(X), ref)
         monkeypatch.undo()
+
+
+def test_mcshane_query_memory_is_bounded_by_blocks():
+    # 5000 queries against 2000 points in R^3: the whole distance matrix is
+    # 80 MB; a block's temporaries are 8 * _BLOCK_ELEMS bytes, plus 1 MB for
+    # the arrays that grow with the points or queries
+    rng = np.random.default_rng(50)
+    ext = mcshane_extension(field_from_data(rng.uniform(-1, 1, (2000, 3)), rng.normal(size=2000)),
+                            mo.power(0.5))
+    X = rng.uniform(-1.5, 1.5, (5000, 3))
+    tracemalloc.start()
+    try:
+        ext(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * ckomega.fields._BLOCK_ELEMS + 1e6
 
 
 def test_mcshane_empty_field_rejected():

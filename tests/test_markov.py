@@ -240,6 +240,26 @@ def test_radii_must_decrease():
                              [0.5, 1.0], threshold=2.0)
 
 
+@pytest.mark.parametrize("resolution", [-1, 0, 1, 2.5])
+def test_grids_and_samplers_reject_resolution_below_two(resolution):
+    with pytest.raises(InputError, match="resolution must be an integer >= 2"):
+        cube_grid([0.0], 1.0, resolution)
+    for name in ("cube", "halfspace", "point", "segment"):
+        with pytest.raises(InputError, match="resolution must be an integer >= 2"):
+            builtin_set_sampler(name, 1, resolution)
+    with pytest.raises(InputError, match="resolution must be an integer >= 2"):
+        classify_weak_markov([0.0], lambda c, r: np.array([[0.0]]), 0, [1.0], 2.0,
+                             resolution=resolution)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_classify_rejects_non_finite_threshold(threshold):
+    # a NaN threshold read NOT_DETECTED at ratio 1, and an infinite one
+    # would pass a CAPPED (infinite) ratio
+    with pytest.raises(InputError, match="threshold must be finite"):
+        classify_weak_markov([0.0], builtin_set_sampler("cube", 1), 1, [1.0], threshold)
+
+
 def test_cube_grid_shape_and_bounds():
     g = cube_grid([1.0, -1.0], 0.5, 5)
     assert g.shape == (25, 2)

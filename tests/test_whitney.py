@@ -7,12 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ckomega.fields
 from ckomega import modulus as mo
 from ckomega.errors import InputError, NumericalError
 from ckomega.extension import mcshane_extension
 from ckomega.fields import (
     Jet,
     NormContext,
+    _distances,
     field_from_data,
     field_from_jets,
     field_from_json,
@@ -26,6 +28,7 @@ from ckomega.fields import (
 )
 from ckomega.whitney import (
     LambdaReport,
+    _reexpansion,
     ck_norm_estimate,
     faa_di_bruno_pullback,
     taylor_eval,
@@ -272,7 +275,7 @@ def test_lambda_blocks_match_one_block_bitwise(monkeypatch, k):
     whole = [whitney_lambda(f, ctx) for f, ctx in zip(fields, ctxs)]
     for pairs_per_block in (1, 2, 7):
         for f, ctx, ref in zip(fields, ctxs, whole):
-            width = 8 * len(multi_indices(f.n, k)) + f.n + 2  # whitney_lambda's per-pair width
+            width = 8 * len(multi_indices(f.n, k)) + 3 * f.n + 5  # whitney_lambda's per-pair width
             monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", pairs_per_block * width)
             assert whitney_lambda(f, ctx) == ref
 
@@ -344,7 +347,8 @@ def test_lambda_k2_runtime():
 
 
 def test_lambda_memory_is_bounded_by_blocks():
-    # one block's temporaries are about 16 MB; the exponent tensor of all
+    # one block's temporaries are 8 * _BLOCK_ELEMS bytes (2 MB), plus 1 MB
+    # for the arrays that grow with the points; the exponent tensor of all
     # pairs, (pairs, J, J, n), would be over 100 MB at this size
     rng = np.random.default_rng(5)
     f = random_field(rng, 3, 3, 150)
@@ -355,12 +359,13 @@ def test_lambda_memory_is_bounded_by_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48e6
+    assert peak < min(48e6, 8 * ckomega.fields._BLOCK_ELEMS + 1e6)
 
 
 def test_lambda_pair_indices_are_bounded_by_blocks():
     # 4.5 million pairs: index arrays of all of them would be 72 MB, while
-    # each block derives its own (i, j) from its range of the i < j order
+    # each block derives its own (i, j) from its range of the i < j order;
+    # one block's temporaries are 8 * _BLOCK_ELEMS bytes, plus 1 MB
     rng = np.random.default_rng(3000)
     f = field_from_data(rng.uniform(-1, 1, (3000, 2)), rng.normal(size=3000))
     tracemalloc.start()
@@ -369,7 +374,7 @@ def test_lambda_pair_indices_are_bounded_by_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < min(40e6, 8 * ckomega.fields._BLOCK_ELEMS + 1e6)
 
 
 def _first_coincident_pair(pts):
@@ -391,15 +396,51 @@ def test_field_coincident_pair_independent_of_blocks(monkeypatch):
         assert (i, j) == (4, 9)
         for rows_per_block in (None, 1, 2, 5):
             if rows_per_block is not None:
-                monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", rows_per_block * pts.size)
+                monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", rows_per_block * 3 * len(pts))
             with pytest.raises(InputError) as err:
                 field_from_data(pts, np.zeros(len(pts)))
             assert str(err.value) == want
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_field_rejects_distinct_points_at_underflowing_distance(n):
+    # 1e-162 apart: the squared distance 1e-324 underflows to 0
+    pts = np.zeros((4, n))
+    pts[1, -1] = 1e-162
+    pts[2:, 0] = [0.5, -0.5]
+    assert pts[0, -1] != pts[1, -1]
+    with pytest.raises(InputError, match="coincident points at indices 0 and 1"):
+        field_from_data(pts, np.zeros(4))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_distances_match_norm_over_leading_axis_bitwise(n):
+    rng = np.random.default_rng(n)
+    # coordinates of mixed magnitudes, so a different summation order would
+    # round differently
+    a = rng.normal(size=(n, 400)) * 10.0 ** rng.integers(-6, 6, (n, 1))
+    b = rng.normal(size=(n, 400))
+    assert np.array_equal(_distances(a, b), np.linalg.norm(a - b, axis=0))
+    # broadcast, as the query sweeps use it: (n, B, 1) against (n, 1, m)
+    d = _distances(a[:, :30, None], b[:, None, :50])
+    assert np.array_equal(d, np.linalg.norm(a[:, :30, None] - b[:, None, :50], axis=0))
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(6)])
+def test_reexpansion_table_indices_are_in_range(n, k):
+    # apply gathers with np.take(mode="clip"), which would silently clamp a
+    # bad index: every index it reads must name a coefficient
+    op = _reexpansion(n, k)
+    J = len(multi_indices(n, k))
+    for g in range(J):
+        read = op.shift[: op.rows[g], g]
+        assert read.size == op.rows[g] and np.all((0 <= read) & (read < J))
+
+
 def test_field_validation_memory_is_bounded_by_blocks():
-    # the whole (m, m, n) difference array at this size would be 96 MB
+    # the whole (m, m, n) difference array at this size would be 96 MB; one
+    # block's temporaries are 8 * _BLOCK_ELEMS bytes, plus 1 MB for the jets
     pts = np.random.default_rng(6).uniform(-1, 1, (2000, 3))
     tracemalloc.start()
     try:
@@ -407,7 +448,7 @@ def test_field_validation_memory_is_bounded_by_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < min(40e6, 8 * ckomega.fields._BLOCK_ELEMS + 1e6)
 
 
 @pytest.mark.parametrize("k, n", [(0, 2), (2, 3)])
