@@ -61,21 +61,23 @@ class McShaneExtension:
         X = np.atleast_2d(np.asarray(x, dtype=float))
         if X.shape[1] != self.field.n:
             raise InputError("query dimension mismatch")
-        ptsT = self.field.points_array().T.copy()
-        vals = self.field.coeff_matrix()[:, 0]
+        vals = self.field.coeffs[:, 0]
         out = np.empty(X.shape[0])
         # (query, point) elements alive at a block's peak: the distances,
         # omega's value (or a capped modulus's power and minimum) and the
         # spread (3), plus the == 0 mask and omega's argument checks, three
         # eighths of one; they are freed before the next block
         for blk in _blocks(X.shape[0], 4 * len(vals)):
-            out[blk] = self._block(X[blk].T, ptsT, vals)
+            out[blk] = self._block(X[blk].T, vals)
         return float(out[0]) if np.ndim(x) == 1 or np.ndim(x) == 0 else out
 
-    def _block(self, XT, ptsT, vals):
-        """Values at the queries in the columns of XT, data points in the
-        columns of ptsT."""
-        d = _distances(XT[:, :, None], ptsT[:, None, :])  # (B, m)
+    @cached_property
+    def _pointsT(self):  # coordinate-major, as the distance kernel reads them
+        return self.field.points.T.copy()
+
+    def _block(self, XT, vals):
+        """Values at the queries in the columns of XT."""
+        d = _distances(XT[:, :, None], self._pointsT[:, None, :])  # (B, m)
         zero = d == 0.0
         # omega rejects t = 0; hit rows are overwritten below
         np.copyto(d, 1.0, where=zero)
@@ -101,8 +103,7 @@ def mcshane_extension(field: WhitneyField, omega: Modulus, variant: str = "min")
     if variant not in _VARIANTS:
         raise InputError(f"variant must be one of {_VARIANTS}")
     lam = whitney_lambda(field, NormContext(0, field.n, omega)).lam_osc
-    vals = field.coeff_matrix()[:, 0]
-    return McShaneExtension(field, omega, lam, float(np.max(np.abs(vals))), variant)
+    return McShaneExtension(field, omega, lam, float(np.max(np.abs(field.coeffs))), variant)
 
 
 def mcshane_extend(field: WhitneyField, omega: Modulus, x, variant: str = "min"):
@@ -139,24 +140,24 @@ def _cardinal(k: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermiteExtension1D:
     """Piecewise two-point Hermite extension of a 1D Whitney field."""
 
     field: WhitneyField
-    knots: tuple[float, ...]
-    order: tuple[int, ...]  # field indices sorted by knot
+    knots: np.ndarray  # the field's points, increasing
+    order: np.ndarray  # field rows sorted by knot
 
     @property
     def k(self) -> int:
         return self.field.k
 
     @cached_property
-    def _arrays(self):
-        """knots, order, jet coefficients; per gap its stencil and h^(r-j)."""
-        knots, order, jr = np.asarray(self.knots), np.asarray(self.order), np.arange(self.k + 1)
-        hpow = np.diff(knots)[:, None, None, None] ** (jr - jr[:, None, None])
-        return knots, order, self.field.coeff_matrix(), np.stack([order[:-1], order[1:]], 1), hpow
+    def _gaps(self):
+        """Per gap its stencil (the two field rows) and h^(r-j)."""
+        jr = np.arange(self.k + 1)
+        hpow = np.diff(self.knots)[:, None, None, None] ** (jr - jr[:, None, None])
+        return np.stack([self.order[:-1], self.order[1:]], 1), hpow
 
     def _weights(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Stencils idx (P, 2) and weights w (P, k+1, 2, k+1) with D^j F(x_q) =
@@ -168,7 +169,7 @@ class HermiteExtension1D:
         if not np.isfinite(xs).all():
             raise InputError("queries must be finite")
         k = self.k
-        knots, order, _, pairs, hpow = self._arrays
+        knots, order, (pairs, hpow) = self.knots, self.order, self._gaps
         pos = np.searchsorted(knots, xs)
         hit = knots[np.minimum(pos, knots.size - 1)] == xs
         left, right = xs < knots[0], xs > knots[-1]
@@ -220,7 +221,7 @@ class HermiteExtension1D:
         # masks, stencils and gap coordinates
         for blk in _blocks(xs.size, 8 * (k + 1) ** 2 * (k + 2) + 16):
             idx, w = self._weights(xs[blk])
-            terms = w * self._arrays[2][idx][:, None]  # (B, k+1, 2, k+1)
+            terms = w * self.field.coeffs[idx][:, None]  # (B, k+1, 2, k+1)
             acc = terms[..., 0]
             for r in range(1, k + 1):  # fixed order: a row does not depend on the block
                 acc = acc + terms[..., r]
@@ -240,8 +241,9 @@ class HermiteExtension1D:
 def hermite_extension(field: WhitneyField) -> HermiteExtension1D:
     if field.n != 1:
         raise InputError("Hermite blend extension is 1D only")
-    order = tuple(int(i) for i in np.argsort([p[0] for p in field.points]))
-    knots = tuple(field.points[i][0] for i in order)
+    order = np.argsort(field.points[:, 0])
+    knots = field.points[order, 0]
+    knots.flags.writeable = order.flags.writeable = False  # _gaps is cached from them
     return HermiteExtension1D(field, knots, order)
 
 

@@ -4,6 +4,8 @@ A jet at a point x in R^n of order k stores one coefficient per multi-index
 alpha with |alpha| <= k; the coefficient plays the role of D^alpha f(x). The
 coefficient layout is the graded lexicographic multi-index order (sorted by
 total order, then lexicographically), which is also the serialization order.
+A Whitney field is two read-only arrays, points (m, n) and coeffs (m, J), one
+row per point; a Jet is the single-point form the Taylor and Hermite code use.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def n_coefficients(n: int, k: int) -> int:
 class Jet:
     """Prescribed derivatives up to order k at a base point.
 
-    ``coeffs`` is an array aligned with ``multi_indices(n, k)``; entry for
+    ``coeffs`` is a tuple aligned with ``multi_indices(n, k)``; entry for
     alpha is the would-be value of D^alpha f at ``point``. The associated
     Taylor polynomial is T(z) = sum_alpha coeffs[alpha]/alpha! (z-point)^alpha.
     """
@@ -109,23 +111,9 @@ class Jet:
         idx = multi_indices(self.n, self.k).index(tuple(alpha))
         return self.coeffs[idx]
 
-    def as_dict(self) -> dict:
-        return dict(zip(multi_indices(self.n, self.k), self.coeffs))
-
 
 def jet(point, coeffs, k: int) -> Jet:
     return Jet(tuple(float(x) for x in np.atleast_1d(point)), tuple(float(c) for c in coeffs), k)
-
-
-def jet_from_dict(point, values: dict, k: int) -> Jet:
-    point = tuple(float(x) for x in np.atleast_1d(point))
-    n = len(point)
-    mis = multi_indices(n, k)
-    coeffs = [float(values.get(alpha, 0.0)) for alpha in mis]
-    extra = set(tuple(a) for a in values) - set(mis)
-    if extra:
-        raise InputError(f"jet has entries beyond order {k}: {sorted(extra)}")
-    return Jet(point, tuple(coeffs), k)
 
 
 # Size in float64 elements (2 MB) of the temporaries one block of a
@@ -169,68 +157,60 @@ def _distances(a, b) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WhitneyField:
-    """A finite set of pairwise-distinct points, each carrying a jet."""
+    """Pairwise-distinct points, rows of ``points`` (m, n), with their jets,
+    rows of ``coeffs`` (m, J): read-only C-contiguous float64 copies validated
+    once. Fields compare by identity; compare the arrays instead."""
 
-    points: tuple[tuple[float, ...], ...]
-    jets: tuple[Jet, ...]
+    points: np.ndarray
+    coeffs: np.ndarray
     k: int
     n: int
 
     def __post_init__(self):
-        if not self.points:
-            raise InputError("field needs at least one point")
-        if len(self.points) != len(self.jets):
+        pts = np.array(self.points, dtype=float, order="C")
+        coeffs = np.array(self.coeffs, dtype=float, order="C")
+        if (self.k < 0 or self.n < 1 or pts.ndim != 2 or pts.shape[1] != self.n or coeffs.ndim != 2
+                or coeffs.shape[1] != n_coefficients(self.n, self.k)):
+            raise InputError(f"jet dimensions inconsistent with field: k={self.k}, n={self.n}, "
+                             f"points {pts.shape}, coefficients {coeffs.shape}")
+        m = len(pts)
+        if len(coeffs) != m:
             raise InputError("one jet per point required")
-        for p, j in zip(self.points, self.jets):
-            if len(p) != self.n or j.k != self.k or j.n != self.n:
-                raise InputError("jet dimensions inconsistent with field")
-            if tuple(j.point) != tuple(p):
-                raise InputError("jet base point differs from field point")
-        ptsT = np.asarray(self.points, dtype=float).T.copy()
-        m = ptsT.shape[1]
+        if m == 0:
+            raise InputError("field needs at least one point")
+        if not np.isfinite(coeffs).all():
+            raise InputError("jet coefficients must be finite")
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            raise InputError(f"jet base point must be finite, got {pts[bad[0]].tolist()}")
+        ptsT = pts.T.copy()
         # row blocks in order, so the reported pair is the first coincident
         # pair in row-major order of the full distance matrix; a block's peak
-        # is the two arrays of the distance kernel and the last block's mask
+        # is the two arrays of the distance kernel and the last block's mask;
+        # distances, unlike coordinates, also catch a distance underflowing to 0
         for blk in _blocks(m, 3 * m):
             zero = _distances(ptsT[:, blk, None], ptsT[:, None, :]) == 0.0
             zero.reshape(-1)[blk.start :: m + 1] = False  # entries (i, i)
             if zero.any():
                 i, j = np.unravel_index(np.argmax(zero), zero.shape)
                 i += blk.start
-                raise InputError(f"coincident points at indices {i} and {j}: {self.points[i]}")
+                raise InputError(f"coincident points at indices {i} and {j}: {pts[i].tolist()}")
+        pts.flags.writeable = coeffs.flags.writeable = False
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def points_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
-
-    def coeff_matrix(self) -> np.ndarray:
-        """(num_points, num_multi_indices) array of jet coefficients."""
-        return np.asarray([j.coeffs for j in self.jets], dtype=float)
-
     def scale(self, s: float) -> "WhitneyField":
-        return WhitneyField(
-            self.points,
-            tuple(Jet(j.point, tuple(s * c for c in j.coeffs), self.k) for j in self.jets),
-            self.k,
-            self.n,
-        )
+        return WhitneyField(self.points, s * self.coeffs, self.k, self.n)
 
     def add(self, other: "WhitneyField") -> "WhitneyField":
-        if self.points != other.points or self.k != other.k or self.n != other.n:
+        if not np.array_equal(self.points, other.points) or self.k != other.k or self.n != other.n:
             raise InputError("fields must share points, k and n to be added")
-        return WhitneyField(
-            self.points,
-            tuple(
-                Jet(a.point, tuple(ca + cb for ca, cb in zip(a.coeffs, b.coeffs)), self.k)
-                for a, b in zip(self.jets, other.jets)
-            ),
-            self.k,
-            self.n,
-        )
+        return WhitneyField(self.points, self.coeffs + other.coeffs, self.k, self.n)
 
 
 def field_from_data(points, values, k: int = 0) -> WhitneyField:
@@ -244,16 +224,16 @@ def field_from_data(points, values, k: int = 0) -> WhitneyField:
         raise InputError("field_from_data is k=0 only; build jets explicitly for k >= 1")
     if len(vals) != len(pts):
         raise InputError("one value per point required")
-    n = pts.shape[1]
-    jets = tuple(jet(p, [v], 0) for p, v in zip(pts, vals))
-    return WhitneyField(tuple(tuple(p) for p in pts), jets, 0, n)
+    return WhitneyField(pts, vals[:, None], 0, pts.shape[1])
 
 
 def field_from_jets(jets_: list[Jet]) -> WhitneyField:
     if not jets_:
         raise InputError("field needs at least one jet")
     k, n = jets_[0].k, jets_[0].n
-    return WhitneyField(tuple(j.point for j in jets_), tuple(jets_), k, n)
+    if any(j.k != k or j.n != n for j in jets_):
+        raise InputError("jet dimensions inconsistent with field")
+    return WhitneyField([j.point for j in jets_], [j.coeffs for j in jets_], k, n)
 
 
 @dataclass(frozen=True)
@@ -288,27 +268,27 @@ def field_from_json(obj) -> WhitneyField:
         raise InputError(f"field JSON needs k, n, points, jets: {exc}") from exc
     if len(points) != len(jets_spec):
         raise InputError("field JSON: one jet list per point required")
-    jets_ = []
+    index = {alpha: a for a, alpha in enumerate(multi_indices(n, k))}
+    pts, coeffs = np.zeros((len(points), n)), np.zeros((len(points), len(index)))
     for i, (p, entries) in enumerate(zip(points, jets_spec)):
         if not isinstance(p, (list, tuple)) or not isinstance(entries, (list, tuple)):
             raise InputError(f"field JSON: point {i} needs a coordinate list and a jet list, "
                              f"got {p!r} and {entries!r}")
-        values = {}
         for e in entries:
             try:
                 alpha = tuple(int(a) for a in e["alpha"])
-                values[alpha] = float(e["value"])
+                value = float(e["value"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"field JSON: jet entry {e!r} of point {i} needs an integer "
                                  f"alpha list and a numeric value") from exc
-            if len(alpha) != n or mi_order(alpha) > k:
+            if alpha not in index:
                 raise InputError(f"bad multi-index {alpha} for n={n}, k={k}")
+            coeffs[i, index[alpha]] = value
         try:
-            point = [float(x) for x in p]
+            pts[i] = np.array([float(x) for x in p]).reshape(n)  # a row would broadcast [x]
         except (TypeError, ValueError) as exc:
-            raise InputError(f"field JSON: point {i} coordinates {p!r} are not numbers") from exc
-        jets_.append(jet_from_dict(point, values, k))
-    return WhitneyField(tuple(j.point for j in jets_), tuple(jets_), k, n)
+            raise InputError(f"field JSON: point {i} coordinates {p!r} are not {n} numbers") from exc
+    return WhitneyField(pts, coeffs, k, n)
 
 
 def field_to_json(f: WhitneyField) -> dict:
@@ -316,11 +296,9 @@ def field_to_json(f: WhitneyField) -> dict:
     return {
         "k": f.k,
         "n": f.n,
-        "points": [list(p) for p in f.points],
-        "jets": [
-            [{"alpha": list(alpha), "value": c} for alpha, c in zip(mis, j.coeffs)]
-            for j in f.jets
-        ],
+        "points": f.points.tolist(),
+        "jets": [[{"alpha": list(alpha), "value": c} for alpha, c in zip(mis, row)]
+                 for row in f.coeffs.tolist()],
     }
 
 
@@ -335,12 +313,16 @@ def field_from_csv(path) -> WhitneyField:
         [float(c) for c in rows[0]]
     except ValueError:
         start = 1  # header row
+    if start == len(rows):
+        raise InputError(f"CSV {path} has a header but no data rows")
     data = []
     for r in rows[start:]:
         try:
             data.append([float(c) for c in r])
         except ValueError as exc:
             raise InputError(f"non-numeric CSV row {r!r}") from exc
+        if len(r) != len(data[0]):
+            raise InputError(f"CSV row {r!r} has {len(r)} columns, the first data row has {len(data[0])}")
     arr = np.asarray(data, dtype=float)
     if arr.shape[1] < 2:
         raise InputError("CSV needs at least one coordinate column and a value column")

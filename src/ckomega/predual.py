@@ -10,10 +10,10 @@ ranges over exactly the traces of norm-<=1 functions (every feasible u
 McShane-extends with the same constants), so the optimum is the true norm.
 It is solved in its LP dual, an m-row min-cost transshipment over the m
 support points and a ground node; the duals of its rows are an optimal u.
-For k >= 1 only a bracket [lo, hi] is produced: lo maximizes the pairing over
-fields satisfying the pairwise compatibility constraints with lambda <= 1,
-hi is the minimum total-variation atomic decomposition over atoms supported
-on the functional's own points. Every LP here is in the solver's one form,
+For k >= 1 only a pair [lo, hi] is produced: hi, the minimum total-variation
+atomic decomposition over atoms on the functional's own points, is a sound
+upper bound; lo, the optimum of the relaxation to fields with pairwise
+lambda <= 1, can exceed the norm. Every LP here is in the solver's one form,
 min c.x s.t. Ax = b, x >= 0: the transshipment and hi are posed that way,
 and lo is solved in its LP dual, whose row duals are an optimal field. A
 status other than OPTIMAL from any of them raises NumericalError.
@@ -130,13 +130,13 @@ def pair(f, g: AtomicFunctional) -> float:
     if isinstance(f, WhitneyField):
         if f.k < g.ctx.k or f.n != g.ctx.n:
             raise InputError("field order/dimension insufficient for the functional")
-        table = {tuple(p): j for p, j in zip(f.points, f.jets)}
+        rows = {p: i for i, p in enumerate(map(tuple, f.points.tolist()))}
 
         def deriv(alpha, pt):
-            j = table.get(tuple(pt))
-            if j is None:
+            i = rows.get(tuple(pt))
+            if i is None:
                 raise InputError(f"field has no jet at atom point {pt}")
-            return j.coeff(alpha)
+            return float(f.coeffs[i, multi_indices(f.n, f.k).index(alpha)])
 
     else:
 
@@ -227,15 +227,15 @@ def predual_norm_k0_certificate(g: AtomicFunctional, omega: Modulus | None = Non
 
 
 def predual_norm_bracket(g: AtomicFunctional, ctx: NormContext | None = None):
-    """Two-sided bracket [lo, hi] for the predual norm at general k.
+    """The pair [lo, hi] for the predual norm at general k.
 
     lo: max <f, g> over Whitney fields on the support with the pairwise
-    compatibility constant lambda <= 1 (a valid lower bound: lambda
-    underestimates the true trace norm up to fixed equivalence constants, and
-    every atom has |<f, atom>| <= 1 under these constraints), solved in its
-    LP dual, whose row duals are an optimal field.
+    compatibility constant lambda <= 1, solved in its LP dual, whose row
+    duals are an optimal field. Not a lower bound: lambda <= ||F|| has no
+    converse, and at k >= 1 lo can exceed the norm (n = 1, k = 1,
+    omega(t) = t, g = delta_d - delta_0: lo = d + d^2 > d >= ||g||).
     hi: minimum total variation of a decomposition of g over atoms supported
-    on the support points (a valid upper bound since every atom has norm <= 1).
+    on the support points (a sound upper bound since every atom has norm <= 1).
     """
     lo, hi = _bracket_solutions(g, ctx or g.ctx)
     return lo.optimum, hi.optimum

@@ -24,6 +24,7 @@ from .errors import InputError, NumericalError
 _PIVOT_TOL = 1e-9
 _COST_TOL = 1e-9
 _PHASE1_TOL = 1e-8
+_RAY_TOL = 1e-7  # |A d| allowed per unit of ||A|| ||d||, as the duality gap per unit of optimum
 
 OPTIMAL = "OPTIMAL"
 UNBOUNDED = "UNBOUNDED"
@@ -191,6 +192,7 @@ def solve(lp: LinearProgram) -> LPSolution:
         ray[enter_j] = 1.0
         for i, j in enumerate(basis):
             ray[j] -= T[i, enter_j]
+        _check_ray(c, A, ray, iterations)
         return LPSolution(UNBOUNDED, None, None, None, iterations, ray=ray)
 
     x = np.zeros(nv)
@@ -212,6 +214,19 @@ def solve(lp: LinearProgram) -> LPSolution:
         complementarity_residual=comp,
         basis=np.array(basis, dtype=int),
     )
+
+
+def _check_ray(c, A, d, iterations):
+    """Raise NumericalError unless d certifies unboundedness: d >= 0, A d = 0
+    against ||A|| ||d|| and c.d < 0; a tableau rounding blew up can fail them."""
+    size, resid = float(np.max(np.abs(d))), float(np.max(np.abs(A @ d), initial=0.0))
+    norm_a = float(np.max(np.abs(A).sum(axis=1), initial=0.0))  # the induced infinity norm
+    for name, value, ok in (("d >= 0", d.min(), d.min() >= -_PIVOT_TOL * size),
+                            ("A d = 0", resid, resid <= _RAY_TOL * norm_a * size),
+                            ("c.d < 0", c @ d, c @ d < 0.0)):
+        if not ok:
+            raise NumericalError(f"UNBOUNDED ray fails {name} ({value:.3e}) after {iterations} "
+                                 f"iterations: the tableau lost accuracy")
 
 
 def _certify(lp, x, full, flip, basis, keep_rows):

@@ -159,7 +159,7 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
         raise InputError("field inconsistent with norm context")
     k, n = ctx.k, ctx.n
     mis = multi_indices(n, k)
-    coeffs = field.coeff_matrix()
+    coeffs = field.coeffs
 
     flat = np.abs(coeffs)
     i_sup, a_sup = np.unravel_index(int(np.argmax(flat)), flat.shape)
@@ -173,7 +173,7 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
         J = len(mis)
         op = _reexpansion(n, k)
         cT = coeffs.T.copy()
-        ptsT = field.points_array().T
+        ptsT = field.points.T
         orders = np.array([mi_order(a) for a in mis], dtype=float)
         # pairs i < j in row-major order, as np.triu_indices; row i starts at
         # pair number starts[i], so each block derives its own (i, j)

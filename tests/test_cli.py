@@ -177,6 +177,18 @@ def test_norm_malformed_field_json_exit_1(capsys, points, jets, names):
     assert err.startswith("input error: field JSON") and names in err
 
 
+@pytest.mark.parametrize("points, jets", [
+    ([[0.5]], [[{"alpha": [0, 0], "value": 1.0}]]),  # 1 coordinate for n = 2, with an entry
+    ([[0.5]], [[]]),  # the same point with no entries
+    ([[0.5, 0.7, 0.9]], [[]]),  # 3 coordinates for n = 2
+])
+def test_norm_field_json_point_of_wrong_length_exit_1(capsys, points, jets):
+    bad = json.dumps({"k": 0, "n": 2, "points": points, "jets": jets})
+    code, _, err = run_cli(capsys, "norm", "--field", bad)
+    assert code == 1
+    assert err.startswith("input error: field JSON: point 0 coordinates") and "not 2 numbers" in err
+
+
 @pytest.mark.parametrize("queries", ["[[NaN]]", "[[0.5], [Infinity]]"])
 def test_extend_hermite_non_finite_query_exit_1(capsys, queries):
     code, _, err = run_cli(capsys, "extend", "--input", FIELD_2PT, "--queries", queries,
@@ -301,6 +313,19 @@ def test_csv_ingestion_k0(capsys, tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert rep["results"]["lambda"] == 1.0
+
+
+@pytest.mark.parametrize("text, names", [
+    ("x,f\n0.0,0.0\n1.0,2.0,1.0\n", "['1.0', '2.0', '1.0']"),  # ragged rows name the row
+    ("x,f\n", "data.csv"),  # a header alone names the file
+])
+def test_csv_malformed_is_input_error(capsys, tmp_path, text, names):
+    p = tmp_path / "data.csv"
+    p.write_text(text)
+    code, out, err = run_cli(capsys, "norm", "--field", str(p))
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and names in err
+    assert "Traceback" not in err
 
 
 def test_reports_are_deterministic(capsys, tmp_path):

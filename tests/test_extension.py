@@ -108,8 +108,8 @@ def test_mcshane_lam_is_whitney_lambda_osc_bitwise():
 def _mcshane_per_query(ext, X):
     """Per-query reference: hit on a datum returns it, else the clamped
     variant of min(f + lam w(d)) / max(f - lam w(d))."""
-    pts = ext.field.points_array()
-    vals = ext.field.coeff_matrix()[:, 0]
+    pts = ext.field.points
+    vals = ext.field.coeffs[:, 0]
     out = []
     for q in X:
         d = np.linalg.norm(pts - q[None, :], axis=1)
@@ -164,8 +164,8 @@ def test_mcshane_query_memory_is_bounded_by_blocks():
 
 
 def test_mcshane_empty_field_rejected():
-    with pytest.raises(InputError):
-        WhitneyField((), (), 0, 1)
+    with pytest.raises(InputError, match="field needs at least one point"):
+        WhitneyField(np.empty((0, 1)), np.empty((0, 1)), 0, 1)
 
 
 def test_mcshane_requires_k0():
@@ -346,6 +346,16 @@ def _tail_jet(endpoint, c, k, x, num):
              for j in range(k + 1)]
     svals = [num(profile_deriv(np.array([float(dist)]), j)[0]) * sg**j for j in range(k + 1)]
     return [sum(math.comb(j, i) * tvals[i] * svals[j - i] for i in range(j + 1)) for j in range(k + 1)]
+
+
+def test_hermite_knots_are_read_only():
+    # _gaps is cached from knots and order, so neither may change under it
+    h = hermite_extension(field_from_data([[0.5], [0.0], [1.0]], [1.0, 2.0, 3.0]))
+    assert len(h.knots) == 3 and h.knots[0] == 0.0 and h.order.tolist() == [1, 0, 2]
+    for a in (h.knots, h.order):
+        with pytest.raises(ValueError):
+            a[0] = 7
+    assert h(0.5) == 1.0
 
 
 def _oracle_jet(knots, coeffs, k, x, exact=True):

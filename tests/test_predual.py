@@ -7,10 +7,11 @@ import pytest
 from free_lp import solve_free
 
 from ckomega import modulus as mo
-from ckomega.errors import InputError
+from ckomega.errors import InputError, NumericalError
 from ckomega.extension import mcshane_extension
 from ckomega.fields import (
     NormContext,
+    WhitneyField,
     field_from_data,
     field_from_jets,
     jet,
@@ -372,6 +373,34 @@ def test_bracket_difference_atom_k1():
     assert lo <= hi + 1e-9
 
 
+@pytest.mark.parametrize("d", [0.5, 0.1])
+def test_bracket_lo_is_the_relaxation_optimum_not_a_lower_bound(d):
+    # g = delta_d - delta_0, n = 1, k = 1, omega(t) = t: every F of trace norm
+    # <= 1 has |F'| <= 1, so ||g|| <= d, while the lambda <= 1 relaxation
+    # reaches d + d^2 with the jets F(d) = F'(d) = F'(0) = 1, F(0) = 1 - d - d^2
+    ctx = NormContext(1, 1, mo.linear())
+    lo, hi = predual_norm_bracket(functional([delta([d]), delta([0.0])], [1.0, -1.0], ctx), ctx)
+    assert lo == pytest.approx(d + d * d, rel=1e-12)
+    assert lo > d and hi >= d
+
+
+@pytest.mark.parametrize("seed", [1, 8])
+def test_bracket_lo_false_unbounded_ray_raises(seed):
+    # lo is bounded below by 0, but on these n = 2, k = 2, m = 6 brackets the
+    # degenerate tableau drifts until a column looks unbounded; its ray has
+    # c.d > 0 and |A d| of 142 and 3e14, so solve must raise, not return
+    # UNBOUNDED. Seeds 3, 5 and 7 of this family still stop at the cycling
+    # guard (ROADMAP item 1, part 2).
+    ctx = NormContext(2, 2, mo.power(0.5))
+    mis = multi_indices(2, 2)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0, 1, (6, 2))
+    atoms = [delta(p, mis[rng.integers(len(mis))]) for p in pts]
+    g = functional(atoms, rng.normal(size=6), ctx)
+    with pytest.raises(NumericalError, match="UNBOUNDED ray fails A d = 0"):
+        solve(_bracket_lps(g, ctx)[0])
+
+
 def test_bracket_consistent_with_k0_exact_norm():
     # for k=0 delta functionals the lower LP has the same feasible set as the
     # exact norm LP, so lo == exact and hi >= exact
@@ -571,7 +600,8 @@ def _enumerated_gap(field, d, ctx):
     sup, witness, checked, early = 0.0, (), 0, False
     for size in range(1, min(d, m) + 1):
         for combo in itertools.combinations(range(m), size):
-            v = whitney_lambda(field_from_jets([field.jets[i] for i in combo]), ctx).lam
+            sub = list(combo)
+            v = whitney_lambda(WhitneyField(field.points[sub], field.coeffs[sub], ctx.k, ctx.n), ctx).lam
             checked += 1
             if v > sup:
                 sup, witness = v, combo

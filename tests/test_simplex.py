@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
 from free_lp import solve_free
 
-from ckomega.errors import InputError
-from ckomega.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve
+from ckomega.errors import InputError, NumericalError
+from ckomega.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, _check_ray, solve
 
 
 def test_spec_examples():
@@ -143,6 +144,17 @@ def test_degenerate_equality_redundant_rows():
     assert s.status == OPTIMAL and s.optimum == pytest.approx(-1.0)
     assert s.x == pytest.approx([1.0, 0.0])
     assert s.dual_eq @ [1.0, 1.0] == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("d, c, failed", [
+    ([1.0, -0.5], [-1.0, 0.0], "d >= 0"),
+    ([1.0, 0.5], [-1.0, 0.0], "A d = 0"),
+    ([1.0, 1.0], [1.0, 0.0], "c.d < 0"),
+])
+def test_unbounded_ray_checks_name_the_failure(d, c, failed):
+    # A = [1, -1]: [1, 1] is a null direction, [1, 0.5] is not
+    with pytest.raises(NumericalError, match=f"fails {re.escape(failed)} .* after 7 iterations"):
+        _check_ray(np.array(c), np.array([[1.0, -1.0]]), np.array(d), 7)
 
 
 def _random_nonneg_lp(rng, kind):

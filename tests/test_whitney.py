@@ -20,7 +20,6 @@ from ckomega.fields import (
     field_from_json,
     field_to_json,
     jet,
-    jet_from_dict,
     mi_factorial,
     mi_order,
     mi_sub,
@@ -129,8 +128,9 @@ def brute_lambda(field, ctx):
     """Independent oracle: direct loop over (x, y, z, alpha) with the
     reference Taylor loop."""
     mis = multi_indices(ctx.n, ctx.k)
-    pts = field.points_array()
-    lam_sup = max(abs(c) for j in field.jets for c in j.coeffs)
+    pts = field.points
+    jets = [jet(p, c, field.k) for p, c in zip(pts, field.coeffs)]
+    lam_sup = max(abs(c) for j in jets for c in j.coeffs)
     lam_osc = 0.0
     for i in range(len(field)):
         for j in range(len(field)):
@@ -140,8 +140,8 @@ def brute_lambda(field, ctx):
             om = ctx.modulus(d)
             for z in (pts[i], pts[j]):
                 for a in mis:
-                    num = abs(_loop_taylor_eval(field.jets[i], a, z)
-                              - _loop_taylor_eval(field.jets[j], a, z))
+                    num = abs(_loop_taylor_eval(jets[i], a, z)
+                              - _loop_taylor_eval(jets[j], a, z))
                     lam_osc = max(lam_osc, num / (d ** (ctx.k - mi_order(a)) * om))
     return max(lam_sup, lam_osc)
 
@@ -173,8 +173,7 @@ def test_lambda_triangle_inequality():
     for _ in range(50):
         k, n = int(rng.integers(0, 3)), int(rng.integers(1, 3))
         f = random_field(rng, k, n, 4)
-        g = field_from_jets([jet(p, rng.normal(size=len(j.coeffs)), k)
-                             for p, j in zip(f.points_array(), f.jets)])
+        g = field_from_jets([jet(p, rng.normal(size=f.coeffs.shape[1]), k) for p in f.points])
         ctx = NormContext(k, n, mo.linear())
         assert whitney_lambda(f.add(g), ctx).lam <= (
             whitney_lambda(f, ctx).lam + whitney_lambda(g, ctx).lam + 1e-10
@@ -226,7 +225,7 @@ def test_lambda_witnesses_identify_attaining_terms():
 def _k0_loop_reference(field, ctx):
     """Per-pair Python loop for k = 0: |f(x_i) - f(x_j)| / omega(d) with the
     first strict maximum over i < j (constant data reports the first pair)."""
-    vals = [j.coeffs[0] for j in field.jets]
+    vals = field.coeffs[:, 0].tolist()
     zero = (0,) * ctx.n
     best, witness = None, None
     for i, j in itertools.combinations(range(len(field)), 2):
@@ -293,14 +292,13 @@ def _exponent_tensor_lambda(field, ctx):
             if rem is not None:
                 pow_mat[a_idx, b_idx], mask[a_idx, b_idx] = rem, 1.0
                 fact[a_idx, b_idx] = mi_factorial(rem)
-    coeffs = np.abs(field.coeff_matrix())
-    i_sup, a_sup = np.unravel_index(int(np.argmax(coeffs)), coeffs.shape)
-    lam_sup = float(coeffs[i_sup, a_sup])
-    coeffs = field.coeff_matrix()
+    coeffs = field.coeffs
+    i_sup, a_sup = np.unravel_index(int(np.argmax(np.abs(coeffs))), coeffs.shape)
+    lam_sup = float(abs(coeffs[i_sup, a_sup]))
     m = len(field)
     if m == 1:
         return LambdaReport(lam_sup, 0.0, lam_sup, (int(i_sup), mis[a_sup]), None)
-    pts = field.points_array()
+    pts = field.points
     ii, jj = np.triu_indices(m, 1)
 
     def apply(delta_z, c):
@@ -392,7 +390,7 @@ def test_field_coincident_pair_independent_of_blocks(monkeypatch):
         pts[7] = pts[5]
         pts[11] = pts[5]
         i, j = _first_coincident_pair(pts)
-        want = f"coincident points at indices {i} and {j}: {tuple(pts[i])}"
+        want = f"coincident points at indices {i} and {j}: {pts[i].tolist()}"  # plain floats
         assert (i, j) == (4, 9)
         for rows_per_block in (None, 1, 2, 5):
             if rows_per_block is not None:
@@ -451,16 +449,34 @@ def test_field_validation_memory_is_bounded_by_blocks():
     assert peak < min(40e6, 8 * ckomega.fields._BLOCK_ELEMS + 1e6)
 
 
+def test_field_arrays_are_read_only_copies():
+    pts = np.array([[0.0, 1.0], [2.0, 3.0]])
+    f = field_from_data(pts, [1.0, -2.0])
+    for a in (f.points, f.coeffs):
+        assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
+    with pytest.raises(ValueError):
+        f.coeffs[0, 0] = 5.0
+    pts[0, 0] = 9.0  # the caller's array stays writable; the field holds a copy
+    assert f.points[0, 0] == 0.0
+    assert f.scale(2.0).coeffs.tolist() == [[2.0], [-4.0]]
+    assert f.add(f.scale(0.5)).coeffs.tolist() == [[1.5], [-3.0]]
+    with pytest.raises(InputError, match="share points"):
+        f.add(field_from_data([[0.0, 1.0], [2.0, 4.0]], [0.0, 0.0]))
+    with pytest.raises(InputError, match="inconsistent"):
+        field_from_jets([jet([0.0], [1.0], 0), jet([1.0], [1.0, 0.0], 1)])
+
+
 @pytest.mark.parametrize("k, n", [(0, 2), (2, 3)])
 def test_field_json_round_trip(k, n):
     f = random_field(np.random.default_rng(k), k, n, 5)
-    assert field_from_json(field_to_json(f)) == f
-    assert field_from_json(json.dumps(field_to_json(f))) == f
+    for g in (field_from_json(field_to_json(f)), field_from_json(json.dumps(field_to_json(f)))):
+        assert (g.k, g.n) == (f.k, f.n)
+        assert g.points.tobytes() == f.points.tobytes() and g.points.shape == f.points.shape
+        assert g.coeffs.tobytes() == f.coeffs.tobytes() and g.coeffs.shape == f.coeffs.shape
 
 
 @pytest.mark.parametrize("build", [
     lambda p: jet([p], [1.0], 0),
-    lambda p: jet_from_dict([p], {(0,): 1.0}, 0),
     lambda p: Jet((p,), (1.0,), 0),
     lambda p: field_from_data([[p], [1.0]], [1.0, 2.0]),
     lambda p: field_from_json({"k": 0, "n": 1, "points": [[p]], "jets": [[{"alpha": [0], "value": 1.0}]]}),
