@@ -311,9 +311,9 @@ def _run_predual_norm(args) -> dict:
     g = _parse_atoms(args.atoms, ctx)
     prov = {"n_atoms": len(g.atoms), "support_size": len(g.support()), "seed": args.seed}
     if args.k == 0 and all(a.kind == "delta" for a in g.atoms):
-        _, sol = _k0_norm_lp(g, m)
+        sol = _k0_norm_lp(g, m)[-1]
         results = {"norm": sol.optimum, "exact": True}
-        prov["lp"] = _lp_provenance("transshipment", sol)
+        prov["lp"] = _lp_provenance("transportation", sol)
     else:
         lo, hi = _bracket_solutions(g, ctx)
         results = {"norm_bracket": [lo.optimum, hi.optimum], "exact": False}

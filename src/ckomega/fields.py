@@ -186,16 +186,18 @@ class WhitneyField:
         if bad.size:
             raise InputError(f"jet base point must be finite, got {pts[bad[0]].tolist()}")
         ptsT = pts.T.copy()
-        # row blocks in order, so the reported pair is the first coincident
-        # pair in row-major order of the full distance matrix; a block's peak
+        # row blocks in order, each against the columns from its first row on
+        # with the entries j <= i masked: distances are symmetric, so the
+        # first coincident pair in row-major order of the full distance
+        # matrix has j > i, and the reported pair is that one. A block's peak
         # is the two arrays of the distance kernel and the last block's mask;
         # distances, unlike coordinates, also catch a distance underflowing to 0
         for blk in _blocks(m, 3 * m):
-            zero = _distances(ptsT[:, blk, None], ptsT[:, None, :]) == 0.0
-            zero.reshape(-1)[blk.start :: m + 1] = False  # entries (i, i)
+            zero = _distances(ptsT[:, blk, None], ptsT[:, None, blk.start :]) == 0.0
+            zero[np.tril_indices(blk.stop - blk.start)] = False
             if zero.any():
                 i, j = np.unravel_index(np.argmax(zero), zero.shape)
-                i += blk.start
+                i, j = i + blk.start, j + blk.start
                 raise InputError(f"coincident points at indices {i} and {j}: {pts[i].tolist()}")
         pts.flags.writeable = coeffs.flags.writeable = False
         object.__setattr__(self, "points", pts)

@@ -8,13 +8,15 @@ evaluation atoms is computed exactly: the LP
     max sum c_i u_i   s.t. |u_i| <= 1, |u_i - u_j| <= omega(||x_i - x_j||)
 ranges over exactly the traces of norm-<=1 functions (every feasible u
 McShane-extends with the same constants), so the optimum is the true norm.
-It is solved in its LP dual, an m-row min-cost transshipment over the m
-support points and a ground node; the duals of its rows are an optimal u.
+It is solved in its LP dual, an m-row min-cost transportation problem that
+ships the positive charges to the negative ones and to a ground node, which
+the modulus axioms make exact (``_k0_norm_lp``); the duals of its rows,
+repaired by a double omega-transform, are an optimal u.
 For k >= 1 only a pair [lo, hi] is produced: hi, the minimum total-variation
 atomic decomposition over atoms on the functional's own points, is a sound
 upper bound; lo, the optimum of the relaxation to fields with pairwise
 lambda <= 1, can exceed the norm. Every LP here is in the solver's one form,
-min c.x s.t. Ax = b, x >= 0: the transshipment and hi are posed that way,
+min c.x s.t. Ax = b, x >= 0: the transportation problem and hi are posed that way,
 and lo is solved in its LP dual, whose row duals are an optimal field. A
 status other than OPTIMAL from any of them raises NumericalError.
 
@@ -158,13 +160,21 @@ def pair(f, g: AtomicFunctional) -> float:
 
 
 def _k0_norm_lp(g: AtomicFunctional, omega: Modulus):
-    """(support, LPSolution) of the min-cost transshipment that gives the k=0
-    norm (an LP with no rows and no variables for an empty support).
+    """(support, c, w, LPSolution) of the min-cost transportation problem
+    that gives the k=0 norm: the sorted support points, their charges c, the
+    arc costs w[a, b] = omega(||x_i - x_j||) over the positive charges i =
+    P[a] and the negative ones j = N[b], in index order, and the solution
+    (an LP with no rows and no variables for an empty support).
 
-    One conservation row per support point i (net outflow = c_i) over arcs
-    i -> j and j -> i of cost omega(||x_i - x_j||) and arcs to and from
-    ground of cost 1. It is the LP dual of max c.u s.t. |u_i| <= 1,
-    |u_i - u_j| <= omega_ij, so the duals of its rows are an optimal u.
+    One conservation row per support point (net outflow = c_i) over a
+    ground arc of cost 1 per point (out of P, into N) and an arc i -> j of
+    cost w per pair in P x N. Under the modulus axioms omega is nondecreasing
+    and subadditive, so omega(||x - y||), capped at 2 by the detour through
+    ground, is a metric: every flow path shortcuts to its ends, P -> N or
+    through ground, at no more cost, so this LP has the optimum of the full
+    transshipment. It is the LP dual of max c.u s.t. u_i <= 1 on P, u_j >= -1
+    on N, u_i - u_j <= w on P x N, so the duals of its rows are u feasible
+    only on P x N (``predual_norm_k0_certificate`` repairs them).
     """
     n = g.ctx.n
     zero = (0,) * n
@@ -174,8 +184,9 @@ def _k0_norm_lp(g: AtomicFunctional, omega: Modulus):
     if omega.kind == "table" and len(omega.breakpoints) > 1:
         # Without the axioms a feasible u need not extend with the same
         # constants, and the optimum then depends on points whose atoms
-        # cancel. A table is linear between breakpoints, where t/omega(t) is
-        # monotone, so checking them checks all of (0, inf).
+        # cancel; nor is the transportation form exact. A table is linear
+        # between breakpoints, where t/omega(t) is monotone, so checking them
+        # checks all of (0, inf).
         bad = validate(omega, [t for t, _ in omega.breakpoints]).violations
         if bad:
             v = bad[0]
@@ -187,39 +198,47 @@ def _k0_norm_lp(g: AtomicFunctional, omega: Modulus):
     c = np.zeros(m)
     for a, coef in zip(g.atoms, g.coeffs):
         c[index[a.x]] += coef
+    # merged atoms leave no zero charge, so N = ~pos is the set c < 0
+    pos = c > 0.0
+    P, N = np.flatnonzero(pos), np.flatnonzero(~pos)
     PT = np.asarray(support, dtype=float).reshape(m, n).T
-    i, j = np.triu_indices(m, 1)
-    w = omega(_distances(PT[:, i], PT[:, j]))
-    inc = np.zeros((m, i.size))  # arc i -> j: +1 at i, -1 at j
-    inc[i, np.arange(i.size)] = 1.0
-    inc[j, np.arange(i.size)] = -1.0
-    arcs, cost = np.hstack([inc, -inc]), np.concatenate([w, w])
+    w = omega(_distances(PT[:, P, None], PT[:, None, N]).ravel()).reshape(P.size, N.size)
     # Ground arcs first give a feasible basis in m phase-1 pivots; arcs in
-    # increasing cost make Bland's rule enter cheap arcs first (3-5x fewer
-    # pivots than pair order at m = 28-60).
-    order = np.argsort(cost, kind="stable")
-    ground = np.eye(m)
-    sol = solve(LinearProgram(np.concatenate([np.ones(2 * m), cost[order]]),
-                              np.hstack([ground, -ground, arcs[:, order]]), c))
+    # increasing cost make Bland's rule enter cheap arcs first (2-9x fewer
+    # pivots than pair order at m = 28-60, more with more negative charges).
+    order = np.argsort(w, axis=None, kind="stable")
+    arcs = np.zeros((m, order.size))
+    arcs[P[order // N.size], np.arange(order.size)] = 1.0  # arc i -> j: +1 at i, -1 at j
+    arcs[N[order % N.size], np.arange(order.size)] = -1.0
+    sol = solve(LinearProgram(np.concatenate([np.ones(m), w.ravel()[order]]),
+                              np.hstack([np.diag(np.where(pos, 1.0, -1.0)), arcs]), c))
     if sol.status != OPTIMAL:
         raise NumericalError(f"k=0 norm LP unexpectedly {sol.status}")
-    return support, sol
+    return support, c, w, sol
 
 
 def predual_norm_k0(g: AtomicFunctional, omega: Modulus | None = None) -> float:
     """Exact predual norm of a k=0 combination of evaluation atoms."""
     om = omega or g.ctx.modulus
-    _, sol = _k0_norm_lp(g, om)
-    return sol.optimum
+    return _k0_norm_lp(g, om)[-1].optimum
 
 
 def predual_norm_k0_certificate(g: AtomicFunctional, omega: Modulus | None = None):
     """(norm, support points, optimal trace vector u) for duality tests:
-    the McShane extension of u attains the pairing value. u is read off the
-    duals of the transshipment's conservation rows."""
+    the McShane extension of u attains the pairing value.
+
+    The transportation LP's row duals bound u - omega only on P x N pairs.
+    The double omega-transform u_N <- max(-1, max_P (u_i - w)), then u_P <-
+    min(1, min_N (u_j + w)) (McShane in both directions) can only lower u_N
+    and raise u_P, so it can only raise c.u; its result is bounded by 1 and
+    omega-Lipschitz on every pair, so it is an optimal trace."""
     om = omega or g.ctx.modulus
-    support, sol = _k0_norm_lp(g, om)
-    return sol.optimum, support, sol.dual_eq
+    support, c, w, sol = _k0_norm_lp(g, om)
+    pos = c > 0.0
+    u = sol.dual_eq.copy()
+    u[~pos] = np.maximum(-1.0, np.max(u[pos, None] - w, axis=0, initial=-np.inf))
+    u[pos] = np.minimum(1.0, np.min(u[~pos] + w, axis=1, initial=np.inf))
+    return sol.optimum, support, u
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def _pivot(T, r, j):
     factors = T[:, j].copy()
     factors[r] = 0.0
     nz = np.flatnonzero(factors)
-    T[nz] -= np.outer(factors[nz], T[r, :])
+    T[nz] -= factors[nz, None] * T[r]
     T[:, j] = 0.0
     T[r, j] = 1.0
 
@@ -105,24 +105,28 @@ def _pivot(T, r, j):
 def _bland_iterate(T, basis, max_iter):
     """Run simplex pivots on tableau T (last row = reduced costs, last column
     = rhs / negated objective) until optimal or unbounded. Minimization
-    convention: optimal when all reduced costs >= -tol."""
+    convention: optimal when all reduced costs >= -tol. basis is an int
+    array, updated in place."""
     m = T.shape[0] - 1
     ncol = T.shape[1] - 1
     it = 0
+    if ncol == 0:
+        return "optimal", it, None
     while True:
-        cost = T[-1, :ncol]
-        candidates = np.where(cost < -_COST_TOL)[0]
-        if candidates.size == 0:
+        eligible = T[-1, :ncol] < -_COST_TOL
+        j = int(eligible.argmax())  # Bland: smallest eligible index enters
+        if not eligible[j]:
             return "optimal", it, None
-        j = int(candidates[0])  # Bland: smallest index enters
         col = T[:m, j]
-        rows = np.where(col > _PIVOT_TOL)[0]
+        rows = np.flatnonzero(col > _PIVOT_TOL)
         if rows.size == 0:
             return "unbounded", it, j
-        ratios = T[rows, ncol] / col[rows]
-        best = np.min(ratios)
-        tied = rows[ratios <= best + 1e-12]
-        r = int(tied[np.argmin([basis[i] for i in tied])])  # Bland: smallest basic index leaves
+        if rows.size == 1:
+            r = int(rows[0])
+        else:
+            ratios = T[rows, ncol] / col[rows]
+            tied = rows[ratios <= ratios.min() + 1e-12]
+            r = int(tied[np.argmin(basis[tied])])  # Bland: smallest basic index leaves
         _pivot(T, r, j)
         basis[r] = j
         it += 1
@@ -135,6 +139,8 @@ def solve(lp: LinearProgram) -> LPSolution:
 
     OPTIMAL solutions carry the dual vector and the residuals used to certify
     them: primal feasibility, duality gap and complementary slackness.
+    UNBOUNDED is returned only with a checked ray and INFEASIBLE only with a
+    checked Farkas vector; a failed check raises NumericalError.
     """
     c, A, b = lp.objective, lp.lhs_eq, lp.rhs_eq
     rows, nv = A.shape
@@ -146,7 +152,7 @@ def solve(lp: LinearProgram) -> LPSolution:
     T[:rows, :nv] = full
     T[:rows, nv:ncol] = np.eye(rows)
     T[:rows, ncol] = b * flip
-    basis = list(range(nv, ncol))
+    basis = np.arange(nv, ncol)
     max_iter = 2000 + 60 * (rows + ncol)
     iterations = 0
     drop_rows = []
@@ -162,6 +168,9 @@ def solve(lp: LinearProgram) -> LPSolution:
         _, it1, _ = _bland_iterate(T, basis, max_iter)
         iterations += it1
         if -T[-1, ncol] > _PHASE1_TOL:
+            # the phase-1 duals, read off the artificials' reduced costs
+            # 1 - yhat_i, are a Farkas vector y = flip * yhat on the rows
+            _check_farkas(A, b, flip * (1.0 - T[-1, nv:ncol]), iterations)
             return LPSolution(INFEASIBLE, None, None, None, iterations)
         # drive remaining artificials out of the basis (degenerate at zero);
         # a row with no structural entry left is redundant and dropped
@@ -175,7 +184,7 @@ def solve(lp: LinearProgram) -> LPSolution:
                 _pivot(T, i, j)
                 basis[i] = j
     keep_rows = [i for i in range(rows) if i not in drop_rows]
-    basis = [basis[i] for i in keep_rows]
+    basis = basis[keep_rows]
 
     # phase 2 on the structural columns and the rhs, with the true costs
     T = T[np.ix_(keep_rows + [rows], np.r_[:nv, ncol])]
@@ -212,21 +221,41 @@ def solve(lp: LinearProgram) -> LPSolution:
         feasibility_residual=feas,
         duality_gap=gap,
         complementarity_residual=comp,
-        basis=np.array(basis, dtype=int),
+        basis=basis,
     )
+
+
+def _norm_inf(A) -> float:
+    """The induced infinity norm of A, its largest absolute row sum."""
+    return float(np.max(np.abs(A).sum(axis=1), initial=0.0))
+
+
+def _fail(status, checks, iterations):
+    """Raise NumericalError naming the first failed (name, value, ok) check
+    of a status's certificate."""
+    for name, value, ok in checks:
+        if not ok:
+            raise NumericalError(f"{status} fails {name} ({value:.3e}) after {iterations} "
+                                 f"iterations: the tableau lost accuracy")
 
 
 def _check_ray(c, A, d, iterations):
     """Raise NumericalError unless d certifies unboundedness: d >= 0, A d = 0
     against ||A|| ||d|| and c.d < 0; a tableau rounding blew up can fail them."""
     size, resid = float(np.max(np.abs(d))), float(np.max(np.abs(A @ d), initial=0.0))
-    norm_a = float(np.max(np.abs(A).sum(axis=1), initial=0.0))  # the induced infinity norm
-    for name, value, ok in (("d >= 0", d.min(), d.min() >= -_PIVOT_TOL * size),
-                            ("A d = 0", resid, resid <= _RAY_TOL * norm_a * size),
-                            ("c.d < 0", c @ d, c @ d < 0.0)):
-        if not ok:
-            raise NumericalError(f"UNBOUNDED ray fails {name} ({value:.3e}) after {iterations} "
-                                 f"iterations: the tableau lost accuracy")
+    _fail("UNBOUNDED ray", (("d >= 0", d.min(), d.min() >= -_PIVOT_TOL * size),
+                            ("A d = 0", resid, resid <= _RAY_TOL * _norm_inf(A) * size),
+                            ("c.d < 0", c @ d, c @ d < 0.0)), iterations)
+
+
+def _check_farkas(A, b, y, iterations):
+    """Raise NumericalError unless y certifies infeasibility (Farkas): A^T y
+    <= 0 against ||A|| ||y|| and b.y > 0, so b.y = (A^T y).x <= 0 for every
+    x >= 0 with A x = b, and there is none."""
+    size = float(np.max(np.abs(y), initial=0.0))
+    worst, by = float(np.max(A.T @ y, initial=0.0)), float(b @ y)
+    _fail("INFEASIBLE certificate", (("A^T y <= 0", worst, worst <= _RAY_TOL * _norm_inf(A) * size),
+                                     ("b.y > 0", by, by > 0.0)), iterations)
 
 
 def _certify(lp, x, full, flip, basis, keep_rows):

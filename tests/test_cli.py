@@ -157,8 +157,8 @@ def test_predual_norm_k0_reports_its_lp(capsys):
     assert code == 0
     lp = json.loads(out)["provenance"]["lp"]
     assert set(lp) == {"formulation", "rows", "vars", "iterations", "duality_gap"}
-    assert lp["formulation"] == "transshipment"
-    assert (lp["rows"], lp["vars"]) == (3, 12)  # m rows, m(m+1) variables
+    assert lp["formulation"] == "transportation"
+    assert (lp["rows"], lp["vars"]) == (3, 5)  # m rows, m + |P||N| variables (P = 2, N = 1)
     assert lp["iterations"] > 0
     assert 0.0 <= lp["duality_gap"] <= 1e-9
 

@@ -354,6 +354,23 @@ def test_rank_deficient_sample_prunes_nothing():
     assert r.capped and r.pruned == 0 and r.lps == 1
 
 
+@pytest.mark.parametrize("name, k", [("segment", 1), ("segment", 2), ("point", 1), ("point", 3)])
+def test_rank_deficient_probe_reads_capped_through_certified_infeasible(name, k):
+    # a sample on a line or a point leaves monomials outside the span: the
+    # candidate LPs off it are INFEASIBLE only with a checked Farkas vector
+    # (solve raises NumericalError otherwise), and agree with HiGHS
+    sample = builtin_set_sampler(name, 2, 9)((0.0, 0.0), 1.0)
+    pr = probe([0.0, 0.0], 1.0, k, sample, resolution=5)
+    assert markov_ratio(pr).capped
+    cost, lhs, G = _dual_lps(pr)
+    statuses = [solve(LinearProgram(cost, lhs, row)).status for row in G]
+    assert INFEASIBLE in statuses and set(statuses) <= {OPTIMAL, INFEASIBLE}
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for row, status in zip(G, statuses):
+        ref = linprog(cost, A_eq=lhs, b_eq=row, bounds=(0, None), method="highs")
+        assert ref.status == {OPTIMAL: 0, INFEASIBLE: 2}[status]
+
+
 # n=1, k=3: phase 1 once stopped on a column with no positive entry after a
 # reduced cost drifted to about -5e-8, and reported INFEASIBLE although the
 # artificial sum was zero; candidate 8 (sample point 6) is that LP.

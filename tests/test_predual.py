@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import time
 
@@ -130,27 +131,21 @@ def test_k0_rejects_table_modulus_breaking_axioms():
 def _u_lp(points, coeffs, omega):
     """The dense primal k=0 norm LP on the distinct points (coefficients of a
     repeated point summed): max c.u s.t. |u_i| <= 1, |u_i - u_j| <= omega(d_ij),
-    as (A, b, c) for A u <= b, m(m+1) rows."""
+    as (A, b, c) for A u <= b, m(m+1) rows: +-e_i per point, then
+    +-(e_i - e_j) per pair i < j."""
     support = sorted({tuple(p) for p in points})
     index = {p: i for i, p in enumerate(support)}
     m = len(support)
     c = np.zeros(m)
     for p, v in zip(points, coeffs):
         c[index[tuple(p)]] += v
-    rows, rhs = [], []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        rows += [e, -e]
-        rhs += [1.0, 1.0]
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = float(np.linalg.norm(np.asarray(support[i]) - np.asarray(support[j])))
-            e = np.zeros(m)
-            e[i], e[j] = 1.0, -1.0
-            rows += [e, -e]
-            rhs += [omega(d), omega(d)]
-    return np.array(rows), np.array(rhs), c
+    P, eye = np.asarray(support).reshape(m, -1), np.eye(m)
+    i, j = np.triu_indices(m, 1)
+    diff = eye[i] - eye[j]
+    A = np.vstack([np.stack([eye, -eye], axis=1).reshape(2 * m, m),
+                   np.stack([diff, -diff], axis=1).reshape(2 * i.size, m)])
+    b = np.concatenate([np.ones(2 * m), np.repeat(omega(np.linalg.norm(P[i] - P[j], axis=1)), 2)])
+    return A, b, c
 
 
 def _brute_force_k0(points, coeffs, omega):
@@ -220,8 +215,8 @@ def _k0_case(rng, m, index):
 
 
 def _check_k0_certificate(g, om, value):
-    """u from the transshipment's row duals is feasible for the u-LP and
-    attains the norm."""
+    """u from the transportation LP's repaired row duals is feasible for the
+    u-LP on every pair and attains the norm."""
     norm, support, u = predual_norm_k0_certificate(g, om)
     assert norm == value
     P = np.asarray(support)
@@ -230,12 +225,40 @@ def _check_k0_certificate(g, om, value):
     for a, coef in zip(g.atoms, g.coeffs):
         c[index[a.x]] += coef
     assert np.all(np.abs(u) <= 1.0 + 1e-9)
-    for i, j in itertools.combinations(range(len(support)), 2):
-        assert abs(u[i] - u[j]) <= om(float(np.linalg.norm(P[i] - P[j]))) + 1e-9
+    i, j = np.triu_indices(len(support), 1)
+    assert np.all(np.abs(u[i] - u[j]) <= om(np.linalg.norm(P[i] - P[j], axis=1)) + 1e-9)
     assert c @ u == pytest.approx(value, rel=1e-9, abs=1e-12)
 
 
-def test_k0_transshipment_matches_dense_u_lp():
+def _transshipment_k0(g, om):
+    """The k=0 norm as the full min-cost transshipment (oracle): m rows and
+    m(m+1) columns, arcs both ways between every pair of support points at
+    cost omega(d_ij) and to and from ground at cost 1, each row's net outflow
+    the point's charge. It needs no metric, so it checks the transportation
+    form's shortcut."""
+    support = g.support()
+    m = len(support)
+    index = {p: i for i, p in enumerate(support)}
+    c = np.zeros(m)
+    for a, coef in zip(g.atoms, g.coeffs):
+        c[index[a.x]] += coef
+    P = np.asarray(support, dtype=float).reshape(m, g.ctx.n)
+    i, j = np.triu_indices(m, 1)
+    w = om(np.linalg.norm(P[i] - P[j], axis=1))
+    inc = np.zeros((m, i.size))
+    inc[i, np.arange(i.size)] = 1.0
+    inc[j, np.arange(i.size)] = -1.0
+    arcs, cost = np.hstack([inc, -inc]), np.concatenate([w, w])
+    order = np.argsort(cost, kind="stable")
+    ground = np.eye(m)
+    sol = solve(LinearProgram(np.concatenate([np.ones(2 * m), cost[order]]),
+                              np.hstack([ground, -ground, arcs[:, order]]), c))
+    assert sol.status == OPTIMAL
+    assert (sol.dual_eq.size, sol.x.size) == (m, m * (m + 1))
+    return sol.optimum
+
+
+def test_k0_transportation_matches_dense_u_lp():
     rng = np.random.default_rng(4040)
     for index, m in enumerate((1, 2, 3, 4, 5, 8, 12, 17, 23, 30, 40)):
         g, points, coeffs, om = _k0_case(rng, m, index)
@@ -244,7 +267,7 @@ def test_k0_transshipment_matches_dense_u_lp():
         _check_k0_certificate(g, om, value)
 
 
-def test_k0_transshipment_matches_highs():
+def test_k0_transportation_matches_highs():
     pytest.importorskip("scipy")
     rng = np.random.default_rng(4141)
     for index, m in enumerate(range(1, 41)):
@@ -252,6 +275,60 @@ def test_k0_transshipment_matches_highs():
         value = predual_norm_k0(g, om)
         assert value == pytest.approx(_highs_k0(points, coeffs, om), rel=1e-9, abs=1e-12)
         _check_k0_certificate(g, om, value)
+
+
+# sign layouts of the differential test: the number of negative charges
+_K0_LAYOUTS = {
+    "positive": lambda m: 0,
+    "negative": lambda m: m,
+    "one negative": lambda m: 1,
+    "balanced": lambda m: m // 2,  # |P| = |N| for even m
+    "eighth": lambda m: math.ceil(m / 8),  # the benchmark's layout
+}
+
+
+def test_k0_transportation_differential():
+    # 250 seeded cases, m = 1-60, n = 1-3, the four modulus kinds (capped at
+    # 0.5 < 2; linear on [-2, 2]^n with arcs dearer than the detour through
+    # ground at 2) and five sign layouts, against the full transshipment
+    # and HiGHS
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(1958)
+    dear = 0
+    for index in range(250):
+        layout = list(_K0_LAYOUTS)[index % 5]
+        n, om = 1 + index % 3, K0_MODULI[(index // 5) % 4]
+        m = int(rng.integers(1, 61))
+        if layout == "balanced":
+            m += m % 2
+        pts = rng.uniform(-2, 2, (m, n))
+        c = np.abs(rng.normal(size=m)) + 0.01
+        c[rng.permutation(m)[: _K0_LAYOUTS[layout](m)]] *= -1.0
+        g = functional([delta(p) for p in pts], c, NormContext(0, n, om))
+        if om.kind == "linear":
+            i, j = np.triu_indices(m, 1)
+            dear += bool(np.any(np.linalg.norm(pts[i] - pts[j], axis=1) > 2.0))
+        value = predual_norm_k0(g, om)
+        assert value == pytest.approx(_transshipment_k0(g, om), rel=1e-9, abs=1e-12), index
+        assert value == pytest.approx(_highs_k0([tuple(p) for p in pts], c, om), rel=1e-9, abs=1e-12)
+        _check_k0_certificate(g, om, value)
+    assert dear > 30
+
+
+def test_k0_norm_m150_balanced_runtime():
+    # beyond the transshipment's m = 99 limit: 150 + 75 * 75 = 5775 columns
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(150)
+    om = mo.power(0.5)
+    pts = rng.uniform(-2, 2, (150, 2))
+    c = np.abs(rng.normal(size=150))
+    c[rng.permutation(150)[:75]] *= -1.0
+    g = functional([delta(p) for p in pts], c, NormContext(0, 2, om))
+    t0 = time.perf_counter()
+    value = predual_norm_k0(g)
+    assert time.perf_counter() - t0 < 5.0
+    assert value == pytest.approx(_highs_k0([tuple(p) for p in pts], c, om), rel=1e-9)
+    _check_k0_certificate(g, om, value)
 
 
 def test_k0_norm_m60_runtime():

@@ -7,7 +7,7 @@ import pytest
 from free_lp import solve_free
 
 from ckomega.errors import InputError, NumericalError
-from ckomega.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, _check_ray, solve
+from ckomega.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, _check_farkas, _check_ray, solve
 
 
 def test_spec_examples():
@@ -155,6 +155,31 @@ def test_unbounded_ray_checks_name_the_failure(d, c, failed):
     # A = [1, -1]: [1, 1] is a null direction, [1, 0.5] is not
     with pytest.raises(NumericalError, match=f"fails {re.escape(failed)} .* after 7 iterations"):
         _check_ray(np.array(c), np.array([[1.0, -1.0]]), np.array(d), 7)
+
+
+def test_plain_infeasible_lp_certifies_itself():
+    # x1 + x2 = -1 and x1 - x2 = 3 over x >= 0: the phase-1 duals give y
+    # with A^T y <= 0 < b.y; the same rows with a consistent rhs are feasible
+    A = np.array([[1.0, 1.0], [1.0, -1.0]])
+    s = solve(LinearProgram([1.0, 1.0], A, [-1.0, 3.0]))
+    assert s.status == INFEASIBLE and s.x is None and s.dual_eq is None
+    assert solve(LinearProgram([1.0, 1.0], A, [1.0, 1.0])).status == OPTIMAL
+    # rows and no columns: b != 0 is infeasible, with y = sign(b)
+    assert solve(LinearProgram(np.zeros(0), np.zeros((2, 0)), [0.0, -2.0])).status == INFEASIBLE
+
+
+@pytest.mark.parametrize("y, failed", [
+    ([1.0, 0.0], "A^T y <= 0"),  # A^T y = [1, 1]
+    ([-1.0, -0.5], "b.y > 0"),  # A^T y = [-1.5, -0.5], b.y = -0.5
+    ([0.0, 0.0], "b.y > 0"),
+])
+def test_infeasible_certificate_checks_name_the_failure(y, failed):
+    # the LP above: y = [-1, 0] certifies it (A^T y = [-1, -1], b.y = 1)
+    A, b = np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([-1.0, 3.0])
+    _check_farkas(A, b, np.array([-1.0, 0.0]), 5)
+    with pytest.raises(NumericalError, match=f"INFEASIBLE certificate fails {re.escape(failed)} "
+                                             f".* after 5 iterations"):
+        _check_farkas(A, b, np.array(y), 5)
 
 
 def _random_nonneg_lp(rng, kind):

@@ -401,6 +401,24 @@ def test_field_coincident_pair_independent_of_blocks(monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 12), (6, 7), (5, 9), (11, 12), (3, 4), (4, 5)])
+def test_field_coincident_pair_at_first_middle_last_rows(monkeypatch, i, j):
+    # only the columns after each row are compared; with 4 rows per block
+    # the pairs (3, 4) and (4, 5) straddle or start a block boundary
+    rng = np.random.default_rng(i * 13 + j)
+    pts = rng.uniform(-1, 1, (13, 2))
+    pts[j] = pts[i]
+    want = f"coincident points at indices {i} and {j}: {pts[i].tolist()}"
+    assert tuple(_first_coincident_pair(pts)) == (i, j)
+    for rows_per_block in (None, 1, 4):
+        if rows_per_block is not None:
+            monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", rows_per_block * 3 * len(pts))
+        with pytest.raises(InputError) as err:
+            field_from_data(pts, np.zeros(len(pts)))
+        assert str(err.value) == want
+    monkeypatch.undo()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_field_rejects_distinct_points_at_underflowing_distance(n):
     # 1e-162 apart: the squared distance 1e-324 underflows to 0
