@@ -5,7 +5,7 @@ via LP duality, and weak Markov ratios."""
 
 __version__ = "0.1.0"
 
-from . import cutoff, extension, jackson, markov, modulus, predual, quadrature, simplex, whitney
+from . import cutoff, extension, jackson, markov, modulus, predual, simplex, whitney
 from .errors import InputError, NumericalError
 from .fields import Jet, NormContext, WhitneyField, jet, multi_indices
 
@@ -23,7 +23,6 @@ __all__ = [
     "modulus",
     "multi_indices",
     "predual",
-    "quadrature",
     "simplex",
     "whitney",
 ]

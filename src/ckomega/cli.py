@@ -245,6 +245,8 @@ def _builtin_derivs(name: str, k: int):
 
 
 def _run_jackson(args) -> dict:
+    if args.grid_points < 2:
+        raise InputError(f"grid-points must be an integer >= 2, got {args.grid_points}")
     m = _load_modulus(args.omega)
     ctx = NormContext(args.k, 1, m)
     if args.f.startswith("builtin:"):

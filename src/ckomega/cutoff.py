@@ -24,12 +24,17 @@ from numpy.polynomial import polynomial as P
 
 from .errors import InputError
 from .fields import _blocks, mi_order, multi_indices
-from .quadrature import _gl_nodes
 
 _H = 0.5  # bump radius
 _EDGE = 1.5  # mollified indicator half-width
 _GL_ORDER = 96  # fixed rule shared by the normalization and the CDF
 MAX_DERIV = 8  # highest sigma derivative with an exact formula
+
+
+@lru_cache(maxsize=None)
+def _gl_nodes(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(order)
 
 
 @lru_cache(maxsize=None)

@@ -9,5 +9,5 @@ class InputError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical procedure failed (quadrature non-convergence, solver breakdown,
-    NaN/inf encountered where a finite value is required)."""
+    """A numerical procedure failed (solver breakdown, a status certificate that
+    does not check, NaN/inf encountered where a finite value is required)."""

@@ -15,9 +15,10 @@ once on a uniform lattice of at least 4N+1 nodes per axis, its FFT is cut to
 the kernel degree and multiplied by the kernel's Fourier multipliers, and the
 resulting trigonometric polynomial is evaluated at the query points, so the
 degree bound holds at every point (see "Decisions" in the README, also on the
-ell=N coupling). The multipliers come from the exact (4N+1)-node rule; the
-kernel normalization uses adaptive Gauss-Legendre with the removable
-singularity at t = 0 replaced by its limit value.
+ell=N coupling). Both kernel constants are exact: J_N / gamma_N is the square
+of the Fejer sum sum_{|q| < Ntilde} (Ntilde - |q|) e^{iqt}, so its Fourier
+coefficients are the integer self-convolution of that triangle and its mass
+is 2 pi times their q = 0 term.
 
 Point-set callables follow one convention: f(X) takes an (m, n) array and
 returns (m,); derivative oracles take (alpha, X). Purely 1D periodic
@@ -35,7 +36,6 @@ import numpy as np
 from .cutoff import CutoffFamily
 from .errors import InputError
 from .fields import NormContext, _blocks, mi_binom, mi_order, mi_sub, multi_indices
-from .quadrature import adaptive_gauss_legendre, periodic_nodes
 from .whitney import _sampled_norm
 
 # ---------------------------------------------------------------------------
@@ -66,18 +66,16 @@ class JacksonKernel:
 
 @lru_cache(maxsize=None)
 def kernel_normalize(N: int) -> JacksonKernel:
-    """Build J_N with gamma_N from adaptive quadrature of the raw kernel."""
+    """Build J_N with gamma_N the reciprocal of the closed-form raw mass."""
     if N < 2:
         raise InputError("Jackson kernel needs N >= 2")
-    raw = JacksonKernel(N, N // 2, 1.0)
-    mass, _ = adaptive_gauss_legendre(raw, -math.pi, math.pi, rel_tol=1e-13,
-                                      start_panels=max(8, raw.ntilde))
-    return JacksonKernel(N, raw.ntilde, 1.0 / mass)
+    return JacksonKernel(N, N // 2, 1.0 / kernel_mass_closed_form(N))
 
 
 def kernel_mass_closed_form(N: int) -> float:
-    """Independent closed form of the raw kernel mass, by squaring the Fejer
-    kernel expansion: int (sin(Mt/2)/sin(t/2))^4 dt = 2 pi M (2 M^2 + 1) / 3."""
+    """Raw kernel mass, by squaring the Fejer kernel expansion (Parseval):
+    int (sin(Mt/2)/sin(t/2))^4 dt = 2 pi sum_{|q| < M} (M - |q|)^2
+    = 2 pi M (2 M^2 + 1) / 3, M = floor(N/2)."""
     m = N // 2
     return 2.0 * math.pi * m * (2.0 * m * m + 1.0) / 3.0
 
@@ -162,21 +160,23 @@ def _conv_node_count(N: int, n: int, target: int | None = None) -> int:
 
 
 def _jackson_multipliers(N: int) -> np.ndarray:
-    """Fourier multipliers c_q / c_0 of J_N for q = 0..degree, from the
-    (4N+1)-node periodic rule, which is exact on J_N(t) cos(q t)."""
-    kernel = kernel_normalize(N)
-    t, _ = periodic_nodes(4 * N + 1)
-    c = np.cos(np.outer(np.arange(kernel.degree + 1), t)) @ kernel(t)
+    """Fourier multipliers c_q / c_0 of J_N for q = 0..degree: the integer
+    self-convolution of the Fejer triangle Ntilde - |q| over its q = 0 term
+    (the entries for q = degree - 1 and q = degree are exactly 0)."""
+    ntilde = kernel_normalize(N).ntilde  # rejects N < 2
+    fejer = ntilde - np.abs(np.arange(1 - ntilde, ntilde))
+    c = np.zeros(2 * ntilde + 1)
+    c[: 2 * ntilde - 1] = np.convolve(fejer, fejer)[2 * ntilde - 2:]
     return c / c[0]
 
 
-def _jackson_smooth(cell_fn, N: int, X: np.ndarray, lam: float,
+def _jackson_smooth(periodic_fn, N: int, X: np.ndarray, lam: float,
                     quad_target: int | None = None) -> np.ndarray:
-    """Jackson smoothing at the rows of X of the (2 pi lam)-periodic function
-    given on its fundamental cell by cell_fn.
+    """Jackson smoothing at the rows of X of the (2 pi lam)-periodic
+    function periodic_fn.
 
-    cell_fn is sampled once on the uniform lattice of u = x / lam, with
-    2 floor(m/2) + 1 nodes per axis for m = _conv_node_count(N, n), the
+    periodic_fn is sampled once at x = lam * u on the uniform lattice of u,
+    with 2 floor(m/2) + 1 nodes per axis for m = _conv_node_count(N, n), the
     sample's Fourier coefficients up to the kernel degree are multiplied by
     the Jackson multipliers, and the resulting trigonometric polynomial is
     evaluated at X / lam in query blocks.
@@ -184,11 +184,12 @@ def _jackson_smooth(cell_fn, N: int, X: np.ndarray, lam: float,
     n = X.shape[1]
     if n > 3:
         raise InputError("tensor quadrature limited to n <= 3")
-    M = _conv_node_count(N, n, quad_target) // 2
-    period = 2.0 * math.pi * lam
-    tp = fit_trig_poly(lambda U: cell_fn(reduce_to_cell(lam * U, period)), M, n, lam)
+    if not np.all(np.isfinite(X)):
+        raise InputError("query points must be finite")
     mult = _jackson_multipliers(N)
     D = mult.size - 1
+    M = _conv_node_count(N, n, quad_target) // 2
+    tp = fit_trig_poly(lambda U: periodic_fn(lam * U), M, n, lam)
     sym = np.concatenate([mult[:0:-1], mult])  # frequencies -D..D
     coeffs = tp.coeffs[(slice(M - D, M + D + 1),) * n] * reduce(np.multiply.outer, [sym] * n)
     smoothed = TensorTrigPoly(coeffs, D, lam)
@@ -203,8 +204,9 @@ def _jackson_smooth(cell_fn, N: int, X: np.ndarray, lam: float,
 def jackson_smooth_1d(f, N: int, x, quad_target: int | None = None):
     """(L_N f)(x) for a bounded continuous 2pi-periodic f (plain 1D arrays)."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _jackson_smooth(lambda Y: np.asarray(f(Y[:, 0]), dtype=float), N,
-                          xs.reshape(-1, 1), 1.0, quad_target)
+    out = _jackson_smooth(
+        lambda Y: np.asarray(f(reduce_to_cell(Y[:, 0], 2.0 * math.pi)), dtype=float),
+        N, xs.reshape(-1, 1), 1.0, quad_target)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -212,18 +214,15 @@ def smooth_EN(f, ell: int, N: int, x, quad_target: int | None = None):
     """(E_N f_ell)(x): tensor convolution of the periodized f at scale lambda."""
     X, single, n = _as_points(x)
     cf = CutoffFamily(n, ell)
-    out = _jackson_smooth(lambda Y: cf.rho(Y) * np.asarray(f(Y), dtype=float),
+    out = _jackson_smooth(lambda Y: periodize(f, ell, Y, cf),
                           N, X, length_scale(ell, n), quad_target)
     return float(out[0]) if single else out
 
 
 def finite_rank_LNN(f_derivs, N: int, x, alpha, ell: int | None = None,
                     quad_target: int | None = None):
-    """D^alpha (L_{N,ell} f)(x) = (E_N D^alpha f_ell)(x), default ell = N.
-
-    The derivative of the periodization is expanded by the Leibniz rule on
-    rho_ell * f with exact cutoff derivatives and caller-supplied D^beta f.
-    """
+    """D^alpha (L_{N,ell} f)(x) = (E_N D^alpha f_ell)(x), default ell = N,
+    with D^alpha f_ell from periodized_derivative."""
     alpha = tuple(int(a) for a in alpha)
     n = len(alpha)
     X, single, n_pts = _as_points(x)
@@ -232,19 +231,8 @@ def finite_rank_LNN(f_derivs, N: int, x, alpha, ell: int | None = None,
     if ell is None:
         ell = N
     cf = CutoffFamily(n, ell)
-
-    def cell(Y):
-        total = np.zeros(Y.shape[0])
-        for nu in multi_indices(n, mi_order(alpha)):
-            rem = mi_sub(alpha, nu)
-            if rem is None:
-                continue
-            total += mi_binom(alpha, nu) * cf.rho_deriv(Y, nu) * np.asarray(
-                f_derivs(rem, Y), dtype=float
-            )
-        return total
-
-    out = _jackson_smooth(cell, N, X, length_scale(ell, n), quad_target)
+    out = _jackson_smooth(lambda Y: periodized_derivative(f_derivs, ell, alpha, Y, cf),
+                          N, X, length_scale(ell, n), quad_target)
     return float(out[0]) if single else out
 
 
@@ -319,8 +307,8 @@ def fit_trig_poly(fn_of_u, M: int, n: int = 1, scale: float = 1.0) -> TensorTrig
     """
     size = 2 * M + 1
     u = 2.0 * math.pi * np.arange(size) / size
-    mesh = np.meshgrid(*([u] * n), indexing="ij")
-    U = np.stack([g.ravel() for g in mesh], axis=1)
+    # stack broadcast views, so the lattice exists once, as U
+    U = np.stack(np.meshgrid(*([u] * n), indexing="ij", copy=False), axis=-1).reshape(-1, n)
     samples = np.asarray(fn_of_u(U), dtype=float).reshape((size,) * n)
     coeffs = np.fft.fftn(samples) / size**n
     coeffs = np.fft.fftshift(coeffs)
@@ -382,6 +370,8 @@ def error_report(f_derivs, ell: int, N: int, ctx: NormContext, grid,
     px = np.array([p[0] for p in pairs], dtype=float).reshape(len(pairs), n)
     py = np.array([p[1] for p in pairs], dtype=float).reshape(len(pairs), n)
     points = np.vstack([X, px, py])
+    if not np.all(np.isfinite(points)):
+        raise InputError("grid and pair endpoints must be finite")
     if np.max(np.abs(points)) >= 0.5 * period:
         raise InputError("grid and pair endpoints must lie inside the fundamental cell")
     cuts = [X.shape[0], X.shape[0] + len(pairs)]

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 from free_lp import solve_free
+from periodic_rule import periodic_nodes
 
 from ckomega import modulus as mo
 from ckomega.extension import hermite_extension, mcshane_extension
@@ -40,7 +41,6 @@ from ckomega.predual import (
     predual_norm_k0,
     predual_norm_k0_certificate,
 )
-from ckomega.quadrature import periodic_nodes
 from ckomega.simplex import OPTIMAL
 from ckomega.whitney import faa_di_bruno_pullback, whitney_lambda
 

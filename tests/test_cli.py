@@ -285,6 +285,20 @@ def test_markov_bad_resolution_or_threshold_exit_1(capsys, set_spec, option, val
     assert err.startswith("input error: ") and names in err
 
 
+@pytest.mark.parametrize("option, value, names", [
+    ("--grid-points", "-1", "grid-points must be an integer >= 2"),
+    ("--grid-points", "0", "grid-points must be an integer >= 2"),
+    ("--grid-points", "1", "grid-points must be an integer >= 2"),
+    ("--N", "1", "N >= 2"),
+])
+def test_jackson_bad_grid_points_or_N_exit_1(capsys, option, value, names):
+    code, out, err = run_cli(capsys, "jackson", "--f", "builtin:sin", "--N", "8", "--ell", "2",
+                             option, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: ") and names in err
+
+
 def test_jackson_out_and_report_spellings_agree(capsys, tmp_path):
     argv = ["jackson", "--f", "builtin:cos", "--N", "8", "--ell", "2", "--grid-points", "9"]
     reports = []

@@ -3,13 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from periodic_rule import cosine_multipliers, periodic_nodes
 
 from ckomega import modulus as mo
 from ckomega.cutoff import CutoffFamily
 from ckomega.errors import InputError, NumericalError
 from ckomega.fields import NormContext
 from ckomega.jackson import (
+    JacksonKernel,
     _conv_node_count,
+    _jackson_multipliers,
     error_report,
     finite_rank_LNN,
     fit_trig_poly,
@@ -23,7 +26,6 @@ from ckomega.jackson import (
     smooth_EN,
     weakstar_check,
 )
-from ckomega.quadrature import periodic_nodes
 
 
 def f_sin(Y):
@@ -46,6 +48,13 @@ def test_gamma_2_matches_hand_value():
 def test_kernel_rejects_small_N():
     with pytest.raises(InputError):
         kernel_normalize(1)
+    # and so does every operator
+    with pytest.raises(InputError):
+        smooth_EN(f_sin, 2, 1, np.array([0.5]))
+    with pytest.raises(InputError):
+        finite_rank_LNN(sin_derivs, 1, np.array([0.2]), (0,), ell=2)
+    with pytest.raises(InputError):
+        jackson_smooth_1d(np.sin, 1, 0.3)
 
 
 @pytest.mark.parametrize("N", [2, 4, 8, 16, 32, 64, 128, 256])
@@ -57,6 +66,23 @@ def test_kernel_unit_mass_and_positivity(N):
     vals = k(t)
     assert np.all(vals >= 0.0)
     assert w * np.sum(vals) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_raw_kernel_mass_matches_closed_form_on_exact_rule():
+    # independent oracle: the (4N+1)-node periodic rule is exact on the raw
+    # kernel, a trigonometric polynomial of degree 2 floor(N/2) <= N
+    for N in range(2, 257):
+        t, w = periodic_nodes(4 * N + 1)
+        mass = w * np.sum(JacksonKernel(N, N // 2, 1.0)(t))
+        assert mass == pytest.approx(kernel_mass_closed_form(N), rel=1e-13, abs=0.0)
+
+
+def test_multipliers_match_cosine_rule():
+    for N in range(2, 301):
+        mult = _jackson_multipliers(N)
+        assert mult.size == kernel_normalize(N).degree + 1
+        assert mult[0] == 1.0 and mult[-2] == 0.0 and mult[-1] == 0.0
+        assert np.max(np.abs(mult - cosine_multipliers(N))) <= 1e-13
 
 
 def test_kernel_value_at_zero_is_limit():
@@ -265,6 +291,24 @@ def test_smooth_EN_sup_contraction():
     assert np.max(np.abs(vals)) <= sup_fell * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_smooth_EN_rejects_non_finite_queries(bad):
+    with pytest.raises(InputError, match="finite"):
+        smooth_EN(f_sin, 2, 8, np.array([[0.5], [bad]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_smooth_1d_rejects_non_finite_queries(bad):
+    with pytest.raises(InputError, match="finite"):
+        jackson_smooth_1d(np.sin, 8, bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_LNN_rejects_non_finite_queries(bad):
+    with pytest.raises(InputError, match="finite"):
+        finite_rank_LNN(sin_derivs, 8, np.array([[bad]]), (0,))
+
+
 def test_smooth_EN_guards_dimension():
     with pytest.raises(InputError):
         smooth_EN(lambda Y: np.ones(Y.shape[0]), 1, 4, np.zeros(4))
@@ -417,6 +461,23 @@ def test_error_report_rejects_pair_endpoints_outside_cell():
     for pairs in ([([100.0], [101.0])], [([0.0], [100.0])]):
         with pytest.raises(InputError):
             error_report(sin_derivs, 1, 8, ctx, grid, pairs=pairs)
+
+
+def test_error_report_rejects_non_finite_grid_and_pairs_before_sampling():
+    ctx = NormContext(0, 1, mo.linear())
+    grid = np.linspace(-0.5, 0.5, 5).reshape(-1, 1)
+    calls = []
+
+    def counting(alpha, X):
+        calls.append(X.shape[0])
+        return sin_derivs(alpha, X)
+
+    bad_grid = grid.copy()
+    bad_grid[2, 0] = np.nan
+    for g, pairs in ((bad_grid, None), (grid, [([0.0], [np.inf])]), (grid, [([np.nan], [0.1])])):
+        with pytest.raises(InputError, match="finite"):
+            error_report(counting, 1, 8, ctx, g, pairs=pairs)
+    assert calls == []
 
 
 def test_error_report_samples_each_lattice_once():
