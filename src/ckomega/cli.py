@@ -23,6 +23,7 @@ from .extension import depth_audit, hermite_extension, mcshane_extension
 from .fields import NormContext, field_from_csv, field_from_json
 from .jackson import error_report
 from .markov import (
+    DEFAULT_CAP,
     DEFAULT_RESOLUTION,
     builtin_set_sampler,
     classify_weak_markov,
@@ -361,7 +362,7 @@ def _run_markov(args) -> dict:
         radii = [float(r) for r in _load_json(args.radii, "radii")]
     verdict = classify_weak_markov(center, sampler, args.k, radii, args.threshold,
                                    resolution=args.resolution)
-    prov = {"resolution": args.resolution, "cap": 1e6, "seed": args.seed,
+    prov = {"resolution": args.resolution, "cap": DEFAULT_CAP, "seed": args.seed,
             "one_sided": "NOT_DETECTED never disproves the property",
             "lps": [None if d is None else d.lps for d in verdict.details],
             "pruned": [None if d is None else d.pruned for d in verdict.details],

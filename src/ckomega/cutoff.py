@@ -63,19 +63,7 @@ def _bump_norm() -> float:
     return float(1.0 / (_H * (w @ vals)))
 
 
-def _bump(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    w = v / _H
-    inside = np.abs(w) < 1.0
-    out = np.zeros_like(w)
-    ws = np.where(inside, w, 0.0)
-    out[inside] = _bump_norm() * np.exp(-1.0 / (1.0 - ws[inside] ** 2))
-    return out
-
-
 def _bump_deriv(v: np.ndarray, order: int) -> np.ndarray:
-    if order == 0:
-        return _bump(v)
     num, mpow = _bump_rationals(MAX_DERIV)[order]
     v = np.asarray(v, dtype=float)
     w = v / _H

@@ -6,15 +6,23 @@ coefficient layout is the graded lexicographic multi-index order (sorted by
 total order, then lexicographically), which is also the serialization order.
 A Whitney field is two read-only arrays, points (m, n) and coeffs (m, J), one
 row per point; a Jet is the single-point form the Taylor and Hermite code use.
+
+The layout is known here only: _mi_table(n, k), cached per (n, k), holds the
+multi-indices, their positions, orders, factorials and signs, the graded
+monomial recurrence and the index of every sum alpha + gamma. Jet lookups,
+the field JSON, the Taylor re-expansions, the predual bracket, the Leibniz
+sums of the periodization and the chain rule all read it.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -24,25 +32,15 @@ from .modulus import Modulus
 
 @lru_cache(maxsize=None)
 def multi_indices(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All multi-indices in Z_+^n with |alpha| <= k, graded lexicographic."""
+    """All multi-indices in Z_+^n with |alpha| <= k, graded lexicographic:
+    by order, then descending lexicographic, e.g. (0, 0), (1, 0), (0, 1),
+    (2, 0), (1, 1), (0, 2) for n = k = 2. The multisets of r axes, in the
+    order combinations_with_replacement yields them, are the order-r
+    multi-indices in that order, so nothing is filtered or sorted."""
     if n < 1 or k < 0:
         raise InputError("need n >= 1 and k >= 0")
-
-    def of_order(order, dims):
-        if dims == 1:
-            return [(order,)]
-        out = []
-        for head in range(order, -1, -1):
-            for rest in of_order(order - head, dims - 1):
-                out.append((head,) + rest)
-        return out
-
-    result = []
-    for order in range(k + 1):
-        result.extend(sorted(of_order(order, n), reverse=True))
-    # graded + lex within each grade, descending first coordinate:
-    # (0,), (1,), (2,) ... for n=1; (0,0), (1,0), (0,1), (2,0), (1,1), ... for n=2
-    return tuple(result)
+    return tuple(tuple(axes.count(i) for i in range(n)) for r in range(k + 1)
+                 for axes in itertools.combinations_with_replacement(range(n), r))
 
 
 def mi_order(alpha) -> int:
@@ -63,19 +61,60 @@ def mi_sub(alpha, beta):
     return tuple(a - b for a, b in zip(alpha, beta))
 
 
-def mi_binom(alpha, nu) -> float:
-    out = 1
-    for a, v in zip(alpha, nu):
-        out *= math.comb(a, v)
-    return float(out)
-
-
-def mi_add_unit(alpha, i):
-    return tuple(a + (1 if j == i else 0) for j, a in enumerate(alpha))
-
-
 def n_coefficients(n: int, k: int) -> int:
     return math.comb(n + k, n)
+
+
+@dataclass(frozen=True, eq=False)
+class _MultiIndexTable:
+    """The layout of order-k jets on R^n, shared by every jet computation.
+
+    mis = multi_indices(n, k), J of them, and index maps each to its
+    position. Per alpha: order = |alpha|, fact = alpha! and sign =
+    (-1)^|alpha| (floats); for g >= 1, mis[g] = mis[parent[g]] + e_axis[g],
+    axis being the last nonzero coordinate (the order is graded, so the
+    parent comes first); rows[g] = dim P_{k-|gamma|}, the number of alpha
+    with |alpha + gamma| <= k, which come first; shift[a, g] is the index of
+    alpha + gamma, or J when its order exceeds k. Tables are cached and
+    shared, so index and the arrays are read-only.
+    """
+
+    mis: tuple
+    index: MappingProxyType
+    order: np.ndarray
+    fact: np.ndarray
+    sign: np.ndarray
+    parent: np.ndarray
+    axis: np.ndarray
+    rows: np.ndarray
+    shift: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _mi_table(n: int, k: int) -> _MultiIndexTable:
+    mis = multi_indices(n, k)
+    J = len(mis)
+    index = MappingProxyType({a: i for i, a in enumerate(mis)})
+    order = np.array([sum(a) for a in mis], dtype=np.intp)
+    axis = np.array([0] + [max(i for i, e in enumerate(g) if e) for g in mis[1:]], dtype=np.intp)
+    parent = np.array([0] + [index[g[:i] + (g[i] - 1,) + g[i + 1:]]
+                             for g, i in zip(mis[1:], axis[1:])], dtype=np.intp)
+    # up[i, c] is the index of mis[i] + e_c, J above order k and for i = J, so
+    # alpha + gamma = (alpha + parent(gamma)) + e_axis(gamma) fills shift by columns
+    up = np.full((J + 1, n), J, dtype=np.intp)
+    for i, a in enumerate(mis):
+        for c in range(n):
+            up[i, c] = index.get(a[:c] + (a[c] + 1,) + a[c + 1:], J)
+    shift = np.empty((J, J), dtype=np.intp)
+    shift[:, 0] = np.arange(J)
+    for g in range(1, J):
+        shift[:, g] = up[shift[:, parent[g]], axis[g]]
+    table = _MultiIndexTable(
+        mis, index, order, np.array([mi_factorial(a) for a in mis]), (-1.0) ** order, parent,
+        axis, np.array([n_coefficients(n, k - r) for r in order], dtype=np.intp), shift)
+    for arr in (order, table.fact, table.sign, parent, axis, table.rows, shift):
+        arr.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -108,7 +147,9 @@ class Jet:
         return len(self.point)
 
     def coeff(self, alpha) -> float:
-        idx = multi_indices(self.n, self.k).index(tuple(alpha))
+        idx = _mi_table(self.n, self.k).index.get(tuple(alpha))
+        if idx is None:
+            raise InputError(f"{tuple(alpha)} is not a multi-index of this jet")
         return self.coeffs[idx]
 
 
@@ -215,15 +256,13 @@ class WhitneyField:
         return WhitneyField(self.points, self.coeffs + other.coeffs, self.k, self.n)
 
 
-def field_from_data(points, values, k: int = 0) -> WhitneyField:
+def field_from_data(points, values) -> WhitneyField:
     """k=0 convenience constructor from points and scalar values."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 1 and np.ndim(points) == 1 and pts.shape[1] > 1:
         # ambiguous 1D input: a list of scalars means n=1 points
         pts = pts.T
     vals = np.asarray(values, dtype=float).ravel()
-    if k != 0:
-        raise InputError("field_from_data is k=0 only; build jets explicitly for k >= 1")
     if len(vals) != len(pts):
         raise InputError("one value per point required")
     return WhitneyField(pts, vals[:, None], 0, pts.shape[1])
@@ -270,7 +309,7 @@ def field_from_json(obj) -> WhitneyField:
         raise InputError(f"field JSON needs k, n, points, jets: {exc}") from exc
     if len(points) != len(jets_spec):
         raise InputError("field JSON: one jet list per point required")
-    index = {alpha: a for a, alpha in enumerate(multi_indices(n, k))}
+    index = _mi_table(n, k).index
     pts, coeffs = np.zeros((len(points), n)), np.zeros((len(points), len(index)))
     for i, (p, entries) in enumerate(zip(points, jets_spec)):
         if not isinstance(p, (list, tuple)) or not isinstance(entries, (list, tuple)):
@@ -328,4 +367,4 @@ def field_from_csv(path) -> WhitneyField:
     arr = np.asarray(data, dtype=float)
     if arr.shape[1] < 2:
         raise InputError("CSV needs at least one coordinate column and a value column")
-    return field_from_data(arr[:, :-1], arr[:, -1], k=0)
+    return field_from_data(arr[:, :-1], arr[:, -1])

@@ -35,7 +35,7 @@ import numpy as np
 
 from .cutoff import CutoffFamily
 from .errors import InputError
-from .fields import NormContext, _blocks, mi_binom, mi_order, mi_sub, multi_indices
+from .fields import NormContext, _blocks, _mi_table, mi_order, multi_indices
 from .whitney import _sampled_norm
 
 # ---------------------------------------------------------------------------
@@ -64,11 +64,16 @@ class JacksonKernel:
         return 2 * self.ntilde
 
 
-@lru_cache(maxsize=None)
+def _check_N(N) -> None:
+    if not isinstance(N, (int, np.integer)) or N < 2:
+        raise InputError(f"Jackson kernel needs an integer N >= 2, got {N!r}")
+
+
+# typed: 8.0 must miss the entry of 8, so that its call reaches the check
+@lru_cache(maxsize=None, typed=True)
 def kernel_normalize(N: int) -> JacksonKernel:
     """Build J_N with gamma_N the reciprocal of the closed-form raw mass."""
-    if N < 2:
-        raise InputError("Jackson kernel needs N >= 2")
+    _check_N(N)
     return JacksonKernel(N, N // 2, 1.0 / kernel_mass_closed_form(N))
 
 
@@ -111,7 +116,7 @@ def _as_points(x, n: int | None = None):
     return arr, False, arr.shape[1]
 
 
-def periodize(f, ell: int, x, cutoff: CutoffFamily | None = None):
+def periodize(f, ell: int, x):
     """Evaluate f_ell at x: reduce modulo the lattice, apply rho_ell * f.
 
     Exactly periodic by construction; coincides with f on K_ell^n (the
@@ -120,31 +125,34 @@ def periodize(f, ell: int, x, cutoff: CutoffFamily | None = None):
     if ell < 1:
         raise InputError("ell must be a positive integer")
     X, single, n = _as_points(x)
-    cf = cutoff or CutoffFamily(n, ell)
     Y = reduce_to_cell(X, lattice_period(ell, n))
-    vals = cf.rho(Y) * np.asarray(f(Y), dtype=float)
+    vals = CutoffFamily(n, ell).rho(Y) * np.asarray(f(Y), dtype=float)
     return float(vals[0]) if single else vals
 
 
-def periodized_derivative(f_derivs, ell: int, alpha, x, cutoff: CutoffFamily | None = None):
+def periodized_derivative(f_derivs, ell: int, alpha, x):
     """D^alpha f_ell via the Leibniz rule on rho_ell * f, on reduced points.
 
     Requires the caller-supplied derivative oracle f_derivs(beta, X) for all
-    beta <= alpha; cutoff derivatives are exact.
+    beta <= alpha; cutoff derivatives are exact. The pairs nu + rho = alpha
+    are the entries of the (n, |alpha|) table's shift equal to alpha's
+    index, taken in graded nu order; the coefficient alpha! / (nu! rho!), a
+    quotient of exact integers, is the product of the coordinate binomials.
     """
     alpha = tuple(int(a) for a in alpha)
     X, single, n = _as_points(x, len(alpha) if len(alpha) > 1 else None)
     if len(alpha) != n:
         raise InputError("multi-index dimension mismatch")
-    cf = cutoff or CutoffFamily(n, ell)
+    cf = CutoffFamily(n, ell)
     Y = reduce_to_cell(X, lattice_period(ell, n))
+    t = _mi_table(n, mi_order(alpha))
+    a_idx = t.index.get(alpha)
+    if a_idx is None:
+        raise InputError(f"{alpha} is not a multi-index")
     total = np.zeros(X.shape[0])
-    for nu in multi_indices(n, mi_order(alpha)):
-        rem = mi_sub(alpha, nu)
-        if rem is None:
-            continue
-        fvals = np.asarray(f_derivs(rem, Y), dtype=float)
-        total += mi_binom(alpha, nu) * cf.rho_deriv(Y, nu) * fvals
+    for nu, rho in zip(*np.nonzero(t.shift == a_idx)):
+        fvals = np.asarray(f_derivs(t.mis[rho], Y), dtype=float)
+        total += t.fact[a_idx] / (t.fact[nu] * t.fact[rho]) * cf.rho_deriv(Y, t.mis[nu]) * fvals
     return float(total[0]) if single else total
 
 
@@ -213,9 +221,7 @@ def jackson_smooth_1d(f, N: int, x, quad_target: int | None = None):
 def smooth_EN(f, ell: int, N: int, x, quad_target: int | None = None):
     """(E_N f_ell)(x): tensor convolution of the periodized f at scale lambda."""
     X, single, n = _as_points(x)
-    cf = CutoffFamily(n, ell)
-    out = _jackson_smooth(lambda Y: periodize(f, ell, Y, cf),
-                          N, X, length_scale(ell, n), quad_target)
+    out = _jackson_smooth(lambda Y: periodize(f, ell, Y), N, X, length_scale(ell, n), quad_target)
     return float(out[0]) if single else out
 
 
@@ -230,8 +236,7 @@ def finite_rank_LNN(f_derivs, N: int, x, alpha, ell: int | None = None,
         raise InputError("point dimension does not match the multi-index")
     if ell is None:
         ell = N
-    cf = CutoffFamily(n, ell)
-    out = _jackson_smooth(lambda Y: periodized_derivative(f_derivs, ell, alpha, Y, cf),
+    out = _jackson_smooth(lambda Y: periodized_derivative(f_derivs, ell, alpha, Y),
                           N, X, length_scale(ell, n), quad_target)
     return float(out[0]) if single else out
 
@@ -358,6 +363,7 @@ def error_report(f_derivs, ell: int, N: int, ctx: NormContext, grid,
     """Empirical ratios ||f_ell||/||f||, ||E_N f_ell||/||f|| and the sampled
     C^k error ||f_ell - E_N f_ell|| / ||f|| on a grid in the fundamental cell
     and on pairs of points in it (default: consecutive grid points)."""
+    _check_N(N)
     X = np.atleast_2d(np.asarray(grid, dtype=float))
     if X.size == 0:
         raise InputError("degenerate grid")
@@ -376,7 +382,6 @@ def error_report(f_derivs, ell: int, N: int, ctx: NormContext, grid,
         raise InputError("grid and pair endpoints must lie inside the fundamental cell")
     cuts = [X.shape[0], X.shape[0] + len(pairs)]
 
-    cf = CutoffFamily(n, ell)
     mis = multi_indices(n, ctx.k)
 
     def all_values(evaluator):
@@ -390,7 +395,7 @@ def error_report(f_derivs, ell: int, N: int, ctx: NormContext, grid,
 
     f_vals, f_pvals = all_values(f_derivs)
     fl_vals, fl_pvals = all_values(
-        lambda a, P: periodized_derivative(f_derivs, ell, a, P, cutoff=cf))
+        lambda a, P: periodized_derivative(f_derivs, ell, a, P))
     en_vals, en_pvals = all_values(
         lambda a, P: finite_rank_LNN(f_derivs, N, P, a, ell=ell, quad_target=quad_target))
 
@@ -441,6 +446,8 @@ def weakstar_check(fns, ctx: NormContext, probes, norm_cap: float,
         pairs.extend(zip(G[:-1], G[1:]))
     px = np.array([p[0] for p in pairs]).reshape(-1, ctx.n)
     py = np.array([p[1] for p in pairs]).reshape(-1, ctx.n)
+    if not all(np.isfinite(A).all() for A in (P, G, px, py)):
+        raise InputError("probes, grid and pair endpoints must be finite")
     mis = multi_indices(ctx.n, ctx.k)
     top = [a for a in mis if mi_order(a) == ctx.k]
 

@@ -32,7 +32,7 @@ anything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,8 +69,6 @@ class MarkovProbe:
     k: int
     sample: np.ndarray  # points of S inside Q_r(center)
     grid: np.ndarray  # cube discretization
-    cap: float = DEFAULT_CAP
-    resolution: int = field(default=DEFAULT_RESOLUTION)
 
     def __post_init__(self):
         if not 0 < self.r < math.inf:
@@ -92,12 +90,11 @@ class MarkovProbe:
         object.__setattr__(self, "grid", g)
 
 
-def probe(center, r, k, sample, resolution: int = DEFAULT_RESOLUTION,
-          cap: float = DEFAULT_CAP) -> MarkovProbe:
+def probe(center, r, k, sample, resolution: int = DEFAULT_RESOLUTION) -> MarkovProbe:
     center = tuple(float(c) for c in np.atleast_1d(center))
     return MarkovProbe(center, float(r), int(k),
                        np.atleast_2d(np.asarray(sample, dtype=float)),
-                       cube_grid(center, r, resolution), cap, resolution)
+                       cube_grid(center, r, resolution))
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,7 @@ def _basis_matrix(points: np.ndarray, center, r: float, mis) -> np.ndarray:
 
 def markov_ratio(p: MarkovProbe) -> MarkovRatio:
     """Extremal ratio of the probe; CAPPED if any extremal LP is unbounded
-    (its dual infeasible) or the value exceeds the cap."""
+    (its dual infeasible) or the value exceeds DEFAULT_CAP."""
     n = len(p.center)
     mis = multi_indices(n, p.k)
     S = _basis_matrix(p.sample, p.center, p.r, mis)
@@ -143,7 +140,7 @@ def markov_ratio(p: MarkovProbe) -> MarkovRatio:
         if sol.optimum > best:
             best = sol.optimum
             witness = tuple(cand)
-        if best > p.cap:
+        if best > DEFAULT_CAP:
             return MarkovRatio(math.inf, True, None, lps, i + 1 - lps, pivots)
         if sol.basis.size == len(mis):
             # mu = S_I^{-T} G_g on the basis points I is feasible for every g
@@ -177,8 +174,7 @@ class MarkovVerdict:
 
 
 def classify_weak_markov(x, sampler, k: int, radii, threshold: float,
-                         resolution: int = DEFAULT_RESOLUTION,
-                         cap: float = DEFAULT_CAP) -> MarkovVerdict:
+                         resolution: int = DEFAULT_RESOLUTION) -> MarkovVerdict:
     """Evaluate the ratio along a decreasing radii ladder and compare the
     minimum against the threshold (finite-liminf proxy; one-sided verdict).
 
@@ -201,7 +197,7 @@ def classify_weak_markov(x, sampler, k: int, radii, threshold: float,
             warnings.append(f"sampler returned no points at r={r}; skipped")
             details.append(None)
             continue
-        pr = probe(center, r, k, pts, resolution=resolution, cap=cap)
+        pr = probe(center, r, k, pts, resolution=resolution)
         details.append(markov_ratio(pr))
     finite = [d.value for d in details if d is not None]
     ok = bool(finite) and min(finite) <= threshold

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .fields import NormContext, WhitneyField, _distances, mi_order, multi_indices
+from .fields import NormContext, WhitneyField, _distances, _mi_table, mi_order
 from .modulus import Modulus, validate
 from .simplex import OPTIMAL, LinearProgram, solve
 from .whitney import _reexpansion, whitney_lambda
@@ -133,12 +133,13 @@ def pair(f, g: AtomicFunctional) -> float:
         if f.k < g.ctx.k or f.n != g.ctx.n:
             raise InputError("field order/dimension insufficient for the functional")
         rows = {p: i for i, p in enumerate(map(tuple, f.points.tolist()))}
+        index = _mi_table(f.n, f.k).index
 
         def deriv(alpha, pt):
             i = rows.get(tuple(pt))
             if i is None:
                 raise InputError(f"field has no jet at atom point {pt}")
-            return float(f.coeffs[i, multi_indices(f.n, f.k).index(alpha)])
+            return float(f.coeffs[i, index[alpha]])
 
     else:
 
@@ -290,12 +291,12 @@ def _bracket_lps(g: AtomicFunctional, ctx: NormContext):
     """
     k, n, om = ctx.k, ctx.n, ctx.modulus
     support = g.support()
-    mis = multi_indices(n, k)
-    m, J = len(support), len(mis)
+    t = _mi_table(n, k)
+    m, J = len(support), len(t.mis)
     idx = {p: i for i, p in enumerate(support)}
 
     def slot(p, alpha):
-        return idx[p] * J + mis.index(alpha)
+        return idx[p] * J + t.index[alpha]
 
     gamma = np.zeros(m * J)
     for a, coef in zip(g.atoms, g.coeffs):
@@ -313,7 +314,6 @@ def _bracket_lps(g: AtomicFunctional, ctx: NormContext):
     dz = (pts[pi] - pts[pj]).T  # x_i - x_j, shape (n, pairs)
     dist = np.linalg.norm(dz, axis=0)
     w_om = np.atleast_1d(om(dist))
-    orders = np.array([mi_order(a) for a in mis], dtype=float)
 
     # --- lo: the coefficient of slot (j, alpha + gamma) in D^alpha T_j(x_i)
     # is the re-expansion weight dz^gamma / gamma!; across -dz it is the same
@@ -331,12 +331,12 @@ def _bracket_lps(g: AtomicFunctional, ctx: NormContext):
     R[pi[:, None] * J + shifted, pairs, 1, a_idx, 0] = (w * op.sign[:, None])[g_idx].T
     R[pj[:, None] * J + own, pairs, 1, own, 0] = -1.0
     R[..., 1] = -R[..., 0]
-    bound = dist[:, None] ** (k - orders) * w_om[:, None]  # (pair, alpha)
+    bound = dist[:, None] ** (k - t.order) * w_om[:, None]  # (pair, alpha)
     rhs = np.concatenate([np.ones(2 * m * J), np.repeat(np.tile(bound, 2), 2)])
     lo = LinearProgram(rhs, At, gamma)
 
     # --- hi: one column per slot, then per pair i < j and |alpha| = k
-    top = np.flatnonzero(orders == k)
+    top = np.flatnonzero(t.order == k)
     D = np.zeros((m * J, pi.size, top.size))
     D[pi[:, None] * J + top, pairs, np.arange(top.size)] = 1.0 / w_om[:, None]
     D[pj[:, None] * J + top, pairs, np.arange(top.size)] = -1.0 / w_om[:, None]

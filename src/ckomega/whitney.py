@@ -10,7 +10,10 @@ One Taylor re-expansion operator, D^alpha T(x + dz) = sum_gamma dz^gamma /
 gamma! c_{alpha+gamma}, serves taylor_eval, whitney_lambda and the predual
 bracket's rows: the monomials come from a recurrence (one product each, no
 powers), the sum over gamma runs in a fixed order, and a batch of B steps
-needs O(J) elements per step, J = dim P_k.
+needs O(J) elements per step, J = dim P_k. It reads the multi-index table of
+fields._mi_table, as do the chain rule here (truncated Taylor series
+composed through the table's recurrence and shift) and the Leibniz sums of
+the Jackson periodization (the pairs nu + rho = alpha read off shift).
 """
 
 from __future__ import annotations
@@ -21,18 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .fields import (
-    Jet,
-    NormContext,
-    WhitneyField,
-    _blocks,
-    _distances,
-    mi_add_unit,
-    mi_factorial,
-    mi_order,
-    multi_indices,
-    n_coefficients,
-)
+from .fields import (Jet, NormContext, WhitneyField, _blocks, _distances, _mi_table, mi_order,
+                     multi_indices)
 
 
 def taylor_eval(j: Jet, alpha, z) -> float:
@@ -45,15 +38,15 @@ def taylor_eval(j: Jet, alpha, z) -> float:
     alpha = tuple(int(a) for a in alpha)
     if mi_order(alpha) > j.k:
         raise InputError(f"derivative order {alpha} exceeds jet order {j.k}")
-    mis = multi_indices(j.n, j.k)
-    if alpha not in mis:
+    a_idx = _mi_table(j.n, j.k).index.get(alpha)
+    if a_idx is None:
         raise InputError(f"{alpha} is not a multi-index on R^{j.n}")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (j.n,):
         raise InputError(f"evaluation point has dimension {z.shape}, jet has n={j.n}")
     op = _reexpansion(j.n, j.k)
     w = op.weights((z - np.asarray(j.point))[:, None])
-    return float(op.apply(w, np.asarray(j.coeffs)[:, None])[mis.index(alpha), 0])
+    return float(op.apply(w, np.asarray(j.coeffs)[:, None])[a_idx, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -64,31 +57,14 @@ class _Reexpansion:
     """Re-expands order-k Taylor polynomials on R^n across a step dz:
     D^alpha T(x + dz) = sum_gamma dz^gamma / gamma! * c_{alpha+gamma}.
 
-    Tables follow multi_indices(n, k), which is graded, so gamma - e_i comes
-    before gamma and every alpha with |alpha| <= r comes before every alpha
-    of larger order. For g >= 1, mis[g] = mis[parent[g]] + e_axis[g], axis
-    being the last nonzero coordinate of gamma; fact[g] = gamma!,
-    sign[g] = (-1)^|gamma|; shift[a, g] is the index of alpha + gamma, read
-    only for the rows[g] first alpha, those with |alpha + gamma| <= k.
+    It reads the parent/axis recurrence, fact, sign, rows and shift of the
+    (n, k) multi-index table (fields._mi_table).
     """
 
     def __init__(self, n: int, k: int):
-        mis = multi_indices(n, k)
-        J = len(mis)
-        index = {a: i for i, a in enumerate(mis)}
-        self.parent = np.zeros(J, dtype=np.intp)
-        self.axis = np.zeros(J, dtype=np.intp)
-        for g, gamma in enumerate(mis[1:], start=1):
-            self.axis[g] = max(i for i, e in enumerate(gamma) if e)
-            self.parent[g] = index[tuple(e - (i == self.axis[g]) for i, e in enumerate(gamma))]
-        self.fact = np.array([mi_factorial(g) for g in mis])
-        self.sign = np.array([(-1.0) ** mi_order(g) for g in mis])
-        self.rows = np.array([n_coefficients(n, k - mi_order(g)) for g in mis])
-        self.shift = np.array(
-            [[index.get(tuple(a + b for a, b in zip(alpha, gamma)), J) for gamma in mis]
-             for alpha in mis],
-            dtype=np.intp,
-        )
+        t = _mi_table(n, k)
+        self.parent, self.axis, self.fact, self.sign = t.parent, t.axis, t.fact, t.sign
+        self.rows, self.shift = t.rows, t.shift
 
     def weights(self, dz):
         """(J, B) weights dz^gamma / gamma! for the B steps in the columns of
@@ -158,7 +134,8 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
     if field.k != ctx.k or field.n != ctx.n:
         raise InputError("field inconsistent with norm context")
     k, n = ctx.k, ctx.n
-    mis = multi_indices(n, k)
+    t = _mi_table(n, k)
+    mis = t.mis
     coeffs = field.coeffs
 
     flat = np.abs(coeffs)
@@ -174,7 +151,6 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
         op = _reexpansion(n, k)
         cT = coeffs.T.copy()
         ptsT = field.points.T
-        orders = np.array([mi_order(a) for a in mis], dtype=float)
         # pairs i < j in row-major order, as np.triu_indices; row i starts at
         # pair number starts[i], so each block derives its own (i, j)
         rows = np.arange(m)
@@ -191,7 +167,7 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
             dz = xi - xj  # shape (n, B)
             dist = _distances(xi, xj)
             om = np.atleast_1d(ctx.modulus(dist))
-            den = dist ** (k - orders)[:, None] * om  # (J, B)
+            den = dist ** (k - t.order)[:, None] * om  # (J, B)
             w = op.weights(dz)
             ci, cj = cT.take(ii, axis=1), cT.take(jj, axis=1)  # C order, as apply reads rows
             ratios = np.empty((2, J, len(ii)))
@@ -297,67 +273,44 @@ def _sampled_norm(ctx: NormContext, grid, values, px, py, pair_values) -> NormEs
 # higher-order chain rule
 
 
-def _differentiate_terms(terms: dict, i: int, n_x: int, n_f: int) -> dict:
-    """One partial derivative d/dx_i of a symbolic composition expansion.
-
-    ``terms`` maps (lam, factors) -> integer coefficient, representing
-    sum coeff * D^lam f(H(x)) * prod_{(c, beta) in factors} D^beta h_c(x);
-    lam is a multi-index on f's domain (dimension n_f), each beta lives on
-    the x-domain (dimension n_x). ``factors`` is a sorted tuple of
-    (component, beta) pairs.
-    """
-    out: dict = {}
-
-    def bump(key, c):
-        out[key] = out.get(key, 0) + c
-
-    for (lam, factors), coeff in terms.items():
-        # chain: differentiate the outer factor D^lam f(H(x))
-        for m in range(n_f):
-            new_factors = tuple(sorted(factors + ((m, mi_add_unit((0,) * n_x, i)),)))
-            bump((mi_add_unit(lam, m), new_factors), coeff)
-        # product: differentiate each inner factor
-        for idx, (c_comp, beta) in enumerate(factors):
-            new_factors = tuple(
-                sorted(factors[:idx] + ((c_comp, mi_add_unit(beta, i)),) + factors[idx + 1 :])
-            )
-            bump((lam, new_factors), coeff)
-    return {key: c for key, c in out.items() if c != 0}
-
-
 def faa_di_bruno_pullback(f_jet_at_Hx: Jet, H_jets_at_x, alpha) -> float:
     """D^alpha (f o H)(x) from the jet of f at H(x) and the jets of H at x.
 
-    Built by repeated symbolic application of the one-variable chain and
-    product rules to the composition, then evaluated against the jets; this
-    realizes the multivariate higher-order chain rule expansion
-    sum_{0 < |lam| <= |alpha|} D^lam f(H(x)) * P_lam([D^beta H(x)]).
+    Composes truncated Taylor series to order K = |alpha| (Griewank-Walther,
+    Evaluating Derivatives, ch. 13): dH_c, the Taylor coefficients of
+    H_c - H_c(x), are H_c's jet divided by the factorials with the constant
+    term 0; the powers dH^lam follow the parent/axis recurrence of f's
+    multi-index table, each one truncated product through the x-table's
+    shift; and D^alpha (f o H)(x) is alpha! times the dz^alpha coefficient of
+    sum_{|lam| <= K} D^lam f(H(x)) / lam! dH^lam. Jets of order above K
+    contribute their order-K prefix.
     """
     alpha = tuple(int(a) for a in alpha)
-    n = len(alpha)
+    n, K = len(alpha), mi_order(alpha)
     if len(H_jets_at_x) != f_jet_at_Hx.n:
         raise InputError("need one component jet of H per coordinate of f's domain")
     for hj in H_jets_at_x:
         if hj.n != n:
             raise InputError("H component jets must live on the x-domain")
-        if hj.k < mi_order(alpha):
+        if hj.k < K:
             raise InputError("H jets have insufficient order for this derivative")
-    if f_jet_at_Hx.k < mi_order(alpha):
+    if f_jet_at_Hx.k < K:
         raise InputError("f jet has insufficient order for this derivative")
+    tx, tf = _mi_table(n, K), _mi_table(f_jet_at_Hx.n, K)
+    a_idx = tx.index.get(alpha)
+    if a_idx is None:
+        raise InputError(f"{alpha} is not a multi-index on R^{n}")
 
-    nf = f_jet_at_Hx.n  # dimension of f's domain
-    zero = (0,) * nf
-    terms = {(zero, ()): 1}
-    for i, reps in enumerate(alpha):
-        for _ in range(reps):
-            terms = _differentiate_terms(terms, i, n, nf)
-
-    total = 0.0
-    for (lam, factors), coeff in terms.items():
-        val = float(coeff) * f_jet_at_Hx.coeff(lam)
-        if val == 0.0:
-            continue
-        for c_comp, beta in factors:
-            val *= H_jets_at_x[c_comp].coeff(beta)
-        total += val
-    return total
+    J = len(tx.mis)
+    dH = np.array([hj.coeffs[:J] for hj in H_jets_at_x]) / tx.fact
+    dH[:, 0] = 0.0
+    # the truncated product of series a and b adds a[i] b[j] to entry shift[i, j] < J
+    left, right = np.nonzero(tx.shift < J)
+    target = tx.shift[left, right]
+    powers = np.zeros((len(tf.mis), J))
+    powers[0, 0] = 1.0
+    for lam in range(1, len(tf.mis)):
+        terms = powers[tf.parent[lam], left] * dH[tf.axis[lam], right]
+        powers[lam] = np.bincount(target, weights=terms, minlength=J)
+    f_taylor = np.asarray(f_jet_at_Hx.coeffs[: len(tf.mis)]) / tf.fact
+    return float(tx.fact[a_idx] * (f_taylor @ powers[:, a_idx]))

@@ -8,7 +8,7 @@ from periodic_rule import cosine_multipliers, periodic_nodes
 from ckomega import modulus as mo
 from ckomega.cutoff import CutoffFamily
 from ckomega.errors import InputError, NumericalError
-from ckomega.fields import NormContext
+from ckomega.fields import NormContext, multi_indices
 from ckomega.jackson import (
     JacksonKernel,
     _conv_node_count,
@@ -55,6 +55,26 @@ def test_kernel_rejects_small_N():
         finite_rank_LNN(sin_derivs, 1, np.array([0.2]), (0,), ell=2)
     with pytest.raises(InputError):
         jackson_smooth_1d(np.sin, 1, 0.3)
+
+
+_N_ENTRY_POINTS = {
+    "kernel_normalize": lambda N: kernel_normalize(N),
+    "jackson_smooth_1d": lambda N: jackson_smooth_1d(np.sin, N, 0.3),
+    "smooth_EN": lambda N: smooth_EN(f_sin, 2, N, np.array([0.5])),
+    "finite_rank_LNN": lambda N: finite_rank_LNN(sin_derivs, N, np.array([0.2]), (0,), ell=2),
+    "error_report": lambda N: error_report(sin_derivs, 2, N, NormContext(0, 1, mo.linear()),
+                                           [[0.1], [0.4]]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_N_ENTRY_POINTS))
+@pytest.mark.parametrize("N", [8.5, 8.0, np.float64(8.0), "8"], ids=["8.5", "8.0", "f64", "str"])
+def test_operators_reject_non_integer_N(entry, N):
+    # kernel_normalize(8) is cached first: a float 8.0 hashes equal to it and
+    # must still be rejected, not served the integer's kernel
+    kernel_normalize(8)
+    with pytest.raises(InputError, match="integer N"):
+        _N_ENTRY_POINTS[entry](N)
 
 
 @pytest.mark.parametrize("N", [2, 4, 8, 16, 32, 64, 128, 256])
@@ -170,6 +190,34 @@ def test_periodized_derivative_matches_fd():
     f0 = lambda Z: periodize(lambda Y: np.sin(Y[:, 0]), ell, Z)
     fd = (f0(X + h) - f0(X - h)) / (2 * h)
     assert np.max(np.abs(exact - fd)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_periodized_derivative_bitwise_equals_binomial_leibniz_loop(n):
+    # reference: sum over nu <= alpha in graded order of
+    # prod_i comb(alpha_i, nu_i) * D^nu rho_ell * D^(alpha - nu) f
+    rng = np.random.default_rng(40 + n)
+    ell = 2
+    c = rng.uniform(0.5, 1.5, n)
+
+    def f_derivs(beta, X):
+        out = np.ones(X.shape[0])
+        for i, b in enumerate(beta):
+            out = out * np.sin(c[i] * X[:, i] + i + b * math.pi / 2) * c[i] ** b
+        return out
+
+    X = rng.uniform(-2.5 * ell, 2.5 * ell, (30, n))
+    cf = CutoffFamily(n, ell)
+    Y = X - lattice_period(ell, n) * np.round(X / lattice_period(ell, n))
+    for alpha in multi_indices(n, 3):
+        want = np.zeros(len(X))
+        for nu in multi_indices(n, sum(alpha)):
+            if any(v > a for v, a in zip(nu, alpha)):
+                continue
+            coef = float(math.prod(math.comb(a, v) for a, v in zip(alpha, nu)))
+            rest = tuple(a - v for a, v in zip(alpha, nu))
+            want += coef * cf.rho_deriv(Y, nu) * f_derivs(rest, Y)
+        assert np.array_equal(periodized_derivative(f_derivs, ell, alpha, X), want), alpha
 
 
 # ---------------------------------------------------------------------------
@@ -542,3 +590,14 @@ def test_weakstar_oscillating_sequence_fails_norm_bound():
                        norm_cap=10.0, tol=0.02)
     assert not v.converged
     assert v.failing_condition == "norm_bound"
+
+
+@pytest.mark.parametrize("where", ["probes", "grid", "pairs"])
+def test_weakstar_rejects_non_finite_points(where):
+    # a NaN point is an input error (exit 1), not a failed derivative (exit 2)
+    ctx = NormContext(0, 1, mo.linear())
+    args = {"probes": [[0.1], [0.2]], "grid": None, "pairs": None}
+    args[where] = [([0.0], [math.nan])] if where == "pairs" else [[0.1], [math.nan]]
+    with pytest.raises(InputError, match="finite"):
+        weakstar_check([sin_derivs] * 2, ctx, args["probes"], 2.0,
+                       grid=args["grid"], pairs=args["pairs"])

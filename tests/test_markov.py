@@ -7,6 +7,7 @@ from free_lp import solve_free
 from ckomega.errors import InputError
 from ckomega.fields import multi_indices
 from ckomega.markov import (
+    DEFAULT_CAP,
     MarkovProbe,
     _basis_matrix,
     builtin_set_sampler,
@@ -285,7 +286,7 @@ def _full_scan(pr: MarkovProbe):
             return math.inf, True
         assert sol.status == OPTIMAL
         best = max(best, sol.optimum)
-        if best > pr.cap:
+        if best > DEFAULT_CAP:
             return math.inf, True
     return best, False
 

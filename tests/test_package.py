@@ -1,7 +1,65 @@
+import ast
+from collections import Counter
+from pathlib import Path
+
 import ckomega
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ckomega"
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def test_every_public_name_resolves():
     # `from ckomega import *` breaks if __all__ names a deleted module
     missing = [name for name in ckomega.__all__ if not hasattr(ckomega, name)]
     assert missing == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter is available, so this is the unused-import check; the
+    # package __init__ imports to re-export and is exempt
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
+
+
+def test_every_private_helper_is_named_outside_its_definition():
+    # a private top-level name of the package that no code in src/, tests/ or
+    # perfbench/ reads, calls or imports is dead
+    named = Counter()
+    for path in (p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                named[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                named[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                named[node.name] += 1
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{path.name}:{node.lineno} {name}" for name in names
+                     if name.startswith("_") and not name.startswith("__") and not named[name]]
+    assert dead == []

@@ -15,6 +15,7 @@ from ckomega.fields import (
     Jet,
     NormContext,
     _distances,
+    _mi_table,
     field_from_data,
     field_from_jets,
     field_from_json,
@@ -452,6 +453,34 @@ def test_reexpansion_table_indices_are_in_range(n, k):
     for g in range(J):
         read = op.shift[: op.rows[g], g]
         assert read.size == op.rows[g] and np.all((0 <= read) & (read < J))
+    # the operator reads the shared multi-index table, entry by entry
+    t = _mi_table(n, k)
+    assert op.shift is t.shift and op.parent is t.parent and op.fact is t.fact
+    for i, alpha in enumerate(t.mis):
+        assert t.index[alpha] == i
+        assert t.order[i] == sum(alpha) and t.sign[i] == (-1.0) ** sum(alpha)
+        assert t.fact[i] == math.prod(math.factorial(a) for a in alpha)
+        if i:
+            unit = tuple(int(c == t.axis[i]) for c in range(n))
+            assert tuple(p + u for p, u in zip(t.mis[t.parent[i]], unit)) == alpha
+        for g, gamma in enumerate(t.mis):
+            total = tuple(a + c for a, c in zip(alpha, gamma))
+            assert t.shift[i, g] == t.index.get(total, J)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_multi_indices_properties(n):
+    # checked against properties, not against another enumeration
+    for k in range(6):
+        mis = multi_indices(n, k)
+        assert len(mis) == math.comb(n + k, n) == len(set(mis))
+        orders = [sum(a) for a in mis]
+        assert orders == sorted(orders)
+        for a, b in zip(mis, mis[1:]):
+            if sum(a) == sum(b):
+                assert a > b  # strictly descending lexicographic within an order
+        everything = {a for a in itertools.product(range(k + 1), repeat=n) if sum(a) <= k}
+        assert set(mis) == everything
 
 
 def test_field_validation_memory_is_bounded_by_blocks():
@@ -682,6 +711,47 @@ def test_faa_di_bruno_against_finite_differences():
             assert got == pytest.approx(want, rel=1e-5, abs=1e-6)
             checks += 1
     assert checks >= 20
+
+
+def test_faa_di_bruno_against_finite_differences_order_4_in_3d():
+    # every |alpha| = 4 derivative at n = 3, where the step h = 3e-3 keeps
+    # the Richardson error near 1e-5 relative
+    rng = np.random.default_rng(5)
+    n, k = 3, 4
+    for trial in range(2):
+        x = rng.uniform(-0.5, 0.5, n)
+        h_fns, h_ds = zip(*[_poly_eval_and_jet(rng, n, k, x) for _ in range(n)])
+        Hx = np.array([h(x) for h in h_fns])
+        f_fn, f_d = _poly_eval_and_jet(rng, n, k, Hx)
+        mis = multi_indices(n, k)
+        f_jet = jet(Hx, [f_d(a, Hx) for a in mis], k)
+        h_jets = [jet(x, [hd(a, x) for a in mis], k) for hd in h_ds]
+
+        def composed(z):
+            return f_fn(np.array([h(z) for h in h_fns]))
+
+        for alpha in mis[len(multi_indices(n, k - 1)):]:
+            got = faa_di_bruno_pullback(f_jet, h_jets, alpha)
+            want = _fd_derivative(composed, x, alpha, h=3e-3)
+            assert got == pytest.approx(want, rel=1e-4, abs=1e-4)
+
+
+def test_faa_di_bruno_1d_polynomial_composition_to_order_6():
+    # H(x) = y0 + Q(x - x0) with Q(0) = 0 and f(y) = P(y - y0), so the jets are
+    # m! times Taylor coefficients and D^m (f o H)(x0) = m! [t^m] P(Q(t)),
+    # read off numpy's polynomial composition. Composing in x and evaluating
+    # the degree-18 result at x0 instead loses about 5e-12 to cancellation.
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        p = rng.normal(size=7)
+        q = np.concatenate([[0.0], rng.normal(size=3)])
+        composed = np.polynomial.Polynomial(p)(np.polynomial.Polynomial(q)).coef
+        x0, y0 = rng.uniform(-1, 1, 2)
+        f_jet = jet([y0], [math.factorial(j) * p[j] for j in range(7)], 6)
+        h_jet = jet([x0], [y0] + [math.factorial(j) * q[j] for j in range(1, 4)] + [0.0] * 3, 6)
+        for m in range(7):
+            got = faa_di_bruno_pullback(f_jet, [h_jet], (m,))
+            assert got == pytest.approx(math.factorial(m) * composed[m], rel=1e-12)
 
 
 def test_faa_di_bruno_input_errors():
