@@ -281,17 +281,25 @@ def _run_jackson(args) -> dict:
     )
 
 
-def _parse_atoms(spec, ctx: NormContext) -> AtomicFunctional:
-    entries = _load_json(spec, "atoms")
+def _parse_atoms(entries) -> tuple[list, list]:
+    """Atoms and coefficients of the atoms JSON, a list of entry objects."""
+    if not isinstance(entries, list) or not entries:
+        raise InputError("atoms must be a non-empty list of atom objects")
     atoms, coeffs = [], []
-    for e in entries:
-        alpha = tuple(int(a) for a in e.get("alpha", (0,) * ctx.n))
-        if e.get("type", "delta") == "delta":
-            atoms.append(delta(e["x"], alpha))
-        else:
-            atoms.append(difference(e["x"], e["y"], alpha))
-        coeffs.append(float(e.get("coef", 1.0)))
-    return AtomicFunctional(tuple(atoms), tuple(coeffs), ctx)
+    for i, e in enumerate(entries):
+        kind = e.get("type", "delta") if isinstance(e, dict) else None
+        if kind not in ("delta", "diff"):
+            raise InputError(f"atom entry {i} {e!r} must be an object of type 'delta' or 'diff'")
+        try:
+            ends = (e["x"], e["y"]) if kind == "diff" else (e["x"],)
+            atoms.append((difference if kind == "diff" else delta)(*ends, e.get("alpha")))
+            coeffs.append(float(e.get("coef", 1.0)))
+        except InputError as exc:
+            raise InputError(f"atom entry {i} {e!r}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"atom entry {i} {e!r} needs numeric point{'s x, y' if kind == 'diff' else ' x'}, "
+                             f"an integer alpha list and a numeric coef ({exc!r})") from exc
+    return atoms, coeffs
 
 
 def _lp_provenance(formulation: str, sol) -> dict:
@@ -306,19 +314,17 @@ def _lp_provenance(formulation: str, sol) -> dict:
 
 def _run_predual_norm(args) -> dict:
     m = _load_modulus(args.omega)
-    entries = _load_json(args.atoms, "atoms")
-    if not entries:
-        raise InputError("empty atom list")
-    n = args.n or len(entries[0]["x"])
+    atoms, coeffs = _parse_atoms(_load_json(args.atoms, "atoms"))
+    n = args.n or len(atoms[0].x)
     ctx = NormContext(args.k, n, m)
-    g = _parse_atoms(args.atoms, ctx)
+    g = AtomicFunctional(tuple(atoms), tuple(coeffs), ctx)
     prov = {"n_atoms": len(g.atoms), "support_size": len(g.support()), "seed": args.seed}
-    if args.k == 0 and all(a.kind == "delta" for a in g.atoms):
-        sol = _k0_norm_lp(g, m)[-1]
+    if args.k == 0:
+        sol = _k0_norm_lp(g)[-1]
         results = {"norm": sol.optimum, "exact": True}
         prov["lp"] = _lp_provenance("transportation", sol)
     else:
-        lo, hi = _bracket_solutions(g, ctx)
+        lo, hi = _bracket_solutions(g)
         results = {"norm_bracket": [lo.optimum, hi.optimum], "exact": False}
         prov["lp_lo"] = _lp_provenance("bracket-lo", lo)
         prov["lp_hi"] = _lp_provenance("bracket-hi", hi)

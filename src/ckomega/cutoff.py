@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import InputError
-from .fields import _blocks, mi_order, multi_indices
+from .fields import _blocks, _check_int, mi_order, multi_indices
 
 _H = 0.5  # bump radius
 _EDGE = 1.5  # mollified indicator half-width
@@ -142,8 +142,8 @@ class CutoffFamily:
     ell: int
 
     def __post_init__(self):
-        if self.n < 1 or self.ell < 1:
-            raise InputError("need n >= 1 and integer ell >= 1")
+        _check_int("cutoff dimension n", self.n, 1)
+        _check_int("ell", self.ell, 1)
 
     def rho(self, X) -> np.ndarray:
         """Evaluate rho_ell at points X of shape (m, n); returns (m,)."""

@@ -10,7 +10,7 @@ row per point; a Jet is the single-point form the Taylor and Hermite code use.
 The layout is known here only: _mi_table(n, k), cached per (n, k), holds the
 multi-indices, their positions, orders, factorials and signs, the graded
 monomial recurrence and the index of every sum alpha + gamma. Jet lookups,
-the field JSON, the Taylor re-expansions, the predual bracket, the Leibniz
+the field JSON, the Taylor re-expansions, the predual lowering, the Leibniz
 sums of the periodization and the chain rule all read it.
 """
 
@@ -41,6 +41,13 @@ def multi_indices(n: int, k: int) -> tuple[tuple[int, ...], ...]:
         raise InputError("need n >= 1 and k >= 0")
     return tuple(tuple(axes.count(i) for i in range(n)) for r in range(k + 1)
                  for axes in itertools.combinations_with_replacement(range(n), r))
+
+
+def _check_int(name: str, value, low: int) -> None:
+    """InputError unless value is an integer (Python or numpy, not a float)
+    of at least low."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def mi_order(alpha) -> int:
@@ -131,6 +138,7 @@ class Jet:
     k: int
 
     def __post_init__(self):
+        _check_int("jet order k", self.k, 0)
         n = len(self.point)
         want = n_coefficients(n, self.k)
         if len(self.coeffs) != want:
@@ -210,9 +218,11 @@ class WhitneyField:
     n: int
 
     def __post_init__(self):
+        _check_int("field order k", self.k, 0)
+        _check_int("field dimension n", self.n, 1)
         pts = np.array(self.points, dtype=float, order="C")
         coeffs = np.array(self.coeffs, dtype=float, order="C")
-        if (self.k < 0 or self.n < 1 or pts.ndim != 2 or pts.shape[1] != self.n or coeffs.ndim != 2
+        if (pts.ndim != 2 or pts.shape[1] != self.n or coeffs.ndim != 2
                 or coeffs.shape[1] != n_coefficients(self.n, self.k)):
             raise InputError(f"jet dimensions inconsistent with field: k={self.k}, n={self.n}, "
                              f"points {pts.shape}, coefficients {coeffs.shape}")
@@ -286,8 +296,8 @@ class NormContext:
     modulus: Modulus
 
     def __post_init__(self):
-        if self.k < 0 or self.n < 1:
-            raise InputError("need k >= 0 and n >= 1")
+        _check_int("order k", self.k, 0)
+        _check_int("dimension n", self.n, 1)
 
 
 # ---------------------------------------------------------------------------

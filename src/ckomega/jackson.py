@@ -122,11 +122,10 @@ def periodize(f, ell: int, x):
     Exactly periodic by construction; coincides with f on K_ell^n (the
     reduction returns cell points unchanged and rho_ell is literally 1 there).
     """
-    if ell < 1:
-        raise InputError("ell must be a positive integer")
     X, single, n = _as_points(x)
+    cf = CutoffFamily(n, ell)
     Y = reduce_to_cell(X, lattice_period(ell, n))
-    vals = CutoffFamily(n, ell).rho(Y) * np.asarray(f(Y), dtype=float)
+    vals = cf.rho(Y) * np.asarray(f(Y), dtype=float)
     return float(vals[0]) if single else vals
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .fields import multi_indices
+from .fields import _check_int, multi_indices
 from .simplex import INFEASIBLE, OPTIMAL, LinearProgram, solve
 
 DEFAULT_CAP = 1e6
@@ -73,6 +73,7 @@ class MarkovProbe:
     def __post_init__(self):
         if not 0 < self.r < math.inf:
             raise InputError("probe radius must be positive and finite")
+        _check_int("Markov order k", self.k, 0)
         s = np.atleast_2d(np.asarray(self.sample, dtype=float))
         g = np.atleast_2d(np.asarray(self.grid, dtype=float))
         if s.size == 0:
@@ -92,7 +93,7 @@ class MarkovProbe:
 
 def probe(center, r, k, sample, resolution: int = DEFAULT_RESOLUTION) -> MarkovProbe:
     center = tuple(float(c) for c in np.atleast_1d(center))
-    return MarkovProbe(center, float(r), int(k),
+    return MarkovProbe(center, float(r), k,
                        np.atleast_2d(np.asarray(sample, dtype=float)),
                        cube_grid(center, r, resolution))
 

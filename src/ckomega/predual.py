@@ -3,8 +3,10 @@ finiteness certifier.
 
 The generating atoms are point evaluations delta_x^alpha (|alpha| <= k) and
 scaled differences (delta_x^alpha - delta_y^alpha)/omega(||x-y||) with
-|alpha| = k, x != y. For k = 0 the predual norm of a finite combination of
-evaluation atoms is computed exactly: the LP
+|alpha| = k, x != y. A finite combination is lowered once to one charge per
+jet slot (x, alpha) (``AtomicFunctional.lowering``); the pairing, the k = 0
+LP and the bracket read the charges. For k = 0 the norm of every finite
+combination is exact: the LP over the charges c
     max sum c_i u_i   s.t. |u_i| <= 1, |u_i - u_j| <= omega(||x_i - x_j||)
 ranges over exactly the traces of norm-<=1 functions (every feasible u
 McShane-extends with the same constants), so the optimum is the true norm.
@@ -30,12 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, NumericalError
 from .fields import NormContext, WhitneyField, _distances, _mi_table, mi_order
-from .modulus import Modulus, validate
+from .modulus import validate
 from .simplex import OPTIMAL, LinearProgram, solve
 from .whitney import _reexpansion, whitney_lambda
 
@@ -57,6 +60,9 @@ class Atom:
                 raise InputError("difference atom needs a second point")
             if tuple(self.y) == tuple(self.x):
                 raise InputError("difference atom needs distinct points")
+        for p in (self.x, self.y or ()):
+            if not all(math.isfinite(v) for v in p):
+                raise InputError(f"atom point must be finite, got {p}")
 
     def validate(self, ctx: NormContext):
         if len(self.x) != ctx.n or len(self.alpha) != ctx.n:
@@ -102,12 +108,33 @@ class AtomicFunctional:
         object.__setattr__(self, "coeffs", tuple(c for _, c in pruned))
 
     def support(self) -> tuple[tuple[float, ...], ...]:
-        pts = set()
-        for a in self.atoms:
-            pts.add(a.x)
-            if a.y is not None:
-                pts.add(a.y)
-        return tuple(sorted(pts))
+        return tuple(map(tuple, self.lowering[0].tolist()))
+
+    @cached_property
+    def lowering(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (points, charges): the sorted support (m, n) and the
+        charges (m, J) of its jet slots. A delta atom adds coef
+        to its slot, a difference atom +-coef/omega(||x - y||) to the slots
+        of x and y, in atom order (the 1D bracket's bits depend on it)."""
+        n, om = self.ctx.n, self.ctx.modulus
+        support = sorted({p for a in self.atoms for p in (a.x, a.y or a.x)})
+        row = {p: i for i, p in enumerate(support)}
+        index = _mi_table(n, self.ctx.k).index
+        points = np.array(support, dtype=float).reshape(len(support), n)
+        charges = np.zeros((len(support), len(index)))
+        xs = [row[a.x] for a in self.atoms]
+        ys = [row[a.y or a.x] for a in self.atoms]
+        dist = _distances(points.T[:, xs], points.T[:, ys])  # 0 for a delta atom
+        for a, coef, i, j, d in zip(self.atoms, self.coeffs, xs, ys, dist):
+            s = index[a.alpha]
+            if a.kind == "delta":
+                charges[i, s] += coef
+            else:
+                w = om(float(d))
+                charges[i, s] += coef / w
+                charges[j, s] -= coef / w
+        points.flags.writeable = charges.flags.writeable = False
+        return points, charges
 
     def scale(self, s: float) -> "AtomicFunctional":
         return AtomicFunctional(self.atoms, tuple(s * c for c in self.coeffs), self.ctx)
@@ -123,49 +150,42 @@ def functional(atoms, coeffs, ctx: NormContext) -> AtomicFunctional:
 
 
 def pair(f, g: AtomicFunctional) -> float:
-    """Dual pairing <f, g> = sum coef * (D^alpha f(x) or the scaled difference).
+    """Dual pairing <f, g>: the sum of the charges of g times the values of f
+    at their jet slots.
 
-    f is a WhitneyField carrying jets at every atom point, or a derivative
-    oracle callable(alpha, X) on (m, n) arrays.
+    f is a WhitneyField carrying jets at every support point (its order-<=k
+    coefficients are a prefix of its own in graded order), or a derivative
+    oracle callable(alpha, X), called once per alpha that carries a charge,
+    on the (m, n) support array.
     """
-    om = g.ctx.modulus
+    points, charges = g.lowering
+    m, J = charges.shape
     if isinstance(f, WhitneyField):
         if f.k < g.ctx.k or f.n != g.ctx.n:
             raise InputError("field order/dimension insufficient for the functional")
-        rows = {p: i for i, p in enumerate(map(tuple, f.points.tolist()))}
-        index = _mi_table(f.n, f.k).index
-
-        def deriv(alpha, pt):
-            i = rows.get(tuple(pt))
-            if i is None:
-                raise InputError(f"field has no jet at atom point {pt}")
-            return float(f.coeffs[i, index[alpha]])
-
+        index = {p: i for i, p in enumerate(map(tuple, f.points.tolist()))}
+        rows = [index.get(p) for p in map(tuple, points.tolist())]
+        if None in rows:
+            raise InputError(f"field has no jet at atom point {tuple(points[rows.index(None)].tolist())}")
+        values = f.coeffs[rows, :J]
     else:
-
-        def deriv(alpha, pt):
-            return float(np.asarray(f(alpha, np.asarray(pt, dtype=float).reshape(1, -1)))[0])
-
-    total = 0.0
-    for a, c in zip(g.atoms, g.coeffs):
-        if a.kind == "delta":
-            total += c * deriv(a.alpha, a.x)
-        else:
-            d = float(np.linalg.norm(np.asarray(a.x) - np.asarray(a.y)))
-            total += c * (deriv(a.alpha, a.x) - deriv(a.alpha, a.y)) / om(d)
-    return total
+        mis = _mi_table(g.ctx.n, g.ctx.k).mis
+        values = np.zeros((m, J))
+        for s in np.flatnonzero(charges.any(axis=0)):
+            values[:, s] = np.asarray(f(mis[s], points), dtype=float).reshape(m)
+    return float(np.sum(charges * values))
 
 
 # ---------------------------------------------------------------------------
 # k = 0 exact norm
 
 
-def _k0_norm_lp(g: AtomicFunctional, omega: Modulus):
-    """(support, c, w, LPSolution) of the min-cost transportation problem
-    that gives the k=0 norm: the sorted support points, their charges c, the
-    arc costs w[a, b] = omega(||x_i - x_j||) over the positive charges i =
-    P[a] and the negative ones j = N[b], in index order, and the solution
-    (an LP with no rows and no variables for an empty support).
+def _k0_norm_lp(g: AtomicFunctional):
+    """(c, w, LPSolution) of the min-cost transportation problem that gives
+    the k=0 norm: the charges c of the sorted support points (column 0 of
+    the lowering), the arc costs w[a, b] = omega(||x_i - x_j||) over the
+    positive charges i = P[a] and the others j = N[b], in index order, and
+    the solution (an LP with no rows and no variables for an empty support).
 
     One conservation row per support point (net outflow = c_i) over a
     ground arc of cost 1 per point (out of P, into N) and an arc i -> j of
@@ -175,13 +195,12 @@ def _k0_norm_lp(g: AtomicFunctional, omega: Modulus):
     through ground, at no more cost, so this LP has the optimum of the full
     transshipment. It is the LP dual of max c.u s.t. u_i <= 1 on P, u_j >= -1
     on N, u_i - u_j <= w on P x N, so the duals of its rows are u feasible
-    only on P x N (``predual_norm_k0_certificate`` repairs them).
+    only on P x N (``predual_norm_k0_certificate`` repairs them). A point
+    whose charges cancel is in N, and its row forces its arcs to 0.
     """
-    n = g.ctx.n
-    zero = (0,) * n
-    for a in g.atoms:
-        if a.kind != "delta" or a.alpha != zero:
-            raise InputError("predual_norm_k0 handles k=0 delta atoms only")
+    omega = g.ctx.modulus
+    if any(mi_order(a.alpha) > 0 for a in g.atoms):
+        raise InputError("predual_norm_k0 handles atoms of order 0 only")
     if omega.kind == "table" and len(omega.breakpoints) > 1:
         # Without the axioms a feasible u need not extend with the same
         # constants, and the optimum then depends on points whose atoms
@@ -193,17 +212,11 @@ def _k0_norm_lp(g: AtomicFunctional, omega: Modulus):
             v = bad[0]
             raise InputError(f"k=0 norm needs a modulus with {v.axiom}: it fails "
                              f"between t = {v.t_lo} and t = {v.t_hi}")
-    support = g.support()
-    index = {p: i for i, p in enumerate(support)}
-    m = len(support)
-    c = np.zeros(m)
-    for a, coef in zip(g.atoms, g.coeffs):
-        c[index[a.x]] += coef
-    # merged atoms leave no zero charge, so N = ~pos is the set c < 0
+    points, charges = g.lowering
+    c, m = charges[:, 0], len(points)
     pos = c > 0.0
     P, N = np.flatnonzero(pos), np.flatnonzero(~pos)
-    PT = np.asarray(support, dtype=float).reshape(m, n).T
-    w = omega(_distances(PT[:, P, None], PT[:, None, N]).ravel()).reshape(P.size, N.size)
+    w = omega(_distances(points.T[:, P, None], points.T[:, None, N]).ravel()).reshape(P.size, N.size)
     # Ground arcs first give a feasible basis in m phase-1 pivots; arcs in
     # increasing cost make Bland's rule enter cheap arcs first (2-9x fewer
     # pivots than pair order at m = 28-60, more with more negative charges).
@@ -215,16 +228,15 @@ def _k0_norm_lp(g: AtomicFunctional, omega: Modulus):
                               np.hstack([np.diag(np.where(pos, 1.0, -1.0)), arcs]), c))
     if sol.status != OPTIMAL:
         raise NumericalError(f"k=0 norm LP unexpectedly {sol.status}")
-    return support, c, w, sol
+    return c, w, sol
 
 
-def predual_norm_k0(g: AtomicFunctional, omega: Modulus | None = None) -> float:
-    """Exact predual norm of a k=0 combination of evaluation atoms."""
-    om = omega or g.ctx.modulus
-    return _k0_norm_lp(g, om)[-1].optimum
+def predual_norm_k0(g: AtomicFunctional) -> float:
+    """Exact predual norm of a k=0 combination of atoms, under g's modulus."""
+    return _k0_norm_lp(g)[-1].optimum
 
 
-def predual_norm_k0_certificate(g: AtomicFunctional, omega: Modulus | None = None):
+def predual_norm_k0_certificate(g: AtomicFunctional):
     """(norm, support points, optimal trace vector u) for duality tests:
     the McShane extension of u attains the pairing value.
 
@@ -233,13 +245,12 @@ def predual_norm_k0_certificate(g: AtomicFunctional, omega: Modulus | None = Non
     min(1, min_N (u_j + w)) (McShane in both directions) can only lower u_N
     and raise u_P, so it can only raise c.u; its result is bounded by 1 and
     omega-Lipschitz on every pair, so it is an optimal trace."""
-    om = omega or g.ctx.modulus
-    support, c, w, sol = _k0_norm_lp(g, om)
+    c, w, sol = _k0_norm_lp(g)
     pos = c > 0.0
     u = sol.dual_eq.copy()
     u[~pos] = np.maximum(-1.0, np.max(u[pos, None] - w, axis=0, initial=-np.inf))
     u[pos] = np.minimum(1.0, np.min(u[~pos] + w, axis=1, initial=np.inf))
-    return sol.optimum, support, u
+    return sol.optimum, g.support(), u
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +267,17 @@ def predual_norm_bracket(g: AtomicFunctional, ctx: NormContext | None = None):
     omega(t) = t, g = delta_d - delta_0: lo = d + d^2 > d >= ||g||).
     hi: minimum total variation of a decomposition of g over atoms supported
     on the support points (a sound upper bound since every atom has norm <= 1).
+    ctx, if given, must be the functional's own context.
     """
-    lo, hi = _bracket_solutions(g, ctx or g.ctx)
+    if ctx is not None and ctx != g.ctx:
+        raise InputError("bracket context differs from the functional's context")
+    lo, hi = _bracket_solutions(g)
     return lo.optimum, hi.optimum
 
 
-def _bracket_solutions(g: AtomicFunctional, ctx: NormContext):
+def _bracket_solutions(g: AtomicFunctional):
     """(lo, hi) LPSolutions of the two bracket LPs built by _bracket_lps."""
-    lo_lp, hi_lp = _bracket_lps(g, ctx)
+    lo_lp, hi_lp = _bracket_lps(g)
     lo = solve(lo_lp)
     if lo.status != OPTIMAL:
         raise NumericalError(f"bracket lower LP unexpectedly {lo.status}")
@@ -273,10 +287,10 @@ def _bracket_solutions(g: AtomicFunctional, ctx: NormContext):
     return lo, hi
 
 
-def _bracket_lps(g: AtomicFunctional, ctx: NormContext):
+def _bracket_lps(g: AtomicFunctional):
     """(lo, hi) LinearPrograms of the bracket, over the jet slots i*J + alpha
-    of the sorted support points x_i (no rows and no variables for an empty
-    support).
+    of the sorted support points x_i, whose charges gamma are the flattened
+    lowering (no rows and no variables for an empty support).
 
     lo is the LP dual min rhs.y s.t. A^T y = gamma, y >= 0 of max gamma.f
     s.t. A f <= rhs over free slot values f. The rows of A (the columns of
@@ -289,30 +303,14 @@ def _bracket_lps(g: AtomicFunctional, ctx: NormContext):
     hi, min total variation over the delta atoms on every slot and the
     difference atoms of order k on every pair i < j, split as t = tp - tm.
     """
-    k, n, om = ctx.k, ctx.n, ctx.modulus
-    support = g.support()
+    k, n, om = g.ctx.k, g.ctx.n, g.ctx.modulus
+    pts, charges = g.lowering
     t = _mi_table(n, k)
-    m, J = len(support), len(t.mis)
-    idx = {p: i for i, p in enumerate(support)}
-
-    def slot(p, alpha):
-        return idx[p] * J + t.index[alpha]
-
-    gamma = np.zeros(m * J)
-    for a, coef in zip(g.atoms, g.coeffs):
-        if a.kind == "delta":
-            gamma[slot(a.x, a.alpha)] += coef
-        else:
-            d = float(np.linalg.norm(np.asarray(a.x) - np.asarray(a.y)))
-            w = om(d)
-            gamma[slot(a.x, a.alpha)] += coef / w
-            gamma[slot(a.y, a.alpha)] -= coef / w
-
-    pts = np.asarray(support, dtype=float).reshape(m, n)
+    (m, J), gamma = charges.shape, charges.ravel()
     pi, pj = np.triu_indices(m, 1)
     pairs = np.arange(pi.size)[:, None]
     dz = (pts[pi] - pts[pj]).T  # x_i - x_j, shape (n, pairs)
-    dist = np.linalg.norm(dz, axis=0)
+    dist = _distances(pts.T[:, pi], pts.T[:, pj])
     w_om = np.atleast_1d(om(dist))
 
     # --- lo: the coefficient of slot (j, alpha + gamma) in D^alpha T_j(x_i)

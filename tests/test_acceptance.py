@@ -248,7 +248,7 @@ def test_criterion_07_predual_duality_finite_scale():
             om = mo.linear() if trial % 2 else mo.power(0.5)
             ctx = NormContext(0, n, om)
             g = functional([delta(p) for p in pts], coeffs, ctx)
-            value, support, u = predual_norm_k0_certificate(g, om)
+            value, support, u = predual_norm_k0_certificate(g)
             oracle = _vertex_oracle_k0([tuple(p) for p in pts], coeffs, om)
             worst_lp = max(worst_lp, abs(value - oracle))
             assert abs(value - oracle) <= 1e-8
@@ -280,7 +280,7 @@ def test_criterion_08_atom_norms():
             d = float(np.linalg.norm(x - y))
             w = om(d)
             g = functional([delta(x), delta(y)], [1.0 / w, -1.0 / w], cx)
-            val = predual_norm_k0(g, om)
+            val = predual_norm_k0(g)
             assert val <= 1.0 + 1e-9
             if w <= 2.0:
                 assert abs(val - 1.0) <= 1e-9
@@ -443,11 +443,11 @@ def test_criterion_12_property_suites_1000_trials():
             g1 = functional([delta(p) for p in pts], c1, ctx0)
             g2 = functional([delta(p) for p in pts], c2, ctx0)
             s = float(rng.normal())
-            v1, v2 = predual_norm_k0(g1, om), predual_norm_k0(g2, om)
-            assert predual_norm_k0(g1.scale(s), om) == pytest.approx(
+            v1, v2 = predual_norm_k0(g1), predual_norm_k0(g2)
+            assert predual_norm_k0(g1.scale(s)) == pytest.approx(
                 abs(s) * v1, abs=1e-9
             )
-            assert predual_norm_k0(g1.add(g2), om) <= v1 + v2 + 1e-9
+            assert predual_norm_k0(g1.add(g2)) <= v1 + v2 + 1e-9
 
         # LP duality gap <= 1e-7, 1000 random LPs
         for _ in range(1000):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ckomega import cli
 from ckomega.cli import main
 from ckomega.markov import cube_grid, markov_ratio, probe
 
@@ -217,6 +218,47 @@ def test_predual_norm_nan_weight_exit_1(capsys):
                            '[{"x":[0.0],"coef":1.0},{"x":[1.0],"coef":NaN}]')
     assert code == 1
     assert "input error" in err and "not finite" in err
+
+
+def test_predual_norm_k0_difference_atom_is_exact(capsys):
+    # (delta_0 - delta_1)/omega(1) - delta_0 = -delta_1, norm 1: the k = 0
+    # transportation LP takes difference atoms, not only the bracket
+    code, out, _ = run_cli(capsys, "predual-norm", "--k", "0", "--atoms",
+                           '[{"type":"diff","x":[0.0],"y":[1.0],"coef":1.0},{"x":[0.0],"coef":-1.0}]')
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["results"] == {"norm": pytest.approx(1.0, abs=1e-12), "exact": True}
+    assert rep["provenance"]["lp"]["formulation"] == "transportation"
+    assert rep["provenance"]["support_size"] == 2
+
+
+@pytest.mark.parametrize("atoms, names", [
+    ('[{"x":[NaN],"coef":1.0}]', "atom point must be finite"),
+    ('[{"type":"delta"}]', "atom entry 0 {'type': 'delta'}"),  # no point
+    ('[{"x":[0.0],"coef":"a"}]', "atom entry 0 {'x': [0.0], 'coef': 'a'}"),  # non-numeric coef
+    ('[{"x":[0.0]},[0.0]]', "atom entry 1 [0.0]"),  # entry is not an object
+    ('[{"type":"diff","x":[0.0],"coef":1.0}]', "needs numeric points x, y"),  # diff without y
+    ('[{"type":"dif","x":[0.0],"y":[1.0]}]', "type 'delta' or 'diff'"),  # unknown type
+    ('[{"x":[0.0],"alpha":"a"}]', "integer alpha list"),
+    ('{"x":[0.0]}', "non-empty list"),
+    ('[]', "non-empty list"),
+])
+def test_predual_norm_malformed_atoms_exit_1(capsys, atoms, names):
+    code, _, err = run_cli(capsys, "predual-norm", "--k", "0", "--atoms", atoms)
+    assert code == 1
+    assert err.startswith("input error: ") and names in err
+
+
+def test_predual_norm_reads_the_atoms_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "atoms.json"
+    path.write_text('[{"x":[0.0],"coef":1.0},{"x":[2.0],"coef":-1.0}]')
+    loads = []
+    real = cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda spec, what: loads.append(what) or real(spec, what))
+    code, out, _ = run_cli(capsys, "predual-norm", "--k", "0", "--atoms", str(path))
+    assert code == 0
+    assert json.loads(out)["results"]["norm"] == pytest.approx(2.0, abs=1e-9)
+    assert loads == ["atoms"]
 
 
 def test_predual_norm_k0_rejects_modulus_breaking_axioms(capsys):

@@ -63,3 +63,19 @@ def test_every_private_helper_is_named_outside_its_definition():
             dead += [f"{path.name}:{node.lineno} {name}" for name in names
                      if name.startswith("_") and not name.startswith("__") and not named[name]]
     assert dead == []
+
+
+def test_every_distance_comes_from_the_one_kernel():
+    # fields._distances is the one distance kernel (README, "Conventions"):
+    # no module calls linalg.norm or imports norm from numpy.linalg, whose
+    # summation order differs from the kernel's at n >= 2; mentions in
+    # docstrings and comments are not calls
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, ast.Attribute) and node.attr == "norm"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                calls.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                calls += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "norm"]
+    assert calls == []

@@ -38,6 +38,13 @@ from ckomega.whitney import whitney_lambda
 
 CTX0 = NormContext(0, 1, mo.linear())
 
+K0_MODULI = (
+    mo.power(0.5),
+    mo.linear(),
+    mo.capped(0.7, 0.5),
+    mo.table([(0.5, 0.6), (1.0, 0.9), (3.0, 1.5)]),
+)
+
 
 # ---------------------------------------------------------------------------
 # pairing
@@ -59,6 +66,66 @@ def test_pair_linearity_on_constants():
     f = field_from_data([[0.0], [1.0]], [1.0, 1.0])
     g = functional([delta([0.0]), delta([1.0])], [2.0, 3.0], CTX0)
     assert pair(f, g) == pytest.approx(5.0)
+
+
+def _per_atom_pair(deriv, g):
+    """<f, g> and sum |term| from a per-atom loop over g's atoms (oracle):
+    deriv(alpha, x) is D^alpha f at one point."""
+    total, size = 0.0, 0.0
+    for a, c in zip(g.atoms, g.coeffs):
+        if a.kind == "delta":
+            terms = [c * deriv(a.alpha, a.x)]
+        else:
+            w = g.ctx.modulus(float(np.linalg.norm(np.subtract(a.x, a.y))))
+            terms = [c * deriv(a.alpha, a.x) / w, -c * deriv(a.alpha, a.y) / w]
+        total += sum(terms)
+        size += sum(abs(t) for t in terms)
+    return total, size
+
+
+def _mixed_functional(rng, n, k, om, m):
+    """delta atoms of random order at random points of m, and for m >= 2
+    three difference atoms of order k between random pairs of them."""
+    pts = rng.uniform(-1, 1, (m, n))
+    mis = multi_indices(n, k)
+    top = [a for a in mis if mi_order(a) == k]
+    atoms = [delta(pts[i], mis[rng.integers(len(mis))]) for i in rng.integers(m, size=m + 2)]
+    for _ in range(3 if m >= 2 else 0):
+        i, j = rng.choice(m, 2, replace=False)
+        atoms.append(difference(pts[i], pts[j], top[rng.integers(len(top))]))
+    return pts, functional(atoms, rng.normal(size=len(atoms)), NormContext(k, n, om))
+
+
+def test_pair_matches_per_atom_loop():
+    # both branches against the per-atom loop, n = 1-3, k = 0-2, delta and
+    # difference atoms; the oracle is called once per alpha with a charge,
+    # on the whole support
+    rng = np.random.default_rng(2718)
+    for trial in range(60):
+        n, k, om = 1 + trial % 3, (trial // 3) % 3, K0_MODULI[(trial // 9) % 4]
+        m = int(rng.integers(1, 7))
+        pts, g = _mixed_functional(rng, n, k, om, m)
+        kf = k + int(rng.integers(2))  # a field of higher order pairs through its prefix
+        fld = WhitneyField(pts, rng.normal(size=(m, len(multi_indices(n, kf)))), kf, n)
+        rows = {tuple(p): i for i, p in enumerate(pts.tolist())}
+        index = {a: s for s, a in enumerate(multi_indices(n, kf))}
+        want, size = _per_atom_pair(lambda alpha, x: fld.coeffs[rows[x], index[alpha]], g)
+        assert abs(pair(fld, g) - want) <= 1e-12 * size
+
+        A = rng.normal(size=(len(index), n))
+        calls = []
+
+        def oracle(alpha, X):
+            calls.append((alpha, X.shape))
+            return np.sin(X @ A[index[alpha]])
+
+        want, size = _per_atom_pair(lambda alpha, x: float(oracle(alpha, np.array([x]))[0]), g)
+        calls.clear()
+        assert abs(pair(oracle, g) - want) <= 1e-12 * size
+        alphas = {a.alpha for a in g.atoms}
+        assert len(calls) == len(alphas)
+        assert {alpha for alpha, _ in calls} == alphas
+        assert all(shape == (len(g.support()), n) for _, shape in calls)
 
 
 def test_pair_missing_jet_raises():
@@ -85,6 +152,17 @@ def test_non_finite_coefficient_rejected():
         functional([delta([0.0])], [np.inf], CTX0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: delta([np.nan]),
+    lambda: delta([0.0, np.inf]),
+    lambda: difference([0.0], [np.nan]),
+    lambda: difference([-np.inf], [0.0]),
+])
+def test_non_finite_atom_point_rejected(make):
+    with pytest.raises(InputError, match="atom point must be finite"):
+        make()
+
+
 def test_atom_deduplication():
     g = functional([delta([0.0]), delta([0.0]), delta([1.0])], [1.0, 2.0, 0.0], CTX0)
     assert len(g.atoms) == 1
@@ -99,6 +177,44 @@ def test_norm_single_atom_is_one():
     assert predual_norm_k0(functional([delta([0.7])], [1.0], CTX0)) == 1.0
 
 
+def test_k0_difference_atoms_match_both_bracket_ends():
+    # at k = 0 both LPs of the bracket are the exact norm, so the transportation
+    # LP on the lowered charges must equal both ends on mixed functionals
+    rng = np.random.default_rng(1961)
+    for trial in range(60):
+        n, om = 1 + trial % 3, K0_MODULI[(trial // 3) % 4]
+        _, g = _mixed_functional(rng, n, 0, om, int(rng.integers(2, 8)))
+        assert any(a.kind == "diff" for a in g.atoms)
+        exact = predual_norm_k0(g)
+        lo, hi = predual_norm_bracket(g)
+        assert exact == pytest.approx(lo, rel=1e-9, abs=1e-9)
+        assert exact == pytest.approx(hi, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("om", K0_MODULI, ids=lambda om: om.kind)
+def test_k0_cancelling_charge_joins_N(om):
+    # omega(d) (delta_0 - delta_y)/omega(d) - delta_0 = -delta_y: the charge at
+    # 0 cancels exactly, the norm is 1, and the certificate stays feasible
+    y = (1.3, 0.4)
+    w = om(float(np.linalg.norm(y)))
+    g = functional([difference([0.0, 0.0], y), delta([0.0, 0.0])], [w, -1.0], NormContext(0, 2, om))
+    assert g.lowering[1].tolist() == [[0.0], [-1.0]]
+    norm, support, u = predual_norm_k0_certificate(g)
+    assert norm == pytest.approx(1.0, abs=1e-12)
+    assert predual_norm_k0(g) == norm
+    assert support == ((0.0, 0.0), y)
+    assert np.all(np.abs(u) <= 1.0 + 1e-12)
+    assert abs(u[0] - u[1]) <= w + 1e-12
+    assert -u[1] == pytest.approx(norm, abs=1e-12)
+
+
+def test_bracket_rejects_a_foreign_context():
+    g = functional([delta([0.0], [1])], [1.0], NormContext(1, 1, mo.linear()))
+    assert predual_norm_bracket(g, NormContext(1, 1, mo.linear())) == predual_norm_bracket(g)
+    with pytest.raises(InputError, match="context"):
+        predual_norm_bracket(g, NormContext(1, 1, mo.power(0.5)))
+
+
 def test_norm_two_point_examples():
     g_far = functional([delta([0.0]), delta([2.0])], [1.0, -1.0], CTX0)
     assert predual_norm_k0(g_far) == pytest.approx(2.0, abs=1e-10)
@@ -110,22 +226,24 @@ def test_norm_rejects_non_k0():
     ctx1 = NormContext(1, 1, mo.linear())
     g = functional([delta([0.0], [1])], [1.0], ctx1)
     with pytest.raises(InputError):
-        predual_norm_k0(g, mo.linear())
+        predual_norm_k0(g)
 
 
 def test_k0_rejects_table_modulus_breaking_axioms():
     # without the axioms the transshipment optimum depends on points whose
     # atoms cancel (3.6426 on the support against 3.5977 with such a point kept)
-    ctx = NormContext(0, 2, mo.linear())
-    g = functional([delta([0.0, 0.0]), delta([0.7, 0.0]), delta([0.0, 1.5])], [1.0, -2.0, 0.5], ctx)
+    def g(om):
+        atoms = [delta([0.0, 0.0]), delta([0.7, 0.0]), delta([0.0, 1.5])]
+        return functional(atoms, [1.0, -2.0, 0.5], NormContext(0, 2, om))
+
     for om, axiom in ((mo.table([(0.5, 0.3), (1.0, 1.2), (3.0, 2.5)]), "t/omega(t) nondecreasing"),
                       (mo.table([(1.0, 1.0), (2.0, 0.5)]), "omega nondecreasing")):
         with pytest.raises(InputError, match=re.escape(axiom)):
-            predual_norm_k0(g, om)
+            predual_norm_k0(g(om))
         with pytest.raises(InputError, match=re.escape(axiom)):
-            predual_norm_k0_certificate(g, om)
+            predual_norm_k0_certificate(g(om))
     # one breakpoint satisfies the axioms by construction
-    assert predual_norm_k0(g, mo.table([(1.0, 2.0)])) > 0.0
+    assert predual_norm_k0(g(mo.table([(1.0, 2.0)]))) > 0.0
 
 
 def _u_lp(points, coeffs, omega):
@@ -185,14 +303,6 @@ def _highs_k0(points, coeffs, omega):
     return -res.fun
 
 
-K0_MODULI = (
-    mo.power(0.5),
-    mo.linear(),
-    mo.capped(0.7, 0.5),
-    mo.table([(0.5, 0.6), (1.0, 0.9), (3.0, 1.5)]),
-)
-
-
 def _k0_case(rng, m, index):
     """A seeded k=0 functional on m distinct points with repeated atoms (merged)
     and, for m >= 2, one point whose atoms cancel; cycles through n = 1..3
@@ -217,7 +327,7 @@ def _k0_case(rng, m, index):
 def _check_k0_certificate(g, om, value):
     """u from the transportation LP's repaired row duals is feasible for the
     u-LP on every pair and attains the norm."""
-    norm, support, u = predual_norm_k0_certificate(g, om)
+    norm, support, u = predual_norm_k0_certificate(g)
     assert norm == value
     P = np.asarray(support)
     c = np.zeros(len(support))
@@ -262,7 +372,7 @@ def test_k0_transportation_matches_dense_u_lp():
     rng = np.random.default_rng(4040)
     for index, m in enumerate((1, 2, 3, 4, 5, 8, 12, 17, 23, 30, 40)):
         g, points, coeffs, om = _k0_case(rng, m, index)
-        value = predual_norm_k0(g, om)
+        value = predual_norm_k0(g)
         assert value == pytest.approx(_dense_u_lp_k0(points, coeffs, om), rel=1e-9, abs=1e-12)
         _check_k0_certificate(g, om, value)
 
@@ -272,7 +382,7 @@ def test_k0_transportation_matches_highs():
     rng = np.random.default_rng(4141)
     for index, m in enumerate(range(1, 41)):
         g, points, coeffs, om = _k0_case(rng, m, index)
-        value = predual_norm_k0(g, om)
+        value = predual_norm_k0(g)
         assert value == pytest.approx(_highs_k0(points, coeffs, om), rel=1e-9, abs=1e-12)
         _check_k0_certificate(g, om, value)
 
@@ -308,7 +418,7 @@ def test_k0_transportation_differential():
         if om.kind == "linear":
             i, j = np.triu_indices(m, 1)
             dear += bool(np.any(np.linalg.norm(pts[i] - pts[j], axis=1) > 2.0))
-        value = predual_norm_k0(g, om)
+        value = predual_norm_k0(g)
         assert value == pytest.approx(_transshipment_k0(g, om), rel=1e-9, abs=1e-12), index
         assert value == pytest.approx(_highs_k0([tuple(p) for p in pts], c, om), rel=1e-9, abs=1e-12)
         _check_k0_certificate(g, om, value)
@@ -357,7 +467,7 @@ def test_norm_matches_vertex_enumeration():
         om = mo.linear() if trial % 2 else mo.power(0.5)
         ctx = NormContext(0, n, om)
         g = functional([delta(p) for p in pts], coeffs, ctx)
-        got = predual_norm_k0(g, om)
+        got = predual_norm_k0(g)
         want = _brute_force_k0([tuple(p) for p in pts], coeffs, om)
         assert got == pytest.approx(want, abs=1e-8)
 
@@ -372,11 +482,11 @@ def test_norm_axioms():
         g1 = functional([delta(p) for p in pts], c1, CTX0)
         g2 = functional([delta(p) for p in pts], c2, CTX0)
         s = float(rng.normal())
-        assert predual_norm_k0(g1.scale(s), om) == pytest.approx(
-            abs(s) * predual_norm_k0(g1, om), abs=1e-9
+        assert predual_norm_k0(g1.scale(s)) == pytest.approx(
+            abs(s) * predual_norm_k0(g1), abs=1e-9
         )
-        assert predual_norm_k0(g1.add(g2), om) <= (
-            predual_norm_k0(g1, om) + predual_norm_k0(g2, om) + 1e-9
+        assert predual_norm_k0(g1.add(g2)) <= (
+            predual_norm_k0(g1) + predual_norm_k0(g2) + 1e-9
         )
 
 
@@ -394,7 +504,7 @@ def test_duality_mcshane_extension_attains_norm():
             pts = rng.uniform(-2, 2, (m, 1))
         coeffs = rng.normal(size=m)
         g = functional([delta(p) for p in pts], coeffs, CTX0)
-        value, support, u = predual_norm_k0_certificate(g, om)
+        value, support, u = predual_norm_k0_certificate(g)
         # u is a feasible trace: its McShane extension has norm <= 1 and
         # pairs with g to the optimum (strong duality realized)
         fld = field_from_data(np.array(support), u)
@@ -419,7 +529,7 @@ def test_difference_atom_norm_formula():
         ctx = NormContext(0, n, om)
         g = functional([delta(x), delta(y)], [1.0, -1.0], ctx)
         d = float(np.linalg.norm(x - y))
-        assert predual_norm_k0(g, om) == pytest.approx(min(2.0, om(d)), abs=1e-9)
+        assert predual_norm_k0(g) == pytest.approx(min(2.0, om(d)), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +585,7 @@ def test_bracket_lo_false_unbounded_ray_raises(seed):
     atoms = [delta(p, mis[rng.integers(len(mis))]) for p in pts]
     g = functional(atoms, rng.normal(size=6), ctx)
     with pytest.raises(NumericalError, match="UNBOUNDED ray fails A d = 0"):
-        solve(_bracket_lps(g, ctx)[0])
+        solve(_bracket_lps(g)[0])
 
 
 def test_bracket_consistent_with_k0_exact_norm():
@@ -487,7 +597,7 @@ def test_bracket_consistent_with_k0_exact_norm():
         m = int(rng.integers(1, 5))
         pts = [tuple(p) for p in rng.uniform(-2, 2, (m, 1))]
         g = functional([delta(p) for p in pts], rng.normal(size=m), CTX0)
-        exact = predual_norm_k0(g, om)
+        exact = predual_norm_k0(g)
         lo, hi = predual_norm_bracket(g, CTX0)
         assert lo == pytest.approx(exact, abs=1e-8)
         assert hi >= exact - 1e-8
@@ -589,7 +699,7 @@ def test_bracket_lps_match_taylor_row_loop():
             atoms.append(difference(pts[i], pts[j], top[rng.integers(len(top))]))
         ctx = NormContext(k, n, om)
         g = functional(atoms, rng.normal(size=len(atoms)), ctx)
-        got, want = _bracket_lps(g, ctx), _loop_bracket_lps(g, ctx)
+        got, want = _bracket_lps(g), _loop_bracket_lps(g, ctx)
         pairs = [(got[0].lhs_eq, want[0].lhs_eq), (got[0].objective, want[0].objective),
                  (got[1].lhs_eq, want[1].lhs_eq), (got[0].rhs_eq, want[0].rhs_eq)]
         values = [(solve(a).optimum, solve(b).optimum) for a, b in zip(got, want)]

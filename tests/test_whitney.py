@@ -9,11 +9,13 @@ import pytest
 
 import ckomega.fields
 from ckomega import modulus as mo
+from ckomega.cutoff import CutoffFamily
 from ckomega.errors import InputError, NumericalError
 from ckomega.extension import mcshane_extension
 from ckomega.fields import (
     Jet,
     NormContext,
+    WhitneyField,
     _distances,
     _mi_table,
     field_from_data,
@@ -26,6 +28,8 @@ from ckomega.fields import (
     mi_sub,
     multi_indices,
 )
+from ckomega.jackson import error_report, finite_rank_LNN, periodize, periodized_derivative, smooth_EN
+from ckomega.markov import probe
 from ckomega.whitney import (
     LambdaReport,
     _reexpansion,
@@ -532,6 +536,37 @@ def test_field_json_round_trip(k, n):
 def test_non_finite_base_point_rejected(build, bad):
     with pytest.raises(InputError, match="jet base point must be finite"):
         build(bad)
+
+
+def _sin(Y):
+    return np.sin(Y[:, 0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: NormContext(0.0, 1, mo.linear()),
+    lambda: NormContext(1.5, 1, mo.linear()),
+    lambda: NormContext(0, 1.0, mo.linear()),
+    lambda: WhitneyField([[0.0]], [[1.0]], 0.0, 1),
+    lambda: WhitneyField([[0.0]], [[1.0]], 0, 1.0),
+    lambda: Jet((0.0,), (1.0,), 0.0),
+    lambda: jet([0.0], [1.0, 2.0], 1.5),
+    lambda: CutoffFamily(1, 2.5),
+    lambda: CutoffFamily(1.0, 2),
+    lambda: periodize(_sin, 2.5, [[0.1]]),
+    lambda: periodize(_sin, 0, [[0.1]]),
+    lambda: periodized_derivative(lambda alpha, Y: _sin(Y), 2.5, (0,), [[0.1]]),
+    lambda: smooth_EN(_sin, 2.5, 4, [[0.1]]),
+    lambda: finite_rank_LNN(lambda alpha, Y: _sin(Y), 4, [[0.1]], (0,), ell=2.5),
+    lambda: error_report(lambda alpha, Y: _sin(Y), 2.5, 4, NormContext(0, 1, mo.linear()), [[0.1], [0.2]]),
+    lambda: probe([0.0], 1.0, 1.7, [[0.0]]),
+    lambda: probe([0.0], 1.0, -1, [[0.0]]),
+])
+def test_integer_parameters_rejected_unless_integers(call):
+    # k, n, ell and the Markov order are counts: a float, even 0.0, is an
+    # input error where it enters, not a TypeError deep inside or a silent
+    # truncation
+    with pytest.raises(InputError, match="must be an integer"):
+        call()
 
 
 # ---------------------------------------------------------------------------
