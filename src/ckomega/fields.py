@@ -30,15 +30,16 @@ from .errors import InputError
 from .modulus import Modulus
 
 
-@lru_cache(maxsize=None)
+# typed: 1.0 must miss the entry of 1, so that its call reaches the check
+@lru_cache(maxsize=None, typed=True)
 def multi_indices(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All multi-indices in Z_+^n with |alpha| <= k, graded lexicographic:
     by order, then descending lexicographic, e.g. (0, 0), (1, 0), (0, 1),
     (2, 0), (1, 1), (0, 2) for n = k = 2. The multisets of r axes, in the
     order combinations_with_replacement yields them, are the order-r
     multi-indices in that order, so nothing is filtered or sorted."""
-    if n < 1 or k < 0:
-        raise InputError("need n >= 1 and k >= 0")
+    _check_int("dimension n", n, 1)
+    _check_int("order k", k, 0)
     return tuple(tuple(axes.count(i) for i in range(n)) for r in range(k + 1)
                  for axes in itertools.combinations_with_replacement(range(n), r))
 
@@ -48,6 +49,14 @@ def _check_int(name: str, value, low: int) -> None:
     of at least low."""
     if not isinstance(value, (int, np.integer)) or value < low:
         raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _multi_index(alpha) -> tuple[int, ...]:
+    """alpha as a tuple of ints; InputError unless each entry is an integer >= 0."""
+    alpha = tuple(alpha)
+    for a in alpha:
+        _check_int("entry of the integer alpha list", a, 0)
+    return tuple(int(a) for a in alpha)
 
 
 def mi_order(alpha) -> int:
@@ -312,11 +321,13 @@ def field_from_json(obj) -> WhitneyField:
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
-        k, n = int(obj["k"]), int(obj["n"])
+        k, n = obj["k"], obj["n"]
         points = list(obj["points"])
         jets_spec = list(obj["jets"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"field JSON needs k, n, points, jets: {exc}") from exc
+    _check_int("field JSON: k", k, 0)
+    _check_int("field JSON: n", n, 1)
     if len(points) != len(jets_spec):
         raise InputError("field JSON: one jet list per point required")
     index = _mi_table(n, k).index
@@ -327,11 +338,11 @@ def field_from_json(obj) -> WhitneyField:
                              f"got {p!r} and {entries!r}")
         for e in entries:
             try:
-                alpha = tuple(int(a) for a in e["alpha"])
+                alpha = _multi_index(e["alpha"])
                 value = float(e["value"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (InputError, KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"field JSON: jet entry {e!r} of point {i} needs an integer "
-                                 f"alpha list and a numeric value") from exc
+                                 f"alpha list and a numeric value ({exc})") from exc
             if alpha not in index:
                 raise InputError(f"bad multi-index {alpha} for n={n}, k={k}")
             coeffs[i, index[alpha]] = value

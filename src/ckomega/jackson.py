@@ -36,7 +36,7 @@ import numpy as np
 from .cutoff import CutoffFamily
 from .errors import InputError
 from .fields import NormContext, _blocks, _mi_table, mi_order, multi_indices
-from .whitney import _sampled_norm
+from .whitney import _sample_points, _sampled_norm
 
 # ---------------------------------------------------------------------------
 # kernel
@@ -106,6 +106,8 @@ def reduce_to_cell(X, period: float) -> np.ndarray:
 
 def _as_points(x, n: int | None = None):
     arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InputError("query points must be finite")
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
         return arr, True, 1
@@ -191,8 +193,6 @@ def _jackson_smooth(periodic_fn, N: int, X: np.ndarray, lam: float,
     n = X.shape[1]
     if n > 3:
         raise InputError("tensor quadrature limited to n <= 3")
-    if not np.all(np.isfinite(X)):
-        raise InputError("query points must be finite")
     mult = _jackson_multipliers(N)
     D = mult.size - 1
     M = _conv_node_count(N, n, quad_target) // 2
@@ -210,10 +210,10 @@ def _jackson_smooth(periodic_fn, N: int, X: np.ndarray, lam: float,
 
 def jackson_smooth_1d(f, N: int, x, quad_target: int | None = None):
     """(L_N f)(x) for a bounded continuous 2pi-periodic f (plain 1D arrays)."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    X, _, _ = _as_points(np.reshape(x, (-1, 1)))
     out = _jackson_smooth(
         lambda Y: np.asarray(f(reduce_to_cell(Y[:, 0], 2.0 * math.pi)), dtype=float),
-        N, xs.reshape(-1, 1), 1.0, quad_target)
+        N, X, 1.0, quad_target)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -361,48 +361,26 @@ def error_report(f_derivs, ell: int, N: int, ctx: NormContext, grid,
                  pairs=None, quad_target: int | None = None) -> ApproxReport:
     """Empirical ratios ||f_ell||/||f||, ||E_N f_ell||/||f|| and the sampled
     C^k error ||f_ell - E_N f_ell|| / ||f|| on a grid in the fundamental cell
-    and on pairs of points in it (default: consecutive grid points)."""
+    and on pairs of points in it (default: consecutive grid points). The
+    sampled-norm routine samples f, f_ell and E_N f_ell once per alpha, so the
+    Jackson engine samples each lattice once."""
     _check_N(N)
-    X = np.atleast_2d(np.asarray(grid, dtype=float))
-    if X.size == 0:
-        raise InputError("degenerate grid")
-    n = ctx.n
-    if X.shape[1] != n:
-        raise InputError("grid dimension mismatch")
-    period = lattice_period(ell, n)
     if pairs is None:
-        pairs = list(zip(X[:-1], X[1:])) if X.shape[0] > 1 else []
-    px = np.array([p[0] for p in pairs], dtype=float).reshape(len(pairs), n)
-    py = np.array([p[1] for p in pairs], dtype=float).reshape(len(pairs), n)
-    points = np.vstack([X, px, py])
-    if not np.all(np.isfinite(points)):
-        raise InputError("grid and pair endpoints must be finite")
-    if np.max(np.abs(points)) >= 0.5 * period:
+        X, _, _ = _sample_points(ctx, grid, [])
+        pairs = list(zip(X[:-1], X[1:]))
+    X, px, py = _sample_points(ctx, grid, pairs)
+    if np.max(np.abs(np.vstack([X, px, py]))) >= 0.5 * lattice_period(ell, ctx.n):
         raise InputError("grid and pair endpoints must lie inside the fundamental cell")
-    cuts = [X.shape[0], X.shape[0] + len(pairs)]
 
-    mis = multi_indices(n, ctx.k)
+    norm_f, _ = _sampled_norm(ctx, f_derivs, X, px, py)
+    norm_fl, fl_vals = _sampled_norm(
+        ctx, lambda a, P: periodized_derivative(f_derivs, ell, a, P), X, px, py)
+    norm_en, en_vals = _sampled_norm(
+        ctx, lambda a, P: finite_rank_LNN(f_derivs, N, P, a, ell=ell, quad_target=quad_target),
+        X, px, py)
+    norm_f, norm_fl, norm_en = norm_f.value, norm_fl.value, norm_en.value
 
-    def all_values(evaluator):
-        # one call per alpha on grid and pair ends together, so the Jackson
-        # engine samples each lattice once
-        vals, pvals = {}, {}
-        for a in mis:
-            vals[a], vx, vy = np.split(np.asarray(evaluator(a, points), dtype=float), cuts)
-            pvals[a] = (vx, vy)
-        return vals, pvals
-
-    f_vals, f_pvals = all_values(f_derivs)
-    fl_vals, fl_pvals = all_values(
-        lambda a, P: periodized_derivative(f_derivs, ell, a, P))
-    en_vals, en_pvals = all_values(
-        lambda a, P: finite_rank_LNN(f_derivs, N, P, a, ell=ell, quad_target=quad_target))
-
-    norm_f = _sampled_norm(ctx, X, f_vals, px, py, f_pvals).value
-    norm_fl = _sampled_norm(ctx, X, fl_vals, px, py, fl_pvals).value
-    norm_en = _sampled_norm(ctx, X, en_vals, px, py, en_pvals).value
-
-    errs = {a: float(np.max(np.abs(fl_vals[a] - en_vals[a]))) for a in mis}
+    errs = {a: float(np.max(np.abs(fl_vals[a] - en_vals[a]))) for a in fl_vals}
     sup_err = max(errs.values())
 
     def ratio(v):
@@ -410,7 +388,7 @@ def error_report(f_derivs, ell: int, N: int, ctx: NormContext, grid,
 
     return ApproxReport(
         N, ell, norm_f, norm_fl, norm_en, sup_err, errs,
-        ratio(norm_fl), ratio(norm_en), ratio(sup_err), X.shape[0], len(pairs),
+        ratio(norm_fl), ratio(norm_en), ratio(sup_err), len(X), len(px),
     )
 
 
@@ -429,34 +407,25 @@ def weakstar_check(fns, ctx: NormContext, probes, norm_cap: float,
     """Check the two sampled conditions characterizing weak* convergence of a
     sequence: (a) sampled norms uniformly bounded by the cap, (b) per-probe
     Cauchy-style convergence of all D^alpha f_i(x) within tol (tail of the
-    last half against the final element)."""
+    last half against the final element). The grid defaults to the probes,
+    the pairs to 1e-3 steps along axis 0 and consecutive grid points; the
+    sampled-norm routine samples each function once per alpha for its norm."""
     P = np.atleast_2d(np.asarray(probes, dtype=float))
     if P.shape[1] != ctx.n:
         raise InputError("probe dimension mismatch")
+    if not np.all(np.isfinite(P)):
+        raise InputError("probes must be finite")
     if grid is None:
         grid = P
-    G = np.atleast_2d(np.asarray(grid, dtype=float))
     if pairs is None:
-        pairs = []
+        G, _, _ = _sample_points(ctx, grid, [])
         step = np.zeros(ctx.n)
         step[0] = 1e-3
-        for g in G:
-            pairs.append((g, g + step))
-        pairs.extend(zip(G[:-1], G[1:]))
-    px = np.array([p[0] for p in pairs]).reshape(-1, ctx.n)
-    py = np.array([p[1] for p in pairs]).reshape(-1, ctx.n)
-    if not all(np.isfinite(A).all() for A in (P, G, px, py)):
-        raise InputError("probes, grid and pair endpoints must be finite")
+        pairs = [(g, g + step) for g in G] + list(zip(G[:-1], G[1:]))
+    G, px, py = _sample_points(ctx, grid, pairs)
     mis = multi_indices(ctx.n, ctx.k)
-    top = [a for a in mis if mi_order(a) == ctx.k]
 
-    norms = []
-    for f in fns:
-        vals = {a: np.asarray(f(a, G), dtype=float) for a in mis}
-        # only the top order enters the seminorm, so only it is sampled on pairs
-        pvals = {a: (np.asarray(f(a, px), dtype=float), np.asarray(f(a, py), dtype=float))
-                 for a in top}
-        norms.append(_sampled_norm(ctx, G, vals, px, py, pvals).value)
+    norms = [_sampled_norm(ctx, f, G, px, py)[0].value for f in fns]
     if any(v > norm_cap for v in norms):
         return ConvergenceVerdict(False, "norm_bound", tuple(norms), norm_cap,
                                   math.inf, tol)

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .fields import NormContext, WhitneyField, _distances, _mi_table, mi_order
+from .fields import NormContext, WhitneyField, _distances, _mi_table, _multi_index, mi_order
 from .modulus import validate
 from .simplex import OPTIMAL, LinearProgram, solve
 from .whitney import _reexpansion, whitney_lambda
@@ -75,14 +75,14 @@ class Atom:
 
 def delta(x, alpha=None) -> Atom:
     x = tuple(float(v) for v in np.atleast_1d(x))
-    alpha = (0,) * len(x) if alpha is None else tuple(int(a) for a in alpha)
+    alpha = (0,) * len(x) if alpha is None else _multi_index(alpha)
     return Atom("delta", x, alpha)
 
 
 def difference(x, y, alpha=None) -> Atom:
     x = tuple(float(v) for v in np.atleast_1d(x))
     y = tuple(float(v) for v in np.atleast_1d(y))
-    alpha = (0,) * len(x) if alpha is None else tuple(int(a) for a in alpha)
+    alpha = (0,) * len(x) if alpha is None else _multi_index(alpha)
     return Atom("diff", x, alpha, y)
 
 

@@ -6,6 +6,11 @@ denominator ||x-y||^(k-|alpha|) * omega(||x-y||)), sampled C^{k,omega} norm
 estimates for callables (reported as lower bounds), and higher-order chain
 rule pullbacks of jets through a differentiable map.
 
+One sampled-norm routine serves ck_norm_estimate and jackson's error_report
+and weakstar_check: _sample_points parses and checks the grid and the pairs
+before any call, and _sampled_norm samples the derivative oracle once per
+alpha, the top orders on the grid and the pair ends together.
+
 One Taylor re-expansion operator, D^alpha T(x + dz) = sum_gamma dz^gamma /
 gamma! c_{alpha+gamma}, serves taylor_eval, whitney_lambda and the predual
 bracket's rows: the monomials come from a recurrence (one product each, no
@@ -24,8 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .fields import (Jet, NormContext, WhitneyField, _blocks, _distances, _mi_table, mi_order,
-                     multi_indices)
+from .fields import Jet, NormContext, WhitneyField, _blocks, _distances, _mi_table, mi_order
 
 
 def taylor_eval(j: Jet, alpha, z) -> float:
@@ -219,54 +223,64 @@ def ck_norm_estimate(deriv, ctx: NormContext, sample, pair_sample) -> NormEstima
     sample : (m, n) array of grid points for the sup part.
     pair_sample : list of (x, y) pairs with x != y for the seminorm part.
     """
-    pts = np.atleast_2d(np.asarray(sample, dtype=float))
-    if pts.size == 0:
+    X, px, py = _sample_points(ctx, sample, pair_sample)
+    return _sampled_norm(ctx, lambda alpha, P: [float(deriv(alpha, x)) for x in P], X, px, py)[0]
+
+
+def _sample_points(ctx: NormContext, grid, pairs):
+    """The grid as an (m, n) float array and the pair ends as two (p, n)
+    arrays px, py: the one parser of a sampled norm's sample. Raises
+    InputError, before any function is sampled, if the grid is empty, a point
+    is not in R^n (a pair end may be a scalar when n = 1) or not finite, or
+    a pair's ends coincide."""
+    n = ctx.n
+    try:
+        X = np.atleast_2d(np.asarray(grid, dtype=float))
+        ends = np.asarray([(x, y) for x, y in pairs], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"sample points must be points of R^{n}: {exc}") from exc
+    if n == 1 and ends.ndim == 2:
+        ends = ends[:, :, None]
+    if X.size == 0:
         raise InputError("empty sample grid")
-    if pts.shape[1] != ctx.n:
-        raise InputError("sample dimension mismatch")
-    mis = multi_indices(ctx.n, ctx.k)
-    pairs = list(pair_sample)
-    px = np.array([x for x, _ in pairs], dtype=float).reshape(len(pairs), ctx.n)
-    py = np.array([y for _, y in pairs], dtype=float).reshape(len(pairs), ctx.n)
-
-    def at(alpha, X):
-        return np.array([float(deriv(alpha, x)) for x in X])
-
-    values = {alpha: at(alpha, pts) for alpha in mis}
-    pair_values = {alpha: (at(alpha, px), at(alpha, py)) for alpha in mis
-                   if mi_order(alpha) == ctx.k}
-    return _sampled_norm(ctx, pts, values, px, py, pair_values)
-
-
-def _sampled_norm(ctx: NormContext, grid, values, px, py, pair_values) -> NormEstimate:
-    """Sampled sup part and order-k oscillation part of a function given by
-    its derivative samples.
-
-    values maps alpha to D^alpha f on the rows of grid; pair_values maps alpha
-    to (D^alpha f(px), D^alpha f(py)) on the pairs (px[i], py[i]), of which
-    only |alpha| = k enters the seminorm. A non-finite sample raises
-    NumericalError naming alpha and the point; coincident pair endpoints
-    raise InputError.
-    """
-    dists = _distances(px.T, py.T)
-    if np.any(dists == 0.0):
+    if X.ndim != 2 or X.shape[1] != n:
+        raise InputError(f"sample grid points must lie in R^{n}, got an array of shape {X.shape}")
+    if len(ends) and ends.shape[1:] != (2, n):
+        raise InputError(f"sample pairs need two ends in R^{n}, got an array of shape {ends.shape}")
+    ends = ends.reshape(-1, 2, n)
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(ends))):
+        raise InputError("sample grid and pair endpoints must be finite")
+    px, py = ends[:, 0], ends[:, 1]
+    if np.any(_distances(px.T, py.T) == 0.0):
         raise InputError("pair sample contains coincident endpoints")
-    samples = [(alpha, grid, v) for alpha, v in values.items()]
-    for alpha, (vx, vy) in pair_values.items():
-        samples += [(alpha, px, vx), (alpha, py, vy)]
-    for alpha, X, v in samples:
+    return X, px, py
+
+
+def _sampled_norm(ctx: NormContext, oracle, X, px, py):
+    """The NormEstimate of f on a sample from _sample_points, and
+    {alpha: D^alpha f on X}.
+
+    oracle(alpha, P) returns D^alpha f on the rows of P; it is called once per
+    alpha, on X for |alpha| < k and on X, px and py stacked for |alpha| = k,
+    the only order the seminorm reads. A non-finite value raises
+    NumericalError naming alpha and the point.
+    """
+    m, p = len(X), len(px)
+    t = _mi_table(ctx.n, ctx.k)
+    stacked = np.vstack([X, px, py])
+    om = ctx.modulus(_distances(px.T, py.T)) if p else None
+    values, sup, semi = {}, 0.0, 0.0
+    for alpha, order in zip(t.mis, t.order):
+        P = stacked if order == ctx.k else X
+        v = np.asarray(oracle(alpha, P), dtype=float)
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:
-            raise NumericalError(f"derivative {alpha} at {X[bad[0]]} is not finite")
-
-    sup = max((float(np.max(np.abs(v))) for v in values.values() if v.size), default=0.0)
-    semi = 0.0
-    if len(dists):
-        om = ctx.modulus(dists)
-        for alpha, (vx, vy) in pair_values.items():
-            if mi_order(alpha) == ctx.k:
-                semi = max(semi, float(np.max(np.abs(vx - vy) / om)))
-    return NormEstimate(sup, semi, len(grid), len(dists))
+            raise NumericalError(f"derivative {alpha} at {P[bad[0]]} is not finite")
+        values[alpha] = v[:m]
+        sup = max(sup, float(np.max(np.abs(v[:m]))))
+        if order == ctx.k and p:
+            semi = max(semi, float(np.max(np.abs(v[m:m + p] - v[m + p:]) / om)))
+    return NormEstimate(sup, semi, m, p), values
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,28 @@ def test_norm_malformed_field_json_exit_1(capsys, points, jets, names):
     assert err.startswith("input error: field JSON") and names in err
 
 
+@pytest.mark.parametrize("field, names", [
+    ({"k": 0.9, "n": 1, "points": [[0.0]], "jets": [[]]}, "field JSON: k must be an integer >= 0, got 0.9"),
+    ({"k": 0, "n": 1.0, "points": [[0.0]], "jets": [[]]}, "field JSON: n must be an integer >= 1, got 1.0"),
+    # at k = 1 the stray (0.9,) entry would overwrite the point's (0,) value
+    ({"k": 1, "n": 1, "points": [[0.0], [1.0]],
+      "jets": [[{"alpha": [0], "value": 0.0}, {"alpha": [0.9], "value": 5.0}],
+               [{"alpha": [0], "value": 1.0}]]}, "jet entry {'alpha': [0.9], 'value': 5.0} of point 0"),
+])
+def test_norm_field_json_non_integer_order_or_index_exit_1(capsys, field, names):
+    code, _, err = run_cli(capsys, "norm", "--field", json.dumps(field))
+    assert code == 1
+    assert err.startswith("input error: ") and names in err
+
+
+@pytest.mark.parametrize("atom", ['{"x":[0.0],"alpha":[0.7]}',
+                                  '{"type":"diff","x":[0.0],"y":[1.0],"alpha":[1.5]}'])
+def test_predual_norm_non_integer_alpha_exit_1(capsys, atom):
+    code, _, err = run_cli(capsys, "predual-norm", "--k", "1", "--atoms", f"[{atom}]")
+    assert code == 1
+    assert err.startswith("input error: atom entry 0") and "integer alpha list" in err
+
+
 @pytest.mark.parametrize("points, jets", [
     ([[0.5]], [[{"alpha": [0, 0], "value": 1.0}]]),  # 1 coordinate for n = 2, with an entry
     ([[0.5]], [[]]),  # the same point with no entries

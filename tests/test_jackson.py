@@ -357,6 +357,28 @@ def test_LNN_rejects_non_finite_queries(bad):
         finite_rank_LNN(sin_derivs, 8, np.array([[bad]]), (0,))
 
 
+@pytest.mark.parametrize("entry", [
+    lambda f, d, x: periodize(f, 2, x),
+    lambda f, d, x: periodized_derivative(d, 2, (1,), x),
+    lambda f, d, x: smooth_EN(f, 2, 8, x),
+    lambda f, d, x: finite_rank_LNN(d, 8, x, (1,), ell=2),
+    lambda f, d, x: jackson_smooth_1d(f, 8, np.ravel(x)),
+], ids=["periodize", "periodized_derivative", "smooth_EN", "finite_rank_LNN", "jackson_smooth_1d"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_every_jackson_entry_rejects_non_finite_points_before_sampling(entry, bad):
+    # each entry checks its query points once, where they enter, and never
+    # evaluates f at the NaN they would reduce to
+    calls = []
+
+    def f(Y):
+        calls.append(Y)
+        return np.sin(np.asarray(Y).reshape(len(Y), -1)[:, 0])
+
+    with pytest.raises(InputError, match="query points must be finite"):
+        entry(f, lambda alpha, Y: f(Y), np.array([[0.5], [bad]]))
+    assert calls == []
+
+
 def test_smooth_EN_guards_dimension():
     with pytest.raises(InputError):
         smooth_EN(lambda Y: np.ones(Y.shape[0]), 1, 4, np.zeros(4))

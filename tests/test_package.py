@@ -79,3 +79,22 @@ def test_every_distance_comes_from_the_one_kernel():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
                 calls += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "norm"]
     assert calls == []
+
+
+def test_every_public_lru_cache_is_typed():
+    # lru_cache keys 1.0 and 1 alike, so an untyped cache answers a float
+    # call from an int entry before the function can reject it
+    untyped = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            for dec in node.decorator_list:
+                func = dec.func if isinstance(dec, ast.Call) else dec
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name != "lru_cache":
+                    continue
+                typed = [kw.value for kw in getattr(dec, "keywords", []) if kw.arg == "typed"]
+                if not (typed and isinstance(typed[0], ast.Constant) and typed[0].value is True):
+                    untyped.append(f"{path.name}:{node.lineno} {node.name}")
+    assert untyped == []

@@ -487,6 +487,14 @@ def test_multi_indices_properties(n):
         assert set(mis) == everything
 
 
+@pytest.mark.parametrize("n, k", [(2, 1.0), (2.0, 1), (np.float64(2), 1)])
+def test_multi_indices_rejects_a_float_after_the_int_is_cached(n, k):
+    # 1.0 hashes like 1: the check must run before the cache answers
+    multi_indices(int(n), int(k))
+    with pytest.raises(InputError, match="must be an integer"):
+        multi_indices(n, k)
+
+
 def test_field_validation_memory_is_bounded_by_blocks():
     # the whole (m, m, n) difference array at this size would be 96 MB; one
     # block's temporaries are 8 * _BLOCK_ELEMS bytes, plus 1 MB for the jets
