@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import InputError
-from .fields import _blocks, _check_int, mi_order, multi_indices
+from .fields import _blocks, _check_int, _multi_index, mi_order, multi_indices
 
 _H = 0.5  # bump radius
 _EDGE = 1.5  # mollified indicator half-width
@@ -156,7 +156,7 @@ class CutoffFamily:
         (a lattice has few), then gathered; the product runs over the axes in
         order, as ``np.prod(..., axis=1)`` does, so the values are the
         per-point ones bitwise."""
-        alpha = tuple(int(a) for a in alpha)
+        alpha = _multi_index(alpha)
         if len(alpha) != self.n:
             raise InputError("multi-index dimension mismatch")
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -35,7 +35,7 @@ import numpy as np
 
 from .cutoff import CutoffFamily
 from .errors import InputError
-from .fields import NormContext, _blocks, _mi_table, mi_order, multi_indices
+from .fields import NormContext, _blocks, _mi_table, _multi_index, mi_order, multi_indices
 from .whitney import _sample_points, _sampled_norm
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def periodized_derivative(f_derivs, ell: int, alpha, x):
     index, taken in graded nu order; the coefficient alpha! / (nu! rho!), a
     quotient of exact integers, is the product of the coordinate binomials.
     """
-    alpha = tuple(int(a) for a in alpha)
+    alpha = _multi_index(alpha)
     X, single, n = _as_points(x, len(alpha) if len(alpha) > 1 else None)
     if len(alpha) != n:
         raise InputError("multi-index dimension mismatch")
@@ -228,7 +228,7 @@ def finite_rank_LNN(f_derivs, N: int, x, alpha, ell: int | None = None,
                     quad_target: int | None = None):
     """D^alpha (L_{N,ell} f)(x) = (E_N D^alpha f_ell)(x), default ell = N,
     with D^alpha f_ell from periodized_derivative."""
-    alpha = tuple(int(a) for a in alpha)
+    alpha = _multi_index(alpha)
     n = len(alpha)
     X, single, n_pts = _as_points(x)
     if n_pts != n:

@@ -217,14 +217,11 @@ def _k0_norm_lp(g: AtomicFunctional):
     pos = c > 0.0
     P, N = np.flatnonzero(pos), np.flatnonzero(~pos)
     w = omega(_distances(points.T[:, P, None], points.T[:, None, N]).ravel()).reshape(P.size, N.size)
-    # Ground arcs first give a feasible basis in m phase-1 pivots; arcs in
-    # increasing cost make Bland's rule enter cheap arcs first (2-9x fewer
-    # pivots than pair order at m = 28-60, more with more negative charges).
-    order = np.argsort(w, axis=None, kind="stable")
-    arcs = np.zeros((m, order.size))
-    arcs[P[order // N.size], np.arange(order.size)] = 1.0  # arc i -> j: +1 at i, -1 at j
-    arcs[N[order % N.size], np.arange(order.size)] = -1.0
-    sol = solve(LinearProgram(np.concatenate([np.ones(m), w.ravel()[order]]),
+    pa, na = np.divmod(np.arange(w.size), N.size)  # arc P[pa] -> N[na]: +1 at P[pa], -1 at N[na]
+    arcs = np.zeros((m, w.size))
+    arcs[P[pa], np.arange(w.size)] = 1.0
+    arcs[N[na], np.arange(w.size)] = -1.0
+    sol = solve(LinearProgram(np.concatenate([np.ones(m), w.ravel()]),
                               np.hstack([np.diag(np.where(pos, 1.0, -1.0)), arcs]), c))
     if sol.status != OPTIMAL:
         raise NumericalError(f"k=0 norm LP unexpectedly {sol.status}")

@@ -1,4 +1,4 @@
-"""Dense two-phase simplex with Bland's rule, on one standard form.
+"""Dense two-phase simplex on one standard form.
 
 Internal LP layer powering predual norms and Markov ratios. Every LP is
 
@@ -7,10 +7,11 @@ Internal LP layer powering predual norms and Markov ratios. Every LP is
 callers whose natural problem has free variables or inequality rows pose its
 LP dual instead, which is of this form, and read their free variables off
 the duals of its rows (``LPSolution.dual_eq``). Problems are small and
-dense, so determinism wins over speed: fixed Bland pivoting (smallest
-eligible index enters; ties in the ratio test broken by smallest basic
-index) makes identical inputs produce identical pivot sequences and outputs.
-The tableau holds the structural columns, then one artificial per row.
+dense. Pivots follow Dantzig's rule, with Bland's rule after a degenerate
+streak (``_iterate``); every choice breaks ties by index, so identical
+inputs produce identical pivot sequences and outputs. The tableau holds the
+structural columns, then one artificial per row; phase 1 starts from a
+crash basis that puts a unit column of A in every row that has one.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ _PIVOT_TOL = 1e-9
 _COST_TOL = 1e-9
 _PHASE1_TOL = 1e-8
 _RAY_TOL = 1e-7  # |A d| allowed per unit of ||A|| ||d||, as the duality gap per unit of optimum
+_DEGENERATE_TOL = 1e-12  # a pivot whose leaving row has rhs <= this does not move x
+_STALL = 50  # consecutive degenerate pivots after which Bland's rule chooses
 
 OPTIMAL = "OPTIMAL"
 UNBOUNDED = "UNBOUNDED"
@@ -102,20 +105,32 @@ def _pivot(T, r, j):
     T[r, j] = 1.0
 
 
-def _bland_iterate(T, basis, max_iter):
+def _iterate(T, basis, max_iter):
     """Run simplex pivots on tableau T (last row = reduced costs, last column
     = rhs / negated objective) until optimal or unbounded. Minimization
     convention: optimal when all reduced costs >= -tol. basis is an int
-    array, updated in place."""
+    array, updated in place.
+
+    Dantzig's rule enters the most negative reduced cost; the ratio test
+    leaves, among rows within 1e-12 of the smallest ratio, the one with the
+    largest pivot entry, which keeps the tableau well conditioned. Once
+    ``_STALL`` pivots in a row are degenerate (leaving rhs <= 1e-12), Bland's
+    rule (smallest eligible index enters, smallest basic index leaves)
+    chooses until a pivot is not. This terminates: a cycle consists only of
+    degenerate pivots, Bland's rule cannot cycle, so every degenerate streak
+    ends, and each non-degenerate pivot strictly lowers the objective, so no
+    basis recurs across one.
+    """
     m = T.shape[0] - 1
     ncol = T.shape[1] - 1
-    it = 0
+    it = stall = 0
     if ncol == 0:
         return "optimal", it, None
     while True:
-        eligible = T[-1, :ncol] < -_COST_TOL
-        j = int(eligible.argmax())  # Bland: smallest eligible index enters
-        if not eligible[j]:
+        bland = stall >= _STALL
+        cost = T[-1, :ncol]
+        j = int((cost < -_COST_TOL).argmax()) if bland else int(cost.argmin())
+        if cost[j] >= -_COST_TOL:
             return "optimal", it, None
         col = T[:m, j]
         rows = np.flatnonzero(col > _PIVOT_TOL)
@@ -126,7 +141,8 @@ def _bland_iterate(T, basis, max_iter):
         else:
             ratios = T[rows, ncol] / col[rows]
             tied = rows[ratios <= ratios.min() + 1e-12]
-            r = int(tied[np.argmin(basis[tied])])  # Bland: smallest basic index leaves
+            r = int(tied[np.argmin(basis[tied])] if bland else tied[np.argmax(col[tied])])
+        stall = stall + 1 if T[r, ncol] <= _DEGENERATE_TOL else 0
         _pivot(T, r, j)
         basis[r] = j
         it += 1
@@ -153,19 +169,29 @@ def solve(lp: LinearProgram) -> LPSolution:
     T[:rows, nv:ncol] = np.eye(rows)
     T[:rows, ncol] = b * flip
     basis = np.arange(nv, ncol)
+    # crash: a row takes the first column whose one nonzero is a positive
+    # entry there, scaled to 1; the tableau stays B^-1 [A | I]
+    unit = np.flatnonzero(np.count_nonzero(full, axis=0) == 1)
+    at = np.nonzero(full[:, unit].T)[1]  # the row of each, in column order
+    positive = full[at, unit] > 0.0
+    crashed, first = np.unique(at[positive], return_index=True)
+    unit = unit[positive][first]
+    T[crashed] /= full[crashed, unit][:, None]
+    basis[crashed] = unit
     max_iter = 2000 + 60 * (rows + ncol)
     iterations = 0
-    drop_rows = []
+    keep = np.ones(rows, dtype=bool)
 
-    if rows:
-        # phase 1: minimize sum of artificials
+    artificial = basis >= nv
+    if artificial.any():
+        # phase 1: minimize the sum of the artificials; only those of the rows
+        # left without a unit column are basic
         T[-1, nv:ncol] = 1.0
-        for i in range(rows):
-            T[-1, :] -= T[i, :]
+        T[-1] -= T[:rows][artificial].sum(axis=0)
         # phase 1 is bounded below by 0, so an "unbounded" stop is rounding
         # drift on a reduced cost near -_COST_TOL: only the artificial sum
         # decides feasibility
-        _, it1, _ = _bland_iterate(T, basis, max_iter)
+        _, it1, _ = _iterate(T, basis, max_iter)
         iterations += it1
         if -T[-1, ncol] > _PHASE1_TOL:
             # the phase-1 duals, read off the artificials' reduced costs
@@ -174,33 +200,28 @@ def solve(lp: LinearProgram) -> LPSolution:
             return LPSolution(INFEASIBLE, None, None, None, iterations)
         # drive remaining artificials out of the basis (degenerate at zero);
         # a row with no structural entry left is redundant and dropped
-        for i in range(rows):
-            if basis[i] >= nv:
-                nz = np.where(np.abs(T[i, :nv]) > _PIVOT_TOL)[0]
-                if nz.size == 0:
-                    drop_rows.append(i)
-                    continue
-                j = int(nz[0])
-                _pivot(T, i, j)
-                basis[i] = j
-    keep_rows = [i for i in range(rows) if i not in drop_rows]
+        for i in np.flatnonzero(basis >= nv):
+            nz = np.flatnonzero(np.abs(T[i, :nv]) > _PIVOT_TOL)
+            if nz.size == 0:
+                keep[i] = False
+                continue
+            _pivot(T, i, int(nz[0]))
+            basis[i] = nz[0]
+    keep_rows = np.flatnonzero(keep)
     basis = basis[keep_rows]
 
     # phase 2 on the structural columns and the rhs, with the true costs
-    T = T[np.ix_(keep_rows + [rows], np.r_[:nv, ncol])]
+    T = T[np.ix_(np.append(keep_rows, rows), np.r_[:nv, ncol])]
     T[-1, :nv], T[-1, nv] = c, 0.0
-    for i, j in enumerate(basis):
-        if c[j] != 0.0:
-            T[-1, :] -= c[j] * T[i, :]
-    status, it2, enter_j = _bland_iterate(T, basis, max_iter)
+    T[-1] -= c[basis] @ T[:-1]
+    status, it2, enter_j = _iterate(T, basis, max_iter)
     iterations += it2
 
     if status == "unbounded":
         # x moves along e_enter - T[:, enter] on the basis
         ray = np.zeros(nv)
         ray[enter_j] = 1.0
-        for i, j in enumerate(basis):
-            ray[j] -= T[i, enter_j]
+        ray[basis] -= T[:-1, enter_j]
         _check_ray(c, A, ray, iterations)
         return LPSolution(UNBOUNDED, None, None, None, iterations, ray=ray)
 
@@ -269,7 +290,7 @@ def _certify(lp, x, full, flip, basis, keep_rows):
     c, A, b = lp.objective, lp.lhs_eq, lp.rhs_eq
     feas = max(float(np.max(np.abs(A @ x - b), initial=0.0)), float(np.max(-x, initial=0.0)))
     w = np.zeros(b.size)
-    if keep_rows:
+    if keep_rows.size:
         B = full[keep_rows][:, basis]
         try:
             what = np.linalg.solve(B.T, c[basis])

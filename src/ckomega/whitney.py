@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .fields import Jet, NormContext, WhitneyField, _blocks, _distances, _mi_table, mi_order
+from .fields import Jet, NormContext, WhitneyField, _blocks, _distances, _mi_table, _multi_index, mi_order
 
 
 def taylor_eval(j: Jet, alpha, z) -> float:
@@ -39,7 +39,7 @@ def taylor_eval(j: Jet, alpha, z) -> float:
     D^alpha T(z) = sum_gamma c_{alpha+gamma} / gamma! (z - x)^gamma, the
     jet re-expanded across the step z - x.
     """
-    alpha = tuple(int(a) for a in alpha)
+    alpha = _multi_index(alpha)
     if mi_order(alpha) > j.k:
         raise InputError(f"derivative order {alpha} exceeds jet order {j.k}")
     a_idx = _mi_table(j.n, j.k).index.get(alpha)
@@ -299,7 +299,7 @@ def faa_di_bruno_pullback(f_jet_at_Hx: Jet, H_jets_at_x, alpha) -> float:
     sum_{|lam| <= K} D^lam f(H(x)) / lam! dH^lam. Jets of order above K
     contribute their order-K prefix.
     """
-    alpha = tuple(int(a) for a in alpha)
+    alpha = _multi_index(alpha)
     n, K = len(alpha), mi_order(alpha)
     if len(H_jets_at_x) != f_jet_at_Hx.n:
         raise InputError("need one component jet of H per coordinate of f's domain")

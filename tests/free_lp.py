@@ -34,9 +34,9 @@ class FreeSolution:
 
 
 def lower(c, lhs_ineq=None, rhs_ineq=None, lhs_eq=None, rhs_eq=None, sense="max") -> LinearProgram:
-    """The free-form LP as a LinearProgram on z = (s, p, q) >= 0. Slacks come
-    first, so that Bland's rule brings them into the phase-1 basis first, one
-    sparse pivot each, wherever the right-hand side is nonnegative."""
+    """The free-form LP as a LinearProgram on z = (s, p, q) >= 0. Each slack
+    is a unit column, so the simplex's crash basis starts it basic wherever
+    the right-hand side is nonnegative, and no phase-1 pivot brings it in."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     nv = c.size
     A = np.zeros((0, nv)) if lhs_ineq is None else np.atleast_2d(np.asarray(lhs_ineq, dtype=float))

@@ -4,8 +4,9 @@ import re
 
 import numpy as np
 import pytest
-from free_lp import solve_free
+from free_lp import lower, solve_free
 
+import ckomega.simplex
 from ckomega.errors import InputError, NumericalError
 from ckomega.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, _check_farkas, _check_ray, solve
 
@@ -164,6 +165,10 @@ def test_plain_infeasible_lp_certifies_itself():
     s = solve(LinearProgram([1.0, 1.0], A, [-1.0, 3.0]))
     assert s.status == INFEASIBLE and s.x is None and s.dual_eq is None
     assert solve(LinearProgram([1.0, 1.0], A, [1.0, 1.0])).status == OPTIMAL
+    # -x1 - s = -1 takes the unit column of s after its flip, x1 = 2 keeps an
+    # artificial: the Farkas vector is read off both kinds of row
+    s = solve(LinearProgram([0.0, 0.0], [[-1.0, -1.0], [1.0, 0.0]], [-1.0, 2.0]))
+    assert s.status == INFEASIBLE
     # rows and no columns: b != 0 is infeasible, with y = sign(b)
     assert solve(LinearProgram(np.zeros(0), np.zeros((2, 0)), [0.0, -2.0])).status == INFEASIBLE
 
@@ -311,17 +316,24 @@ def _degenerate_lp(rng, kind):
     return c, A, b
 
 
+def _degenerate_suite():
+    """(kind, c, A, b) of the 240 seeded degenerate LPs; every eighth
+    non-Beale one gets an inconsistent copy of a row."""
+    rng = np.random.default_rng(1977)
+    for trial in range(240):
+        kind = ("degenerate", "redundant", "duplicated", "beale")[trial % 4]
+        c, A, b = _degenerate_lp(rng, kind)
+        if kind != "beale" and trial % 8 == 1:
+            A, b = np.vstack([A, A[:1]]), np.append(b, b[0] + 1.0)
+        yield kind, c, A, b
+
+
 def test_degenerate_lps_match_highs():
     pytest.importorskip("scipy")
     from scipy.optimize import linprog
 
-    rng = np.random.default_rng(1977)
     seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
-    for trial in range(240):
-        kind = ("degenerate", "redundant", "duplicated", "beale")[trial % 4]
-        c, A, b = _degenerate_lp(rng, kind)
-        if kind != "beale" and trial % 8 == 1:  # an inconsistent copy of a row
-            A, b = np.vstack([A, A[:1]]), np.append(b, b[0] + 1.0)
+    for trial, (kind, c, A, b) in enumerate(_degenerate_suite()):
         s = solve(LinearProgram(c, A, b))
         ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
         assert s.status == {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status], (trial, kind)
@@ -337,3 +349,50 @@ def test_degenerate_lps_match_highs():
             assert np.all(s.ray >= -1e-9) and np.allclose(A @ s.ray, 0.0, atol=1e-9)
             assert c @ s.ray < -1e-9
     assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("stall", [0, 10**9], ids=["bland", "dantzig"])
+def test_both_pricing_rules_reach_the_default_optima(stall, monkeypatch):
+    # Bland's rule from the first pivot (stall 0) and Dantzig's with no
+    # fallback. Dantzig's rule alone cycles on some of the Beale LPs, the
+    # textbook case; at the default setting those reach the fallback after
+    # a degenerate streak, and the fallback solves them
+    cases = [(kind, LinearProgram(c, A, b)) for kind, c, A, b in _degenerate_suite()]
+    rng = np.random.default_rng(2024)
+    for _ in range(120):
+        A, b, c = _random_bounded_lp(rng, int(rng.integers(2, 4)))
+        cases.append(("vertex", lower(c, A, b)))
+    default = [solve(lp) for _, lp in cases]
+    monkeypatch.setattr(ckomega.simplex, "_STALL", stall)
+    cycled = 0
+    for i, ((kind, lp), want) in enumerate(zip(cases, default)):
+        try:
+            got = solve(lp)
+        except NumericalError as exc:
+            assert stall > 0 and kind == "beale" and "cycling" in str(exc), i
+            cycled += 1
+            continue
+        assert got.status == want.status, i
+        if got.status == OPTIMAL:
+            assert got.optimum == pytest.approx(want.optimum, abs=1e-9 * (1 + abs(want.optimum))), i
+    assert cycled > 0 or stall == 0
+
+
+def test_tiny_entry_column_is_a_crash_basis():
+    # x = 1e12 is the only solution of 1e-12 x = 1. The column has one
+    # positive entry, so it is basic from the start, scaled to 1, and no
+    # tolerance judges the 1e-12 pivot; from the artificial basis the ratio
+    # test skipped it, and phase 1 ended with a Farkas vector that failed
+    # its check
+    s = solve(LinearProgram([1.0], [[1e-12]], [1.0]))
+    assert s.status == OPTIMAL and s.iterations == 0
+    assert s.x == pytest.approx([1e12], rel=1e-15)
+    assert s.optimum == pytest.approx(1e12, rel=1e-15)
+
+
+def test_crash_basis_skips_phase_one_when_every_row_has_a_unit_column():
+    # the slacks of a feasible inequality LP are a feasible basis: the
+    # pivots are the optimizing ones, which enter each of x1, x2 once
+    s = solve_free([1.0, 1.0], lhs_ineq=[[1.0, 0.0], [0.0, 1.0]], rhs_ineq=[1.0, 2.0])
+    assert s.status == OPTIMAL and s.optimum == pytest.approx(3.0)
+    assert s.iterations == 2

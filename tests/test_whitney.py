@@ -577,6 +577,25 @@ def test_integer_parameters_rejected_unless_integers(call):
         call()
 
 
+def _zero_derivs(alpha, X):
+    return np.zeros(len(X))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: taylor_eval(jet([0.0], [1.0, 2.0], 1), (0.9,), [0.5]),
+    lambda: faa_di_bruno_pullback(jet([0.0], [1.0, 2.0], 1), [jet([0.0], [1.0, 2.0], 1)], (0.9,)),
+    lambda: periodized_derivative(_zero_derivs, 8, (0.9,), [[0.3]]),
+    lambda: finite_rank_LNN(_zero_derivs, 8, [[0.3]], (0.9,)),
+    lambda: CutoffFamily(1, 8).rho_deriv([[0.3]], (0.9,)),
+], ids=["taylor_eval", "faa_di_bruno_pullback", "periodized_derivative", "finite_rank_LNN",
+        "rho_deriv"])
+def test_multi_index_entries_rejected_unless_integers(call):
+    # a multi-index entry of 0.9 is an input error, not the derivative of
+    # order 0 that int() truncation made of it
+    with pytest.raises(InputError, match="entry of the integer alpha list"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # ck_norm_estimate
 
