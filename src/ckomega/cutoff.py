@@ -76,14 +76,16 @@ def _bump_deriv(v: np.ndarray, order: int) -> np.ndarray:
 
 
 def _bump_cdf(z: np.ndarray) -> np.ndarray:
-    """Integral of phi from -h to z, exactly 0 below -h and 1 above h."""
+    """Integral of phi from -h to z: exactly 0 for z <= -h and 1 for z >= h,
+    clipped to [0, 1] between, where the quadrature runs."""
     z = np.asarray(z, dtype=float)
-    upper = np.clip(z / _H, -1.0, 1.0).reshape(-1)
+    out = np.where(z >= _H, 1.0, 0.0)
+    inside = np.abs(z) < _H
     x, w = _gl_nodes(_GL_ORDER)
-    # map the fixed rule onto [-1, upper] per element, one block of
+    # map the fixed rule onto [-1, z / h] per element, one block of
     # (elements, nodes) arrays at a time; einsum sums each row in one fixed
     # order, so unlike a BLAS product the values do not depend on the blocks
-    half = 0.5 * (upper + 1.0)
+    half = 0.5 * (z[inside] / _H + 1.0)
     integ = np.empty(half.shape)
     # up to six (elements, nodes) arrays are alive at once: nodes, denom,
     # vals, the masked denominators and their two images, and the mask
@@ -94,7 +96,9 @@ def _bump_cdf(z: np.ndarray) -> np.ndarray:
         safe = denom > 0.0
         vals[safe] = np.exp(-1.0 / denom[safe])
         integ[blk] = half[blk] * np.einsum("ij,j->i", vals, w)
-    return (_bump_norm() * _H * integ).reshape(z.shape)
+    # the rule's sum can round past the unit mass near z = h
+    out[inside] = np.clip(_bump_norm() * _H * integ, 0.0, 1.0)
+    return out
 
 
 def profile(u):

@@ -10,15 +10,21 @@ normalized to unit mass on [-pi, pi], drives three operators:
   with scale lambda = 4 ell sqrt(n) / pi, whose rescaling u -> (E_N f_ell)(lambda u)
   is a trigonometric polynomial of degree <= N per coordinate.
 
-All three run through one spectral engine: the periodic function is sampled
-once on a uniform lattice of at least 4N+1 nodes per axis, its FFT is cut to
-the kernel degree and multiplied by the kernel's Fourier multipliers, and the
-resulting trigonometric polynomial is evaluated at the query points, so the
-degree bound holds at every point (see "Decisions" in the README, also on the
-ell=N coupling). Both kernel constants are exact: J_N / gamma_N is the square
-of the Fejer sum sum_{|q| < Ntilde} (Ntilde - |q|) e^{iqt}, so its Fourier
-coefficients are the integer self-convolution of that triangle and its mass
-is 2 pi times their q = 0 term.
+All three run through one spectral engine. The periodic function is sampled
+once on a uniform tensor lattice of at least 4N+1 nodes per axis: each axis's
+coordinates are reduced to the cell once, the cutoff factors sigma^(a)(y/ell)
+are read per axis (cached) and multiplied as outer products, and f (or each
+Leibniz term's derivative) is called once on the whole lattice. A real FFT,
+cut to the kernel degree axis by axis, gives the spectrum, which is
+multiplied by the kernel's Fourier multipliers; the resulting trigonometric
+polynomial is evaluated at the query points from one complex exponential per
+coordinate and its powers, so the degree bound holds at every point (see
+"Decisions" in the README, also on the ell=N coupling). The lattice is
+limited to 2^21 points, a bound set from measured time and memory. Both
+kernel constants are exact: J_N / gamma_N is the square of the Fejer sum
+sum_{|q| < Ntilde} (Ntilde - |q|) e^{iqt}, so its Fourier coefficients are
+the integer self-convolution of that triangle (a piecewise cubic in q) and
+its mass is 2 pi times their q = 0 term.
 
 Point-set callables follow one convention: f(X) takes an (m, n) array and
 returns (m,); derivative oracles take (alpha, X). Purely 1D periodic
@@ -33,7 +39,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .cutoff import CutoffFamily
+from .cutoff import CutoffFamily, profile_deriv
 from .errors import InputError
 from .fields import NormContext, _blocks, _mi_table, _multi_index, mi_order, multi_indices
 from .whitney import _sample_points, _sampled_norm
@@ -135,10 +141,7 @@ def periodized_derivative(f_derivs, ell: int, alpha, x):
     """D^alpha f_ell via the Leibniz rule on rho_ell * f, on reduced points.
 
     Requires the caller-supplied derivative oracle f_derivs(beta, X) for all
-    beta <= alpha; cutoff derivatives are exact. The pairs nu + rho = alpha
-    are the entries of the (n, |alpha|) table's shift equal to alpha's
-    index, taken in graded nu order; the coefficient alpha! / (nu! rho!), a
-    quotient of exact integers, is the product of the coordinate binomials.
+    beta <= alpha; cutoff derivatives are exact.
     """
     alpha = _multi_index(alpha)
     X, single, n = _as_points(x, len(alpha) if len(alpha) > 1 else None)
@@ -146,15 +149,78 @@ def periodized_derivative(f_derivs, ell: int, alpha, x):
         raise InputError("multi-index dimension mismatch")
     cf = CutoffFamily(n, ell)
     Y = reduce_to_cell(X, lattice_period(ell, n))
-    t = _mi_table(n, mi_order(alpha))
+    total = _leibniz(f_derivs, alpha, Y, lambda nu: cf.rho_deriv(Y, nu))
+    return float(total[0]) if single else total
+
+
+def _leibniz(f_derivs, alpha: tuple, Y: np.ndarray, rho_deriv) -> np.ndarray:
+    """sum over nu + rho = alpha of alpha! / (nu! rho!) D^nu rho_ell D^rho f
+    at the reduced points Y, with rho_deriv(nu) giving D^nu rho_ell there.
+
+    The pairs nu + rho = alpha are the entries of the (n, |alpha|) table's
+    shift equal to alpha's index, taken in graded nu order; the coefficient,
+    a quotient of exact integers, is the product of the coordinate binomials.
+    """
+    t = _mi_table(len(alpha), mi_order(alpha))
     a_idx = t.index.get(alpha)
     if a_idx is None:
         raise InputError(f"{alpha} is not a multi-index")
-    total = np.zeros(X.shape[0])
+    total = np.zeros(Y.shape[0])
     for nu, rho in zip(*np.nonzero(t.shift == a_idx)):
         fvals = np.asarray(f_derivs(t.mis[rho], Y), dtype=float)
-        total += t.fact[a_idx] / (t.fact[nu] * t.fact[rho]) * cf.rho_deriv(Y, t.mis[nu]) * fvals
-    return float(total[0]) if single else total
+        total += t.fact[a_idx] / (t.fact[nu] * t.fact[rho]) * rho_deriv(t.mis[nu]) * fvals
+    return total
+
+
+# ---------------------------------------------------------------------------
+# lattices
+
+
+def _lattice_u(M: int) -> np.ndarray:
+    """The 2M+1 uniform nodes 2 pi j / (2M+1) of one axis, in radians."""
+    size = 2 * M + 1
+    return 2.0 * math.pi * np.arange(size) / size
+
+
+def _tensor_points(axis: np.ndarray, n: int) -> np.ndarray:
+    """The (size^n, n) tensor lattice of one axis's coordinates, in C order."""
+    # stack broadcast views, so the lattice exists once, as the result
+    return np.stack(np.meshgrid(*([axis] * n), indexing="ij", copy=False), axis=-1).reshape(-1, n)
+
+
+def _cell_axis(M: int, lam: float, period: float) -> np.ndarray:
+    """One axis of the lattice x = lam u, reduced to the cell: the lattice is
+    a tensor grid, so reducing each axis gives the reduced points."""
+    return reduce_to_cell(lam * _lattice_u(M), period)
+
+
+# typed, and reached only after CutoffFamily has checked n and ell
+@lru_cache(maxsize=256, typed=True)
+def _axis_cutoff(n: int, ell: int, M: int, a: int) -> np.ndarray:
+    """sigma^(a)(y / ell) at the reduced coordinates y of one lattice axis."""
+    y = _cell_axis(M, length_scale(ell, n), lattice_period(ell, n))
+    out = profile_deriv(y / ell, a)
+    out.flags.writeable = False
+    return out
+
+
+def _periodized_lattice(f_derivs, ell: int, alpha: tuple, M: int) -> np.ndarray:
+    """D^alpha f_ell on the (2M+1)^n lattice x = lambda u, shaped (2M+1,)*n.
+
+    f_derivs sees the whole reduced lattice once per Leibniz term. D^nu rho_ell
+    is the outer product of per-axis factors, multiplied in axis order and
+    divided by ell^|nu| as CutoffFamily.rho_deriv does per point, so the
+    samples equal periodized_derivative's at the lattice points bitwise.
+    """
+    n = len(alpha)
+    CutoffFamily(n, ell)  # checks n and ell before the cache sees them
+    Y = _tensor_points(_cell_axis(M, length_scale(ell, n), lattice_period(ell, n)), n)
+
+    def rho_deriv(nu):
+        factors = [_axis_cutoff(n, ell, M, a) for a in nu]
+        return reduce(np.multiply.outer, factors).reshape(-1) / ell ** mi_order(nu)
+
+    return _leibniz(f_derivs, alpha, Y, rho_deriv).reshape((2 * M + 1,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -168,42 +234,59 @@ def _conv_node_count(N: int, n: int, target: int | None = None) -> int:
     return base * max(1, math.ceil(target / base))
 
 
+# Largest smoothing lattice, from measured cost on one core: at n = 3 a
+# call takes about 95 ns and 56 bytes (tracemalloc, f = cos of one
+# coordinate) per lattice point, so the 127^3 lattice of N = 31 costs
+# 0.18 s and 110 MB; at n = 1 the FFT of a length with a large prime factor
+# dominates, 1.0 s and 57 MB for the 2 * 10^6 nodes of N = 262,143. Every
+# n = 4 lattice of the default node count (51^4 points at N = 4) is above it.
+_LATTICE_MAX_POINTS = 1 << 21
+
+
 def _jackson_multipliers(N: int) -> np.ndarray:
     """Fourier multipliers c_q / c_0 of J_N for q = 0..degree: the integer
-    self-convolution of the Fejer triangle Ntilde - |q| over its q = 0 term
-    (the entries for q = degree - 1 and q = degree are exactly 0)."""
-    ntilde = kernel_normalize(N).ntilde  # rejects N < 2
-    fejer = ntilde - np.abs(np.arange(1 - ntilde, ntilde))
-    c = np.zeros(2 * ntilde + 1)
-    c[: 2 * ntilde - 1] = np.convolve(fejer, fejer)[2 * ntilde - 2:]
+    self-convolution of the Fejer triangle Ntilde - |q| over its q = 0 term.
+
+    In closed form, exact in int64 for Ntilde up to 2 * 10^6 (K = Ntilde):
+    c_q = K (2 K^2 + 1) / 3 - K q^2 + (q^3 - q) / 2 for q <= K, and
+    (r - 1) r (r + 1) / 6 with r = 2 K - q above, so the entries for
+    q = degree - 1 and q = degree are exactly 0.
+    """
+    K = kernel_normalize(N).ntilde  # rejects N < 2
+    lo = np.arange(K + 1, dtype=np.int64)
+    r = 2 * K - np.arange(K + 1, 2 * K + 1, dtype=np.int64)
+    c = np.concatenate([K * (2 * K * K + 1) // 3 - K * lo * lo + (lo**3 - lo) // 2,
+                        (r - 1) * r * (r + 1) // 6])
     return c / c[0]
 
 
-def _jackson_smooth(periodic_fn, N: int, X: np.ndarray, lam: float,
+def _jackson_smooth(sample, N: int, X: np.ndarray, lam: float,
                     quad_target: int | None = None) -> np.ndarray:
-    """Jackson smoothing at the rows of X of the (2 pi lam)-periodic
-    function periodic_fn.
+    """Jackson smoothing at the rows of X of a (2 pi lam)-periodic function.
 
-    periodic_fn is sampled once at x = lam * u on the uniform lattice of u,
-    with 2 floor(m/2) + 1 nodes per axis for m = _conv_node_count(N, n), the
-    sample's Fourier coefficients up to the kernel degree are multiplied by
-    the Jackson multipliers, and the resulting trigonometric polynomial is
+    sample(M) returns the function at x = lam * u on the (2M+1)^n lattice of
+    u, for 2M+1 = 2 floor(m/2) + 1 nodes per axis, m = _conv_node_count(N, n);
+    the sample's Fourier coefficients up to the kernel degree are multiplied
+    by the Jackson multipliers, and the resulting trigonometric polynomial is
     evaluated at X / lam in query blocks.
     """
     n = X.shape[1]
-    if n > 3:
-        raise InputError("tensor quadrature limited to n <= 3")
+    _check_N(N)
+    M = _conv_node_count(N, n, quad_target) // 2
+    if (2 * M + 1) ** n > _LATTICE_MAX_POINTS:
+        raise InputError(f"the smoothing lattice would have {2 * M + 1}^{n} = "
+                         f"{(2 * M + 1) ** n} points, above the limit of {_LATTICE_MAX_POINTS}")
     mult = _jackson_multipliers(N)
     D = mult.size - 1
-    M = _conv_node_count(N, n, quad_target) // 2
-    tp = fit_trig_poly(lambda U: periodic_fn(lam * U), M, n, lam)
     sym = np.concatenate([mult[:0:-1], mult])  # frequencies -D..D
-    coeffs = tp.coeffs[(slice(M - D, M + D + 1),) * n] * reduce(np.multiply.outer, [sym] * n)
+    coeffs = _spectrum(sample(M), D) * reduce(np.multiply.outer, [sym] * n)
     smoothed = TensorTrigPoly(coeffs, D, lam)
     out = np.empty(X.shape[0])
-    # evaluate's complex temporaries take up to about 4 float64 elements per
-    # coefficient and query point
-    for blk in _blocks(X.shape[0], 4 * coeffs.size):
+    # per query point evaluate holds every axis's 2D+1 phases and the half
+    # they mirror (3 n s float64 for s = 2D+1), the partial sum after the last
+    # axis (s^(n-1) complex) and the one after the next axis (s^(n-2) complex)
+    s = 2 * D + 1
+    for blk in _blocks(X.shape[0], 3 * n * s + 2 * (s ** (n - 1) + s ** max(n - 2, 0))):
         out[blk] = smoothed.evaluate(X[blk] / lam)
     return out
 
@@ -212,7 +295,7 @@ def jackson_smooth_1d(f, N: int, x, quad_target: int | None = None):
     """(L_N f)(x) for a bounded continuous 2pi-periodic f (plain 1D arrays)."""
     X, _, _ = _as_points(np.reshape(x, (-1, 1)))
     out = _jackson_smooth(
-        lambda Y: np.asarray(f(reduce_to_cell(Y[:, 0], 2.0 * math.pi)), dtype=float),
+        lambda M: np.asarray(f(_cell_axis(M, 1.0, 2.0 * math.pi)), dtype=float),
         N, X, 1.0, quad_target)
     return float(out[0]) if np.ndim(x) == 0 else out
 
@@ -220,14 +303,16 @@ def jackson_smooth_1d(f, N: int, x, quad_target: int | None = None):
 def smooth_EN(f, ell: int, N: int, x, quad_target: int | None = None):
     """(E_N f_ell)(x): tensor convolution of the periodized f at scale lambda."""
     X, single, n = _as_points(x)
-    out = _jackson_smooth(lambda Y: periodize(f, ell, Y), N, X, length_scale(ell, n), quad_target)
+    out = _jackson_smooth(
+        lambda M: _periodized_lattice(lambda beta, Y: f(Y), ell, (0,) * n, M),
+        N, X, length_scale(ell, n), quad_target)
     return float(out[0]) if single else out
 
 
 def finite_rank_LNN(f_derivs, N: int, x, alpha, ell: int | None = None,
                     quad_target: int | None = None):
     """D^alpha (L_{N,ell} f)(x) = (E_N D^alpha f_ell)(x), default ell = N,
-    with D^alpha f_ell from periodized_derivative."""
+    with D^alpha f_ell sampled by the Leibniz rule of periodized_derivative."""
     alpha = _multi_index(alpha)
     n = len(alpha)
     X, single, n_pts = _as_points(x)
@@ -235,7 +320,7 @@ def finite_rank_LNN(f_derivs, N: int, x, alpha, ell: int | None = None,
         raise InputError("point dimension does not match the multi-index")
     if ell is None:
         ell = N
-    out = _jackson_smooth(lambda Y: periodized_derivative(f_derivs, ell, alpha, Y),
+    out = _jackson_smooth(lambda M: _periodized_lattice(f_derivs, ell, alpha, M),
                           N, X, length_scale(ell, n), quad_target)
     return float(out[0]) if single else out
 
@@ -295,12 +380,45 @@ class TensorTrigPoly:
             U = U.T
         # contract one axis at a time, last axis first, so no temporary holds
         # the (m, (2M+1)^n) product of all phases
-        freqs = np.arange(-self.M, self.M + 1)
-        vals = np.exp(1j * np.outer(U[:, -1], freqs)) @ self.coeffs.reshape(-1, freqs.size).T
+        s = 2 * self.M + 1
+        P = _phases(U, self.M)
+        vals = P[:, -1] @ self.coeffs.reshape(-1, s).T
         for axis in range(self.n - 2, -1, -1):
-            phase = np.exp(1j * np.outer(U[:, axis], freqs))
-            vals = np.einsum("pjq,pq->pj", vals.reshape(U.shape[0], -1, freqs.size), phase)
+            vals = np.einsum("pjq,pq->pj", vals.reshape(U.shape[0], -1, s), P[:, axis])
         return np.real(vals[:, 0])
+
+
+def _phases(U: np.ndarray, M: int) -> np.ndarray:
+    """e^{iqu} for q = -M..M at every coordinate u of U, shape U.shape +
+    (2M+1,), as powers of the one exponential e^{iu} per coordinate: a
+    running product over q >= 0 (its error grows like q eps) and the
+    conjugates for q < 0."""
+    P = np.empty(U.shape + (2 * M + 1,), dtype=complex)
+    P[..., M] = 1.0
+    P[..., M + 1:] = np.exp(1j * U)[..., None]
+    np.cumprod(P[..., M:], axis=-1, out=P[..., M:])
+    P[..., :M] = np.conj(P[..., :M:-1])
+    return P
+
+
+def _spectrum(samples: np.ndarray, D: int) -> np.ndarray:
+    """Fourier coefficients for frequencies -D..D per axis (index 0 is -D) of
+    real samples on the uniform (2M+1)^n lattice, D <= M.
+
+    This is rfftn taken one axis at a time and cut to |q| <= D after each
+    axis, so the later transforms run on the cut array: the real FFT of the
+    last axis gives its frequencies 0..D, the complex FFTs of the others
+    follow, and the negative last-axis half is mirrored in by
+    c_{-q} = conj(c_q), so no full complex spectrum is formed.
+    """
+    n = samples.ndim
+    size = samples.shape[0]
+    half = np.fft.rfft(samples, axis=-1)[..., : D + 1]
+    keep = np.arange(-D, D + 1) % size
+    for axis in range(n - 1):
+        half = np.take(np.fft.fft(half, axis=axis), keep, axis=axis)
+    mirror = np.conj(half[(slice(None, None, -1),) * (n - 1) + (slice(D, 0, -1),)])
+    return np.concatenate([mirror, half], axis=-1) / size**n
 
 
 def fit_trig_poly(fn_of_u, M: int, n: int = 1, scale: float = 1.0) -> TensorTrigPoly:
@@ -310,13 +428,8 @@ def fit_trig_poly(fn_of_u, M: int, n: int = 1, scale: float = 1.0) -> TensorTrig
     2pi-periodic per coordinate.
     """
     size = 2 * M + 1
-    u = 2.0 * math.pi * np.arange(size) / size
-    # stack broadcast views, so the lattice exists once, as U
-    U = np.stack(np.meshgrid(*([u] * n), indexing="ij", copy=False), axis=-1).reshape(-1, n)
-    samples = np.asarray(fn_of_u(U), dtype=float).reshape((size,) * n)
-    coeffs = np.fft.fftn(samples) / size**n
-    coeffs = np.fft.fftshift(coeffs)
-    return TensorTrigPoly(coeffs, M, scale)
+    samples = np.asarray(fn_of_u(_tensor_points(_lattice_u(M), n)), dtype=float)
+    return TensorTrigPoly(_spectrum(samples.reshape((size,) * n), M), M, scale)
 
 
 # ---------------------------------------------------------------------------

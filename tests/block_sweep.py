@@ -10,7 +10,8 @@ further call. It asserts nothing and pytest does not collect it.
 The calls:
 - lambda: whitney_lambda on a random field, m = 300, n = 3, k = 2;
 - mcshane: a McShane extension of 180 points in R^3 at 1000 queries;
-- rho: CutoffFamily(3, 1).rho on the 51^3 lattice smooth_EN samples;
+- rho: CutoffFamily(3, 1).rho on the 51^3 lattice of n = 3, N = 4 (the
+  pointwise cutoff; smooth_EN reads the cutoff per axis);
 - smooth_EN: n = 3, N = 4, ell = 1 at 3 points.
 """
 

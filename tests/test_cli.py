@@ -354,6 +354,7 @@ def test_markov_bad_resolution_or_threshold_exit_1(capsys, set_spec, option, val
     ("--grid-points", "0", "grid-points must be an integer >= 2"),
     ("--grid-points", "1", "grid-points must be an integer >= 2"),
     ("--N", "1", "N >= 2"),
+    ("--N", "262144", "2097155 points"),  # the smoothing lattice is over its limit
 ])
 def test_jackson_bad_grid_points_or_N_exit_1(capsys, option, value, names):
     code, out, err = run_cli(capsys, "jackson", "--f", "builtin:sin", "--N", "8", "--ell", "2",

@@ -5,6 +5,7 @@ import pytest
 
 from ckomega.cutoff import (
     CutoffFamily,
+    _bump_cdf,
     derivative_bound_constant,
     profile,
     profile_deriv,
@@ -26,6 +27,23 @@ def test_profile_range_and_monotone_transition():
     assert np.all(s >= 0.0) and np.all(s <= 1.0)
     t = np.linspace(1.0, 2.0, 400)
     assert np.all(np.diff(profile(t)) <= 1e-14)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (-2.0, -1.0)])
+def test_profile_in_unit_interval_on_dense_transition_grids(lo, hi):
+    # 200,001 points per band: the quadrature's sum rounds past 0 or 1 at
+    # points a 601-point grid misses (sigma read -4.4e-16 at 165 points of
+    # (1, 2) and 1 + 2.2e-16 on (-2, -1) before the clip)
+    s = profile(np.linspace(lo, hi, 200_001))
+    assert np.all(s >= 0.0) and np.all(s <= 1.0)
+    assert np.all(profile(np.array([1.9999999, -1.9999999])) >= 0.0)
+
+
+def test_bump_cdf_is_exactly_zero_or_one_outside_the_bump():
+    z = np.array([-7.0, -0.5000001, -0.5, 0.5, 0.5000001, 7.0])
+    assert _bump_cdf(z).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    inside = _bump_cdf(np.linspace(-0.4999999, 0.4999999, 20_001))
+    assert np.all(inside >= 0.0) and np.all(inside <= 1.0)
 
 
 def test_profile_symmetry():

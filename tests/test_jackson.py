@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from ckomega.errors import InputError, NumericalError
 from ckomega.fields import NormContext, multi_indices
 from ckomega.jackson import (
     JacksonKernel,
+    TensorTrigPoly,
     _conv_node_count,
     _jackson_multipliers,
+    _periodized_lattice,
     error_report,
     finite_rank_LNN,
     fit_trig_poly,
@@ -23,6 +27,7 @@ from ckomega.jackson import (
     length_scale,
     periodize,
     periodized_derivative,
+    reduce_to_cell,
     smooth_EN,
     weakstar_check,
 )
@@ -220,6 +225,125 @@ def test_periodized_derivative_bitwise_equals_binomial_leibniz_loop(n):
         assert np.array_equal(periodized_derivative(f_derivs, ell, alpha, X), want), alpha
 
 
+def _product_derivs(n, seed):
+    """Derivative oracle of prod_i sin(c_i x_i + i) for random c_i."""
+    c = np.random.default_rng(seed).uniform(0.5, 1.5, n)
+
+    def f_derivs(beta, X):
+        out = np.ones(X.shape[0])
+        for i, b in enumerate(beta):
+            out = out * np.sin(c[i] * X[:, i] + i + b * math.pi / 2) * c[i] ** b
+        return out
+
+    return f_derivs
+
+
+def _lattice_points(M, n, lam):
+    """The lattice x = lam u, u_j = 2 pi j / (2M+1), as (size^n, n) points."""
+    size = 2 * M + 1
+    u = 2.0 * math.pi * np.arange(size) / size
+    return lam * np.stack(np.meshgrid(*([u] * n), indexing="ij"), axis=-1).reshape(-1, n)
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lattice_samples_equal_pointwise_periodization_bitwise(n, ell):
+    # the per-axis sampler against the pointwise reference on the flattened
+    # lattice, for every |alpha| <= 2 and for the f-only path of smooth_EN
+    M = 12
+    X = _lattice_points(M, n, length_scale(ell, n))
+    Y = reduce_to_cell(X, lattice_period(ell, n))
+    rho = CutoffFamily(n, ell).rho(Y)
+    assert np.any((rho > 0.0) & (rho < 1.0))  # the transition band is sampled
+    f_derivs = _product_derivs(n, 50 + n)
+    for alpha in multi_indices(n, 2):
+        got = _periodized_lattice(f_derivs, ell, alpha, M)
+        assert got.shape == (2 * M + 1,) * n
+        assert np.array_equal(got.reshape(-1), periodized_derivative(f_derivs, ell, alpha, X)), alpha
+    f = lambda P: f_derivs((0,) * n, P)
+    got = _periodized_lattice(lambda beta, P: f(P), ell, (0,) * n, M)
+    assert np.array_equal(got.reshape(-1), periodize(f, ell, X))
+
+
+def _reference_smooth(periodic_fn, N, X, lam, quad_target=None):
+    """The engine as a full complex FFT of pointwise samples, cut to the
+    kernel degree and evaluated by one exponential per frequency and point."""
+    n = X.shape[1]
+    mult = _jackson_multipliers(N)
+    D = mult.size - 1
+    M = _conv_node_count(N, n, quad_target) // 2
+    size = 2 * M + 1
+    samples = periodic_fn(_lattice_points(M, n, lam)).reshape((size,) * n)
+    coeffs = np.fft.fftshift(np.fft.fftn(samples)) / size**n
+    sym = np.concatenate([mult[:0:-1], mult])
+    coeffs = coeffs[(slice(M - D, M + D + 1),) * n] * reduce(np.multiply.outer, [sym] * n)
+    freqs = np.arange(-D, D + 1)
+    Q = np.stack(np.meshgrid(*([freqs] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    return np.real(np.exp(1j * (X / lam) @ Q.T) @ coeffs.reshape(-1))
+
+
+def _reference_LNN(f_derivs, N, x, alpha, ell=None, quad_target=None):
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    ell = N if ell is None else ell
+    return _reference_smooth(lambda P: periodized_derivative(f_derivs, ell, alpha, P),
+                             N, X, length_scale(ell, len(alpha)), quad_target)
+
+
+def _assert_rel_close(got, want, rtol=1e-14):
+    assert np.max(np.abs(np.asarray(got) - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 8), (3, 4)])
+def test_smooth_EN_matches_complex_fft_route(n, N):
+    f_derivs = _product_derivs(n, 60 + n)
+    f = lambda P: f_derivs((0,) * n, P)
+    ell = 2
+    X = np.random.default_rng(n).uniform(-3 * ell, 3 * ell, (20, n))
+    want = _reference_smooth(lambda P: periodize(f, ell, P), N, X, length_scale(ell, n))
+    _assert_rel_close(smooth_EN(f, ell, N, X), want)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_finite_rank_matches_complex_fft_route(order):
+    X = np.random.default_rng(order).uniform(-2, 2, (16, 1))
+    want = _reference_LNN(sin_derivs, 16, X, (order,), ell=2)
+    _assert_rel_close(finite_rank_LNN(sin_derivs, 16, X, (order,), ell=2), want)
+
+
+@pytest.mark.parametrize("N", [2, 8, 32, 128])
+def test_smooth_1d_matches_complex_fft_route(N):
+    f = lambda x: np.abs(np.sin(x)) + np.cos(3 * x)
+    xs = np.random.default_rng(N).uniform(-4, 4, 200)
+    want = _reference_smooth(lambda P: f(reduce_to_cell(P[:, 0], 2.0 * math.pi)),
+                             N, xs.reshape(-1, 1), 1.0)
+    _assert_rel_close(jackson_smooth_1d(f, N, xs), want)
+
+
+def test_error_report_matches_complex_fft_route(monkeypatch):
+    ctx = NormContext(1, 1, mo.linear())
+    grid = np.linspace(-4, 4, 33).reshape(-1, 1)
+    got = error_report(sin_derivs, 2, 8, ctx, grid)
+    monkeypatch.setattr("ckomega.jackson.finite_rank_LNN", _reference_LNN)
+    want = error_report(sin_derivs, 2, 8, ctx, grid)
+    for name in ("norm_f", "norm_f_ell", "norm_EN", "sup_error", "c_N_emp"):
+        _assert_rel_close(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("n, M", [(1, 1), (1, 33), (1, 128), (2, 32), (3, 8)])
+def test_evaluate_power_recurrence_matches_direct_sum(n, M):
+    # the phases are powers of one exponential per coordinate, whose error
+    # grows like q eps; the direct sum takes one exponential per frequency
+    rng = np.random.default_rng(100 * n + M)
+    shape = (2 * M + 1,) * n
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    U = rng.uniform(-2 * math.pi, 2 * math.pi, (60, n))
+    freqs = np.arange(-M, M + 1)
+    Q = np.stack(np.meshgrid(*([freqs] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    direct = np.real(np.exp(1j * (U @ Q.T)) @ c.reshape(-1))
+    err = np.max(np.abs(TensorTrigPoly(c, M, 1.0).evaluate(U) - direct))
+    assert err <= n * M * np.finfo(float).eps * np.sum(np.abs(c))
+
+
 # ---------------------------------------------------------------------------
 # tensor smoothing E_N
 
@@ -325,6 +449,42 @@ def test_smoothing_memory_does_not_grow_with_queries():
     # over the whole query set at once would need about 100 MB
     assert peaks[1] < peaks[0] + 24e6
     assert peaks[1] < 40e6
+
+
+def test_smooth_EN_n3_memory():
+    # the 51^3 lattice: its points (3.2 MB), f's temporaries and the sample
+    # arrays peaked at 7.4 MB under tracemalloc, against 18.2 MB when the
+    # cutoff and the FFT ran on the whole lattice
+    X = np.random.default_rng(3).uniform(-1, 1, (3, 3))
+    f = lambda Y: np.cos(Y[:, 0])
+    smooth_EN(f, 1, 4, X)  # the per-axis cutoff factors are cached
+    tracemalloc.start()
+    try:
+        smooth_EN(f, 1, 4, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6
+
+
+@pytest.mark.parametrize("call, size", [
+    (lambda f: smooth_EN(f, 1, 32, np.zeros((1, 3))), "129^3 = 2146689"),
+    (lambda f: smooth_EN(f, 1, 4, np.zeros((1, 4))), "51^4 = 6765201"),
+    (lambda f: finite_rank_LNN(lambda a, Y: f(Y), 262144, np.zeros((1, 1)), (0,), ell=1),
+     "2097155^1 = 2097155"),
+    (lambda f: jackson_smooth_1d(lambda x: f(x.reshape(-1, 1)), 262144, 0.3),
+     "2097155^1 = 2097155"),
+], ids=["n3_N32", "n4", "finite_rank", "smooth_1d"])
+def test_lattice_guard_names_the_size_before_sampling(call, size):
+    calls = []
+
+    def f(Y):
+        calls.append(len(Y))
+        return np.cos(Y[:, 0])
+
+    with pytest.raises(InputError, match=re.escape(size + " points")):
+        call(f)
+    assert calls == []
 
 
 def test_smooth_EN_sup_contraction():
