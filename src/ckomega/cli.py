@@ -57,6 +57,26 @@ def _load_json(text_or_path, what: str):
         ) from exc
 
 
+def _floats(value, what: str, ndim: int, key: str | None = None) -> np.ndarray:
+    """value, or its entry key if it is an object, as a finite float array
+    of ndim dimensions (1: a list of numbers, 2: a list of points); a
+    malformed one is an InputError naming what."""
+    if key is not None and isinstance(value, dict):
+        if key not in value:
+            raise InputError(f"{what} object has no {key!r} list")
+        value = value[key]
+    kind = ("values", "points")[ndim - 1]
+    try:
+        a = np.array(value, dtype=float, ndmin=ndim)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be a list of numeric {kind}: {exc}") from exc
+    if a.ndim != ndim:
+        raise InputError(f"{what} must be a list of {kind}, got an array of shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InputError(f"{what} must be finite")
+    return a
+
+
 def _load_field(path_or_json):
     s = str(path_or_json)
     if s.endswith(".csv"):
@@ -152,7 +172,7 @@ def _build_parser() -> _Parser:
 
 def _run_validate_omega(args) -> dict:
     m = _load_modulus(args.omega)
-    grid = default_grid() if args.grid == "default" else [float(t) for t in _load_json(args.grid, "grid")]
+    grid = default_grid() if args.grid == "default" else _floats(_load_json(args.grid, "grid"), "grid", 1).tolist()
     rep = validate(m, grid)
     results = rep.to_dict()
     prov = {"grid": list(grid), "seed": args.seed}
@@ -184,19 +204,7 @@ def _run_norm(args) -> dict:
 def _run_extend(args) -> dict:
     fld = _load_field(args.input)
     m = _load_modulus(args.omega)
-    queries = _load_json(args.queries, "queries")
-    if isinstance(queries, dict):
-        if "points" not in queries:
-            raise InputError("queries object has no 'points' list")
-        queries = queries["points"]
-    try:
-        Q = np.atleast_2d(np.asarray(queries, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"queries must be a list of numeric points: {exc}") from exc
-    if Q.ndim != 2:
-        raise InputError(f"queries must be a list of points, got an array of shape {Q.shape}")
-    if not np.isfinite(Q).all():
-        raise InputError("queries must be finite")
+    Q = _floats(_load_json(args.queries, "queries"), "queries", 2, "points")
     if Q.shape[1] != fld.n:
         raise InputError(f"queries have dimension {Q.shape[1]}, field has n={fld.n}")
     audits = []
@@ -257,8 +265,11 @@ def _run_jackson(args) -> dict:
         if args.k > 0:
             raise InputError("table functions support k=0 only")
         tab = _load_json(args.f.split(":", 1)[1], "function table")
-        xs = np.asarray(tab["x"], dtype=float)
-        fs = np.asarray(tab["f"], dtype=float)
+        if not isinstance(tab, dict) or not {"x", "f"} <= tab.keys():
+            raise InputError("function table must be an object with lists 'x' and 'f'")
+        xs, fs = (_floats(tab[key], f"function table {key}", 1) for key in ("x", "f"))
+        if xs.size != fs.size or xs.size == 0 or not np.all(np.diff(xs) > 0.0):
+            raise InputError("function table x must be a nonempty strictly increasing list, with one f per x")
         derivs = lambda alpha, X: np.interp(X[:, 0], xs, fs)
         f_desc = args.f
     else:
@@ -315,7 +326,7 @@ def _lp_provenance(formulation: str, sol) -> dict:
 def _run_predual_norm(args) -> dict:
     m = _load_modulus(args.omega)
     atoms, coeffs = _parse_atoms(_load_json(args.atoms, "atoms"))
-    n = args.n or len(atoms[0].x)
+    n = len(atoms[0].x) if args.n is None else args.n
     ctx = NormContext(args.k, n, m)
     g = AtomicFunctional(tuple(atoms), tuple(coeffs), ctx)
     prov = {"n_atoms": len(g.atoms), "support_size": len(g.support()), "seed": args.seed}
@@ -341,19 +352,13 @@ def _run_finiteness(args) -> dict:
 
 
 def _run_markov(args) -> dict:
-    center = _load_json(args.center, "center")
-    if isinstance(center, dict):
-        center = center["x"]
-    center = [float(c) for c in np.atleast_1d(center)]
+    center = _floats(_load_json(args.center, "center"), "center", 1, "x").tolist()
     n = len(center)
     if args.set_spec.startswith("builtin:"):
         sampler = builtin_set_sampler(args.set_spec.split(":", 1)[1], n, args.resolution)
         set_desc = args.set_spec
     else:
-        pts = _load_json(args.set_spec, "set")
-        if isinstance(pts, dict):
-            pts = pts["points"]
-        P = np.atleast_2d(np.asarray(pts, dtype=float))
+        P = _floats(_load_json(args.set_spec, "set"), "set", 2, "points")
         if P.shape[1] != n:
             raise InputError("set points dimension mismatch")
 
@@ -362,10 +367,8 @@ def _run_markov(args) -> dict:
             return P[mask]
 
         set_desc = "explicit"
-    if args.radii == "default":
-        radii = [2.0**-j for j in range(0, 11)]
-    else:
-        radii = [float(r) for r in _load_json(args.radii, "radii")]
+    radii = ([2.0**-j for j in range(0, 11)] if args.radii == "default"
+             else _floats(_load_json(args.radii, "radii"), "radii", 1).tolist())
     verdict = classify_weak_markov(center, sampler, args.k, radii, args.threshold,
                                    resolution=args.resolution)
     prov = {"resolution": args.resolution, "cap": DEFAULT_CAP, "seed": args.seed,

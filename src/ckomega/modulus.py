@@ -12,6 +12,8 @@ symbolically; see ``validate``.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +21,14 @@ import numpy as np
 from .errors import InputError
 
 _KINDS = ("power", "linear", "capped", "table")
+
+
+def _finite(value, what: str) -> float:
+    """value as a float if it is a finite real number and not a bool; else
+    an InputError naming what."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InputError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -47,23 +57,29 @@ class Modulus:
         if self.kind not in _KINDS:
             raise InputError(f"unknown modulus kind {self.kind!r}")
         if self.kind in ("power", "capped"):
-            a = self.exponent
-            if a is None or not (0.0 < a <= 1.0):
+            a = _finite(self.exponent, "modulus exponent")
+            if not (0.0 < a <= 1.0):
                 raise InputError("power modulus needs exponent in (0, 1]")
+            object.__setattr__(self, "exponent", a)
         if self.kind == "capped":
-            if self.cap is None or self.cap <= 0.0:
+            cap = _finite(self.cap, "modulus cap")
+            if cap <= 0.0:
                 raise InputError("capped modulus needs cap > 0")
+            object.__setattr__(self, "cap", cap)
         if self.kind == "table":
-            bp = self.breakpoints
-            if not bp or len(bp) < 1:
+            try:
+                bp = [(t, w) for t, w in (() if self.breakpoints is None else self.breakpoints)]
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"table breakpoints must be (t, w) pairs: {exc}") from exc
+            bp = tuple((_finite(t, "table breakpoint t"), _finite(w, "table breakpoint w")) for t, w in bp)
+            if not bp:
                 raise InputError("table modulus needs at least one breakpoint")
             ts = [t for t, _ in bp]
-            ws = [w for _, w in bp]
-            if any(t <= 0 for t in ts) or any(w <= 0 for w in ws):
+            if min(min(p) for p in bp) <= 0.0:
                 raise InputError("table breakpoints must be positive")
-            if sorted(ts) != ts or len(set(ts)) != len(ts):
+            if sorted(set(ts)) != ts:
                 raise InputError("table breakpoints must be strictly increasing")
-            object.__setattr__(self, "breakpoints", tuple((float(t), float(w)) for t, w in bp))
+            object.__setattr__(self, "breakpoints", bp)
 
     def __call__(self, t):
         """Evaluate omega(t). Accepts scalars or arrays; t must be > 0."""
@@ -77,9 +93,7 @@ class Modulus:
         elif self.kind == "capped":
             out = np.minimum(arr ** self.exponent, self.cap)
         else:
-            ts = np.array([0.0] + [t for t, _ in self.breakpoints])
-            ws = np.array([0.0] + [w for _, w in self.breakpoints])
-            out = np.interp(arr, ts, ws)  # constant beyond the last breakpoint
+            out = np.interp(arr, *np.array(((0.0, 0.0),) + self.breakpoints).T)  # constant beyond the last breakpoint
         if np.ndim(t) == 0:
             return float(out)
         return out
@@ -199,14 +213,9 @@ def from_json(spec) -> Modulus:
         spec = json.loads(spec)
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InputError("modulus spec must be an object with a 'kind' field")
-    kind = spec["kind"]
-    if kind == "table":
-        return Modulus("table", breakpoints=tuple(tuple(p) for p in spec.get("breakpoints", ())))
-    return Modulus(
-        kind,
-        exponent=spec.get("exponent"),
-        cap=spec.get("cap"),
-    )
+    if spec["kind"] == "table":
+        return Modulus("table", breakpoints=spec.get("breakpoints"))
+    return Modulus(spec["kind"], exponent=spec.get("exponent"), cap=spec.get("cap"))
 
 
 def to_json(m: Modulus) -> dict:

@@ -9,9 +9,12 @@ LP dual instead, which is of this form, and read their free variables off
 the duals of its rows (``LPSolution.dual_eq``). Problems are small and
 dense. Pivots follow Dantzig's rule, with Bland's rule after a degenerate
 streak (``_iterate``); every choice breaks ties by index, so identical
-inputs produce identical pivot sequences and outputs. The tableau holds the
-structural columns, then one artificial per row; phase 1 starts from a
-crash basis that puts a unit column of A in every row that has one.
+inputs produce identical pivot sequences and outputs. One tableau serves
+both phases: it holds the structural columns, then one artificial per row;
+phase 1 starts from a crash basis that puts a unit column of A in every row
+that has one, and phase 2 prices only the structural columns, so the
+artificial block stays B^-1 and the duals are read off its reduced costs.
+Each status is certified against A, b and c before it is returned.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import InputError, NumericalError
 _PIVOT_TOL = 1e-9
 _COST_TOL = 1e-9
 _PHASE1_TOL = 1e-8
-_RAY_TOL = 1e-7  # |A d| allowed per unit of ||A|| ||d||, as the duality gap per unit of optimum
+_RAY_TOL = 1e-7  # every certificate residual allowed per unit of its scale, e.g. |A d| per ||A|| ||d||
 _DEGENERATE_TOL = 1e-12  # a pivot whose leaving row has rhs <= this does not move x
 _STALL = 50  # consecutive degenerate pivots after which Bland's rule chooses
 
@@ -105,11 +108,11 @@ def _pivot(T, r, j):
     T[r, j] = 1.0
 
 
-def _iterate(T, basis, max_iter):
+def _iterate(T, basis, max_iter, ncol):
     """Run simplex pivots on tableau T (last row = reduced costs, last column
-    = rhs / negated objective) until optimal or unbounded. Minimization
-    convention: optimal when all reduced costs >= -tol. basis is an int
-    array, updated in place.
+    = rhs / negated objective) until optimal or unbounded, pricing only the
+    first ncol columns. Minimization convention: optimal when all their
+    reduced costs >= -tol. basis is an int array, updated in place.
 
     Dantzig's rule enters the most negative reduced cost; the ratio test
     leaves, among rows within 1e-12 of the smallest ratio, the one with the
@@ -122,7 +125,6 @@ def _iterate(T, basis, max_iter):
     basis recurs across one.
     """
     m = T.shape[0] - 1
-    ncol = T.shape[1] - 1
     it = stall = 0
     if ncol == 0:
         return "optimal", it, None
@@ -139,10 +141,10 @@ def _iterate(T, basis, max_iter):
         if rows.size == 1:
             r = int(rows[0])
         else:
-            ratios = T[rows, ncol] / col[rows]
+            ratios = T[rows, -1] / col[rows]
             tied = rows[ratios <= ratios.min() + 1e-12]
             r = int(tied[np.argmin(basis[tied])] if bland else tied[np.argmax(col[tied])])
-        stall = stall + 1 if T[r, ncol] <= _DEGENERATE_TOL else 0
+        stall = stall + 1 if T[r, -1] <= _DEGENERATE_TOL else 0
         _pivot(T, r, j)
         basis[r] = j
         it += 1
@@ -153,34 +155,33 @@ def _iterate(T, basis, max_iter):
 def solve(lp: LinearProgram) -> LPSolution:
     """Solve a dense LP; status-correct result with optimality certificates.
 
-    OPTIMAL solutions carry the dual vector and the residuals used to certify
+    OPTIMAL solutions carry the dual vector and the residuals that certify
     them: primal feasibility, duality gap and complementary slackness.
-    UNBOUNDED is returned only with a checked ray and INFEASIBLE only with a
+    OPTIMAL is returned only with x >= 0, A x = b, A^T w <= c and c.x = b.w
+    checked, UNBOUNDED only with a checked ray and INFEASIBLE only with a
     checked Farkas vector; a failed check raises NumericalError.
     """
     c, A, b = lp.objective, lp.lhs_eq, lp.rhs_eq
     rows, nv = A.shape
     # rows flipped so that the rhs is >= 0; the artificials are a feasible basis
     flip = np.where(b < 0.0, -1.0, 1.0)
-    full = A * flip[:, None]
     ncol = nv + rows
     T = np.zeros((rows + 1, ncol + 1))
-    T[:rows, :nv] = full
+    T[:rows, :nv] = A * flip[:, None]
     T[:rows, nv:ncol] = np.eye(rows)
     T[:rows, ncol] = b * flip
     basis = np.arange(nv, ncol)
     # crash: a row takes the first column whose one nonzero is a positive
     # entry there, scaled to 1; the tableau stays B^-1 [A | I]
-    unit = np.flatnonzero(np.count_nonzero(full, axis=0) == 1)
-    at = np.nonzero(full[:, unit].T)[1]  # the row of each, in column order
-    positive = full[at, unit] > 0.0
+    unit = np.flatnonzero(np.count_nonzero(T[:rows, :nv], axis=0) == 1)
+    at = np.nonzero(T[:rows, unit].T)[1]  # the row of each, in column order
+    positive = T[at, unit] > 0.0
     crashed, first = np.unique(at[positive], return_index=True)
     unit = unit[positive][first]
-    T[crashed] /= full[crashed, unit][:, None]
+    T[crashed] /= T[crashed, unit][:, None]
     basis[crashed] = unit
     max_iter = 2000 + 60 * (rows + ncol)
     iterations = 0
-    keep = np.ones(rows, dtype=bool)
 
     artificial = basis >= nv
     if artificial.any():
@@ -191,59 +192,48 @@ def solve(lp: LinearProgram) -> LPSolution:
         # phase 1 is bounded below by 0, so an "unbounded" stop is rounding
         # drift on a reduced cost near -_COST_TOL: only the artificial sum
         # decides feasibility
-        _, it1, _ = _iterate(T, basis, max_iter)
+        _, it1, _ = _iterate(T, basis, max_iter, ncol)
         iterations += it1
         if -T[-1, ncol] > _PHASE1_TOL:
             # the phase-1 duals, read off the artificials' reduced costs
             # 1 - yhat_i, are a Farkas vector y = flip * yhat on the rows
             _check_farkas(A, b, flip * (1.0 - T[-1, nv:ncol]), iterations)
             return LPSolution(INFEASIBLE, None, None, None, iterations)
-        # drive remaining artificials out of the basis (degenerate at zero);
-        # a row with no structural entry left is redundant and dropped
+        # drive remaining artificials out of the basis (degenerate at zero).
+        # A row with no structural entry left is redundant: its artificial
+        # stays basic at zero, and with the rounding noise in its structural
+        # entries cleared no phase-2 pivot chooses or changes the row
         for i in np.flatnonzero(basis >= nv):
             nz = np.flatnonzero(np.abs(T[i, :nv]) > _PIVOT_TOL)
             if nz.size == 0:
-                keep[i] = False
+                T[i, :nv] = 0.0
                 continue
             _pivot(T, i, int(nz[0]))
             basis[i] = nz[0]
-    keep_rows = np.flatnonzero(keep)
-    basis = basis[keep_rows]
 
-    # phase 2 on the structural columns and the rhs, with the true costs
-    T = T[np.ix_(np.append(keep_rows, rows), np.r_[:nv, ncol])]
-    T[-1, :nv], T[-1, nv] = c, 0.0
-    T[-1] -= c[basis] @ T[:-1]
-    status, it2, enter_j = _iterate(T, basis, max_iter)
+    # phase 2 on the same tableau with the true costs; the artificials cost 0
+    # and are not priced, so they never re-enter
+    T[-1, :nv], T[-1, nv:] = c, 0.0
+    T[-1] -= T[-1, basis] @ T[:-1]
+    status, it2, enter_j = _iterate(T, basis, max_iter, nv)
     iterations += it2
 
     if status == "unbounded":
         # x moves along e_enter - T[:, enter] on the basis
-        ray = np.zeros(nv)
+        ray = np.zeros(ncol)
         ray[enter_j] = 1.0
         ray[basis] -= T[:-1, enter_j]
+        ray = ray[:nv]
         _check_ray(c, A, ray, iterations)
         return LPSolution(UNBOUNDED, None, None, None, iterations, ray=ray)
 
-    x = np.zeros(nv)
-    x[basis] = T[: len(basis), nv]
-    optimum = float(c @ x)
-    dual, gap, comp, feas = _certify(lp, x, full, flip, basis, keep_rows)
-    if gap > 1e-7 * (1.0 + abs(optimum)):
-        raise NumericalError(
-            f"duality gap {gap:.3e} exceeds certificate tolerance after {iterations} iterations"
-        )
-    return LPSolution(
-        OPTIMAL,
-        optimum,
-        x,
-        dual,
-        iterations,
-        feasibility_residual=feas,
-        duality_gap=gap,
-        complementarity_residual=comp,
-        basis=basis,
-    )
+    x = np.zeros(ncol)
+    x[basis] = T[:-1, ncol]
+    x = x[:nv]
+    # the artificials' reduced costs are -c_B B^-1 on the flipped rows
+    dual = -flip * T[-1, nv:ncol]
+    feas, gap, comp = _check_optimal(c, A, b, x, dual, iterations)
+    return LPSolution(OPTIMAL, float(c @ x), x, dual, iterations, feas, gap, comp, basis=basis[basis < nv])
 
 
 def _norm_inf(A) -> float:
@@ -279,24 +269,19 @@ def _check_farkas(A, b, y, iterations):
                                      ("b.y > 0", by, by > 0.0)), iterations)
 
 
-def _certify(lp, x, full, flip, basis, keep_rows):
-    """Recover the dual vector from the final basis and compute residuals.
-
-    The dual of min c.x s.t. Ax = b, x >= 0 is max b.w s.t. A^T w <= c. On
-    the flipped rows that survive phase 1 the basis equation B^T what = c_B
-    holds, and w_row = flip_row * what_row (zero for rows dropped as
-    redundant).
-    """
-    c, A, b = lp.objective, lp.lhs_eq, lp.rhs_eq
-    feas = max(float(np.max(np.abs(A @ x - b), initial=0.0)), float(np.max(-x, initial=0.0)))
-    w = np.zeros(b.size)
-    if keep_rows.size:
-        B = full[keep_rows][:, basis]
-        try:
-            what = np.linalg.solve(B.T, c[basis])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular basis while extracting duals: {exc}") from exc
-        w[keep_rows] = flip[keep_rows] * what
-    gap = abs(float(c @ x) - float(b @ w))
-    comp = float(np.max(np.abs(x * (c - A.T @ w)), initial=0.0))
-    return w, gap, comp, feas
+def _check_optimal(c, A, b, x, w, iterations):
+    """Raise NumericalError unless x and w certify each other optimal: x >= 0
+    against ||x||, A x = b against ||A|| ||x||, A^T w <= c against
+    ||A^T|| ||w|| + ||c|| and c.x = b.w against ||c|| ||x|| + ||b|| ||w||
+    (weak duality then bounds every feasible c.x below by b.w). Return the
+    primal residual, the duality gap and the complementarity residual."""
+    size, lowest = float(np.max(np.abs(x), initial=0.0)), float(np.min(x, initial=0.0))
+    size_w, size_c = float(np.max(np.abs(w), initial=0.0)), float(np.max(np.abs(c), initial=0.0))
+    primal, reduced = float(np.max(np.abs(A @ x - b), initial=0.0)), c - A.T @ w
+    worst, gap = float(np.max(-reduced, initial=0.0)), abs(float(c @ x - b @ w))
+    gap_scale = size_c * size + float(np.max(np.abs(b), initial=0.0)) * size_w
+    _fail("OPTIMAL certificate", (("x >= 0", lowest, lowest >= -_PIVOT_TOL * size),
+                                  ("A x = b", primal, primal <= _RAY_TOL * _norm_inf(A) * size),
+                                  ("A^T w <= c", worst, worst <= _RAY_TOL * (_norm_inf(A.T) * size_w + size_c)),
+                                  ("c.x = b.w", gap, gap <= _RAY_TOL * gap_scale)), iterations)
+    return max(primal, -lowest), gap, float(np.max(np.abs(x * reduced), initial=0.0))

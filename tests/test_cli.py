@@ -271,6 +271,28 @@ def test_predual_norm_malformed_atoms_exit_1(capsys, atoms, names):
     assert err.startswith("input error: ") and names in err
 
 
+def test_predual_norm_n_zero_exit_1(capsys):
+    # --n 0 is passed on and rejected, not replaced by the atoms' dimension
+    code, out, err = run_cli(capsys, "predual-norm", "--k", "0", "--n", "0", "--atoms",
+                             '[{"x":[0.0],"coef":1.0},{"x":[1.0],"coef":-1.0}]')
+    assert code == 1 and out == ""
+    assert err.startswith("input error: ") and "dimension n must be an integer >= 1" in err
+
+
+@pytest.mark.parametrize("omega, names", [
+    ('{"kind":"capped","exponent":0.5,"cap":NaN}', "modulus cap must be a finite number"),
+    ('{"kind":"power","exponent":"x"}', "modulus exponent must be a finite number"),
+    ('{"kind":"power","exponent":true}', "modulus exponent must be a finite number"),
+    ('{"kind":"table","breakpoints":[[1]]}', "table breakpoints must be (t, w) pairs"),
+    ('{"kind":"table","breakpoints":[[1.0,Infinity]]}', "table breakpoint w must be a finite number"),
+])
+def test_norm_malformed_modulus_exit_1(capsys, omega, names):
+    # a NaN cap used to exit 0 with "lambda_osc": NaN, which is not JSON
+    code, out, err = run_cli(capsys, "norm", "--field", FIELD_2PT, "--omega", omega)
+    assert code == 1 and out == ""
+    assert err.startswith("input error: ") and names in err
+
+
 def test_predual_norm_reads_the_atoms_once(capsys, monkeypatch, tmp_path):
     path = tmp_path / "atoms.json"
     path.write_text('[{"x":[0.0],"coef":1.0},{"x":[2.0],"coef":-1.0}]')
@@ -347,6 +369,57 @@ def test_markov_bad_resolution_or_threshold_exit_1(capsys, set_spec, option, val
     assert code == 1
     assert out == ""
     assert err.startswith("input error: ") and names in err
+
+
+@pytest.mark.parametrize("option, value, names", [
+    ("--center", '{"y":[0]}', "center object has no 'x' list"),
+    ("--center", '["a"]', "center must be a list of numeric values"),
+    ("--center", "[[0.0]]", "center must be a list of values"),
+    ("--set", '{"pts":[[0.1]]}', "set object has no 'points' list"),
+    ("--set", '[["a"]]', "set must be a list of numeric points"),
+    ("--set", "[[0.0], [NaN]]", "set must be finite"),
+    ("--radii", '[1.0,"a"]', "radii must be a list of numeric values"),
+])
+def test_markov_malformed_json_exit_1(capsys, option, value, names):
+    argv = {"--center": "[0.0]", "--set": "[[0.0], [0.5]]", "--radii": "[1.0]", option: value}
+    code, out, err = run_cli(capsys, "markov", "--k", "1", *(a for kv in argv.items() for a in kv))
+    assert code == 1 and out == ""
+    assert err.startswith("input error: ") and names in err
+
+
+@pytest.mark.parametrize("grid, names", [
+    ('["a","b"]', "grid must be a list of numeric values"),
+    ("[0.5, NaN]", "grid must be finite"),
+])
+def test_validate_omega_malformed_grid_exit_1(capsys, grid, names):
+    code, out, err = run_cli(capsys, "validate-omega", "--omega", '{"kind":"linear"}', "--grid", grid)
+    assert code == 1 and out == ""
+    assert err.startswith("input error: ") and names in err
+
+
+@pytest.mark.parametrize("table, names", [
+    ('{"x":[0.0,1.0,2.0]}', "function table must be an object with lists 'x' and 'f'"),
+    ("[[0.0, 1.0]]", "function table must be an object with lists 'x' and 'f'"),
+    ('{"x":[2.0,1.0,0.0],"f":[0.0,1.0,0.0]}', "strictly increasing"),
+    ('{"x":[0.0,0.0,2.0],"f":[0.0,1.0,0.0]}', "strictly increasing"),
+    ('{"x":[0.0,1.0],"f":[0.0,1.0,0.0]}', "one f per x"),
+    ('{"x":[],"f":[]}', "nonempty"),
+    ('{"x":[0.0,NaN,2.0],"f":[0.0,1.0,0.0]}', "function table x must be finite"),
+    ('{"x":[0.0,1.0,2.0],"f":[0.0,"a",0.0]}', "function table f must be a list of numeric values"),
+])
+def test_jackson_malformed_table_exit_1(capsys, table, names):
+    # a decreasing x used to exit 0 with sampled_norm_f 0.0, since np.interp
+    # assumes increasing sample points
+    code, out, err = run_cli(capsys, "jackson", "--f", f"table:{table}", "--N", "8", "--ell", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("input error: ") and names in err
+
+
+def test_jackson_table_of_increasing_x(capsys):
+    code, out, _ = run_cli(capsys, "jackson", "--f", 'table:{"x":[0.0,1.0,2.0],"f":[0.0,1.0,0.0]}',
+                           "--N", "8", "--ell", "2")
+    assert code == 0
+    assert json.loads(out)["results"]["sampled_norm_f"] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("option, value, names", [

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -116,3 +118,31 @@ def test_from_json_rejects_garbage():
         mo.from_json({"kind": "power", "exponent": 1.5})
     with pytest.raises(InputError):
         mo.from_json({"kind": "table", "breakpoints": [[2.0, 1.0], [1.0, 2.0]]})
+
+
+@pytest.mark.parametrize("build, names", [
+    (lambda: mo.capped(0.5, math.nan), "modulus cap must be a finite number"),
+    (lambda: mo.capped(0.5, "1"), "modulus cap must be a finite number"),
+    (lambda: mo.power("x"), "modulus exponent must be a finite number"),
+    (lambda: mo.power(True), "modulus exponent must be a finite number"),
+    (lambda: mo.power(None), "modulus exponent must be a finite number"),
+    (lambda: mo.table([(1.0, math.nan)]), "table breakpoint w must be a finite number"),
+    (lambda: mo.table([(math.nan, 1.0)]), "table breakpoint t must be a finite number"),
+    (lambda: mo.table([(1.0, math.inf)]), "table breakpoint w must be a finite number"),
+    (lambda: mo.from_json({"kind": "table", "breakpoints": [[1]]}), "(t, w) pairs"),
+    (lambda: mo.from_json({"kind": "table", "breakpoints": [1.0, 2.0]}), "(t, w) pairs"),
+    (lambda: mo.from_json({"kind": "table"}), "at least one breakpoint"),
+], ids=["nan cap", "str cap", "str exponent", "bool exponent", "no exponent", "nan w", "nan t", "inf w",
+        "json short pair", "json numbers", "json no breakpoints"])
+def test_non_finite_or_non_numeric_parameters_rejected(build, names):
+    # each of these used to build a modulus that evaluates to NaN or inf, or
+    # to raise a bare TypeError / ValueError, or (a bool exponent) to be read
+    # as 1
+    with pytest.raises(InputError, match=re.escape(names)):
+        build()
+
+
+def test_parameters_are_stored_as_floats():
+    m = mo.capped(1, 2)
+    assert (m.exponent, m.cap) == (1.0, 2.0) and isinstance(m.exponent, float)
+    assert mo.table([(1, 2)]).breakpoints == ((1.0, 2.0),)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from free_lp import solve_free
 
+import ckomega.markov
+import ckomega.predual
 from ckomega import modulus as mo
 from ckomega.errors import InputError, NumericalError
 from ckomega.extension import mcshane_extension
@@ -21,6 +23,8 @@ from ckomega.fields import (
     mi_sub,
     multi_indices,
 )
+from ckomega.markov import markov_ratio
+from ckomega.markov import probe as markov_probe
 from ckomega.predual import (
     FinitenessReport,
     _bracket_lps,
@@ -606,14 +610,11 @@ def test_bracket_lo_degenerate_families_match_highs(n, k, m):
 _LO_SWEEP_M = {(1, 1): 16, (1, 2): 10, (1, 3): 8, (2, 1): 10, (2, 2): 5, (2, 3): 3}  # <= 32 rows
 
 
-def test_bracket_lo_sweep_matches_highs():
-    # 204 seeded lo LPs, n = 1-2, k = 1-3, up to 32 x 1024: a delta atom of
-    # random order per point and one top-order difference atom. HiGHS is
-    # compared only where _lo_vs_highs trusts it (once it reported no
-    # optimum on an LP bounded below by 0).
-    pytest.importorskip("scipy")
+def _lo_sweep():
+    """(trial, n, k, m, lo LP) of 204 seeded lo LPs, n = 1-2, k = 1-3, up to
+    32 x 1024: a delta atom of random order per point and one top-order
+    difference atom."""
     rng = np.random.default_rng(1973)
-    raised, compared = 0, 0
     for trial in range(204):
         n, k = 1 + trial % 2, 1 + (trial // 2) % 3
         ctx = NormContext(k, n, (mo.power(0.5), mo.linear())[(trial // 6) % 2])
@@ -624,7 +625,15 @@ def test_bracket_lo_sweep_matches_highs():
         atoms = [delta(p, mis[rng.integers(len(mis))]) for p in pts]
         i, j = rng.choice(m, 2, replace=False)
         atoms.append(difference(pts[i], pts[j], top[rng.integers(len(top))]))
-        lp = _bracket_lps(functional(atoms, rng.normal(size=len(atoms)), ctx))[0]
+        yield trial, n, k, m, _bracket_lps(functional(atoms, rng.normal(size=len(atoms)), ctx))[0]
+
+
+def test_bracket_lo_sweep_matches_highs():
+    # the lo sweep against HiGHS, compared only where _lo_vs_highs trusts it
+    # (once it reported no optimum on an LP bounded below by 0).
+    pytest.importorskip("scipy")
+    raised, compared = 0, 0
+    for trial, n, k, m, lp in _lo_sweep():
         try:
             got, want = _lo_vs_highs(lp)
         except NumericalError:
@@ -635,6 +644,40 @@ def test_bracket_lo_sweep_matches_highs():
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (trial, n, k, m)
     assert raised <= 2
     assert compared >= 190
+
+
+def test_tableau_duals_match_a_fresh_basis_solve(monkeypatch):
+    # the duals read off the artificials' reduced costs against the route
+    # they replaced, w = B^-T c_B solved afresh from the optimal basis, on
+    # the lo sweep, k = 0 norm LPs and Markov LPs (every row is kept on
+    # these families, so B is square)
+    solved = []
+
+    def record(lp):
+        sol = solve(lp)
+        solved.append((lp, sol))
+        return sol
+
+    for *_, lp in _lo_sweep():
+        try:
+            record(lp)
+        except NumericalError:
+            pass
+    monkeypatch.setattr(ckomega.predual, "solve", record)
+    monkeypatch.setattr(ckomega.markov, "solve", record)
+    rng = np.random.default_rng(3)
+    for trial in range(40):
+        m, n = int(rng.integers(2, 12)), 1 + trial % 2
+        ctx = NormContext(0, n, (mo.power(0.5), mo.linear())[trial % 2])
+        predual_norm_k0(functional([delta(p) for p in rng.uniform(-1, 1, (m, n))], rng.normal(size=m), ctx))
+    for n, k in ((1, 1), (1, 3), (2, 1), (2, 2)):
+        markov_ratio(markov_probe([0.0] * n, 1.0, k, rng.uniform(-1, 1, (30, n)), resolution=9))
+    assert len(solved) > 250
+    for lp, sol in solved:
+        A, c = lp.lhs_eq, lp.objective
+        assert sol.basis.size == lp.n_rows
+        fresh = np.linalg.solve(A[:, sol.basis].T, c[sol.basis])
+        assert np.max(np.abs(sol.dual_eq - fresh), initial=0.0) <= 1e-9 * np.max(np.abs(fresh), initial=0.0)
 
 
 def test_bracket_consistent_with_k0_exact_norm():

@@ -139,12 +139,38 @@ def test_duals_reproduce_objective():
 
 
 def test_degenerate_equality_redundant_rows():
-    # x + y = 1 stated twice; min -x s.t. x, y >= 0: one row is dropped and
-    # its dual is zero
+    # x + y = 1 stated twice; min -x s.t. x, y >= 0: phase 1 leaves the
+    # copy's artificial basic at zero with no structural entry to pivot on,
+    # so the copy has no basic column and its dual is zero, and the other
+    # dual is the fresh solve B^T w = c_B on the kept row
     s = solve(LinearProgram(np.array([-1.0, 0.0]), [[1, 1], [1, 1]], [1, 1]))
     assert s.status == OPTIMAL and s.optimum == pytest.approx(-1.0)
     assert s.x == pytest.approx([1.0, 0.0])
     assert s.dual_eq @ [1.0, 1.0] == pytest.approx(-1.0)
+    assert s.dual_eq[1] == 0.0 and s.basis.tolist() == [0]
+    assert s.dual_eq[0] == -1.0
+
+
+@pytest.mark.parametrize("c, a, b, calls", [
+    # every row has a unit column: phase 2 is the only _iterate call
+    ([-1.0, -1.0, 0.0, 0.0], [[1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 1.0]], [2.0, 1.0], 1),
+    # the second row needs phase 1, which ends at x = (0, 1, 1), not optimal
+    ([-3.0, -1.0, 0.0], [[1.0, 1.0, 1.0], [1.0, 2.0, 0.0]], [2.0, 2.0], 2),
+], ids=["phase 2 only", "after phase 1"])
+def test_optimal_certificate_fails_when_phase_2_stops_early(c, a, b, calls, monkeypatch):
+    # a phase 2 that stops before the optimum leaves a feasible x and duals
+    # c_B B^-1 whose objective is c.x, so only dual feasibility can tell
+    want = solve(LinearProgram(c, a, b))
+    assert want.status == OPTIMAL and want.iterations >= calls
+    iterate, seen = ckomega.simplex._iterate, []
+
+    def stop_phase_2(T, basis, *args):
+        seen.append(1)
+        return ("optimal", 0, None) if len(seen) == calls else iterate(T, basis, *args)
+
+    monkeypatch.setattr(ckomega.simplex, "_iterate", stop_phase_2)
+    with pytest.raises(NumericalError, match=r"OPTIMAL certificate fails A\^T w <= c"):
+        solve(LinearProgram(c, a, b))
 
 
 @pytest.mark.parametrize("d, c, failed", [
