@@ -140,6 +140,13 @@ def _cardinal(k: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _tail_constants(k: int):
+    """p! for p <= k, and per i <= k the column of C(j, i), j = i..k."""
+    return (np.array([math.factorial(p) for p in range(k + 1)]),
+            [np.array([[math.comb(j, i)] for j in range(i, k + 1)]) for i in range(k + 1)])
+
+
 @dataclass(frozen=True, eq=False)
 class HermiteExtension1D:
     """Piecewise two-point Hermite extension of a 1D Whitney field."""
@@ -154,61 +161,80 @@ class HermiteExtension1D:
 
     @cached_property
     def _gaps(self):
-        """Per gap its stencil (the two field rows) and h^(r-j)."""
+        """Per gap its stencil (the two field rows), its ends and width
+        (a, b, h = b - a) and h^(r-j)."""
         jr = np.arange(self.k + 1)
-        hpow = np.diff(self.knots)[:, None, None, None] ** (jr - jr[:, None, None])
-        return np.stack([self.order[:-1], self.order[1:]], 1), hpow
+        a, b = self.knots[:-1], self.knots[1:]
+        h = b - a
+        hpow = h[:, None, None, None] ** (jr - jr[:, None, None])
+        return np.stack([self.order[:-1], self.order[1:]], 1), np.stack([a, b, h], 1), hpow
 
     def _weights(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Stencils idx (P, 2) and weights w (P, k+1, 2, k+1) with D^j F(x_q) =
-        sum_{e, r} w[q, j, e, r] c_r(idx[q, e]): identity weights on a knot,
-        the cardinal table in a gap, the hull endpoint's Taylor polynomial
-        times the clamp profile (Leibniz) in a tail, where the one point is
-        repeated with zero weights. A row does not depend on P."""
+        sum_{e, r} w[q, j, e, r] c_r(idx[q, e]). Inside the hull a query reads
+        the cardinal table at its gap, in one contraction of the powers of v,
+        the distance in s or u to the nearer end, then scaled by h^(r-j). A
+        knot is a gap row at v = 0: the table's constant term is exactly the
+        identity at that end and h^0 = 1, so its weights are the identity and
+        the other end's are 0. In a tail the hull endpoint's Taylor polynomial
+        is multiplied by the clamp profile (Leibniz), the one point repeated
+        with zero weights; a single-knot field has no gap, so every query is a
+        tail there. A row does not depend on P."""
         xs = np.asarray(xs, dtype=float).ravel()
-        if not np.isfinite(xs).all():
-            raise InputError("queries must be finite")
-        k = self.k
-        knots, order, (pairs, hpow) = self.knots, self.order, self._gaps
-        pos = np.searchsorted(knots, xs)
-        hit = knots[np.minimum(pos, knots.size - 1)] == xs
-        left, right = xs < knots[0], xs > knots[-1]
-        gap = ~(hit | left | right)
-        idx = np.empty((xs.size, 2), dtype=np.intp)
-        w = np.zeros((xs.size, k + 1, 2, k + 1))
+        k, knots, order = self.k, self.knots, self.order
+        pairs, ends, hpow = self._gaps
+        if pairs.size:
+            # clamped into the hull; a tail, infinite or NaN query differs from
+            # its clamp, and its row is overwritten (or rejected) below
+            x = np.minimum(np.maximum(xs, knots[0]), knots[-1])
+            tail = x != xs
+            # the gap [knots[g], knots[g + 1]] holding x: the number of interior
+            # knots below x, so a knot ends the gap before it and the first
+            # knot starts gap 0
+            g = knots[1:-1].searchsorted(x)
+            idx = pairs.take(g, axis=0)
+            a, b, h = ends.take(g, axis=0).T
+            s, u = (x - a) / h, (b - x) / h
+            near = u < s  # the table in u = 1 - s, near the right end
+            # (P, 1, 2k+2) powers of v = min(s, u) against the (P, 2k+2, X)
+            # table of the nearer end, then h^(r-j)
+            table = _cardinal(k).reshape(2, 2 * k + 2, -1).take(near.view(np.uint8), axis=0)
+            psi = np.matmul((np.minimum(s, u)[:, None] ** np.arange(2 * k + 2))[:, None], table)
+            w = psi.reshape(xs.size, k + 1, 2, k + 1)
+            # a zero weight stays 0 where a gap narrower than about 1e-100
+            # overflows h^(r-j): at a knot 0 * inf would make NaN of its datum
+            np.multiply(w, hpow.take(g, axis=0), out=w, where=w != 0.0)
+        else:
+            tail = np.ones(xs.size, dtype=bool)
+            idx, w = np.empty((xs.size, 2), dtype=np.intp), np.empty((xs.size, k + 1, 2, k + 1))
 
-        if np.count_nonzero(hit):
-            idx[hit] = order[pos[hit], None]
-            w[hit, :, 0, :] = np.eye(k + 1)
-
-        if np.count_nonzero(gap):
-            g = pos[gap] - 1
-            idx[gap] = pairs[g]
-            a, b, x = knots[g], knots[g + 1], xs[gap]
-            s, u = (x - a) / (b - a), (b - x) / (b - a)
-            v = np.minimum(s, u)[:, None, None, None]
-            table = _cardinal(k)[(u < s).astype(np.intp)]
-            psi = table[:, -1] * v
-            for p in range(2 * k, 0, -1):  # Horner
-                psi += table[:, p]
-                psi *= v
-            w[gap] = (psi + table[:, 0]) * hpow[g]
-
-        tail = left | right
-        if np.count_nonzero(tail):
-            end = np.where(left[tail], 0, knots.size - 1)
-            idx[tail] = order[end, None]
-            t = xs[tail] - knots[end]
-            sig = np.empty((t.size, k + 1, 1))  # D^i of the clamp of |t|, times t^p / p! below
-            for i in range(k + 1):
-                sig[:, i, 0] = profile_deriv(np.abs(t), i)
+        if tail.any():
+            xt = xs[tail]
+            if not np.isfinite(xt).all():
+                raise InputError("queries must be finite")
+            end = np.where(xt < knots[0], 0, knots.size - 1)
+            idx[tail] = order.take(end)[:, None]
+            t = xt - knots.take(end)
+            d = np.abs(t)
+            # D^i of the clamp of |t|, times t^p / p! below: up to distance 1
+            # the clamp is exactly 1 and its derivatives 0, as profile_deriv
+            # gives them, and from distance 2 on all of them are 0
+            sig = np.zeros((t.size, k + 1, 1))
+            sig[:, 0, 0] = d <= 1.0
+            band = (1.0 < d) & (d < 2.0)
+            if band.any():
+                for i in range(k + 1):
+                    sig[band, i, 0] = profile_deriv(d[band], i)
             sig[:, 1::2] *= np.sign(t)[:, None, None]
-            outer = sig * (t[:, None, None] ** np.arange(k + 1) / [math.factorial(p) for p in range(k + 1)])
-            wt = outer.copy()
+            fact, binom = _tail_constants(k)
+            # the powers of t times a zero clamp are 0; beyond distance 2 they
+            # are taken at t = 0, where they cannot overflow into 0 * inf
+            outer = sig * (np.where(d < 2.0, t, 0.0)[:, None, None] ** np.arange(k + 1) / fact)
+            wt = np.zeros((t.size, k + 1, 2, k + 1))
+            wt[:, :, 0] = outer
             for i in range(1, k + 1):  # D^j (T sigma) = sum_i C(j, i) T^(i) sigma^(j-i)
-                binom = [[math.comb(j, i)] for j in range(i, k + 1)]
-                wt[:, i:, i:] += binom * outer[:, : k + 1 - i, : k + 1 - i]
-            w[tail, :, 0, :] = wt
+                wt[:, i:, 0, i:] += binom[i] * outer[:, : k + 1 - i, : k + 1 - i]
+            w[tail] = wt
         return idx, w
 
     def jets(self, xs) -> np.ndarray:
@@ -216,22 +242,26 @@ class HermiteExtension1D:
         xs = np.asarray(xs, dtype=float).ravel()
         k = self.k
         out = np.empty((xs.size, k + 1))
-        # elements per query alive at the peak: the gathered cardinal table
-        # and the weight and term arrays, and about 16 for the positions,
-        # masks, stencils and gap coordinates
-        for blk in _blocks(xs.size, 8 * (k + 1) ** 2 * (k + 2) + 16):
-            idx, w = self._weights(xs[blk])
-            terms = w * self.field.coeffs[idx][:, None]  # (B, k+1, 2, k+1)
-            acc = terms[..., 0]
-            for r in range(1, k + 1):  # fixed order: a row does not depend on the block
-                acc = acc + terms[..., r]
-            out[blk] = acc[..., 0] + acc[..., 1]
+        # elements per query alive at the peak, when w is scaled by h^(r-j):
+        # the gathered cardinal table (4 (k+1)^3), w and the gathered powers
+        # of h (3 (k+1)^2), and about 16 for the positions, the stencils and
+        # the gap coordinates
+        for blk in _blocks(xs.size, 4 * (k + 1) ** 3 + 3 * (k + 1) ** 2 + 16):
+            out[blk] = self._contract(*self._weights(xs[blk]))
         return out
+
+    def _contract(self, idx, w) -> np.ndarray:
+        """(P, k+1) jets from the stencils and weights of _weights: one
+        (k+1, 2k+2) by (2k+2) product per query, so a row does not depend
+        on P."""
+        k = self.k
+        c = self.field.coeffs.take(idx, axis=0).reshape(-1, 2 * k + 2, 1)
+        return np.matmul(w.reshape(-1, k + 1, 2 * k + 2), c)[:, :, 0]
 
     def evaluate_jet(self, x: float) -> Jet:
         """Values D^alpha F(x) for alpha <= k, packed as a jet at x."""
         x = float(x)
-        return Jet((x,), tuple(self.jets([x])[0].tolist()), self.k)
+        return Jet((x,), tuple(self._contract(*self._weights([x]))[0].tolist()), self.k)
 
     def __call__(self, x):
         vals = self.jets(x)[:, 0]
@@ -288,9 +318,13 @@ def depth_audit(op, x) -> DepthRecord:
         raise InputError("depth audit supports McShane and 1D Hermite operators")
     x = float(x)
     idx, w = op._weights([x])
-    active = list(dict.fromkeys(int(i) for i in idx[0]))  # a repeated index is one point
-    entries = tuple((i, a, float(w[0, 0, e, a])) for e, i in enumerate(active)
-                    for a in range(op.k + 1) if w[0, 0, e, a] != 0.0)
+    # the stencil's points that carry a weight, distinct since a tail repeats
+    # its endpoint with zero weights; beyond distance 2 a tail carries none
+    # and reports its one endpoint
+    active = max(1, int(np.count_nonzero(w[0].any(axis=(0, 2)))))
+    entries = tuple((int(i), a, float(wt)) for i, row in zip(idx[0], w[0, 0])
+                    for a, wt in enumerate(row.tolist()) if wt != 0.0)
     const_weight = sum(wt for _, a, wt in entries if a == 0)
     dist = max(op.knots[0] - x, x - op.knots[-1], 0.0)
-    return DepthRecord(True, entries, len(active), abs(const_weight - float(profile(dist))))
+    clamp = 1.0 if dist <= 1.0 else float(profile(dist))  # profile is exactly 1 up to distance 1
+    return DepthRecord(True, entries, active, abs(const_weight - clamp))

@@ -154,9 +154,9 @@ class Jet:
             raise InputError(
                 f"jet needs {want} coefficients for n={n}, k={self.k}, got {len(self.coeffs)}"
             )
-        if not all(math.isfinite(c) for c in self.coeffs):
+        if not all(map(math.isfinite, self.coeffs)):
             raise InputError("jet coefficients must be finite")
-        if not all(math.isfinite(x) for x in self.point):
+        if not all(map(math.isfinite, self.point)):
             raise InputError(f"jet base point must be finite, got {self.point}")
 
     @property
@@ -171,7 +171,15 @@ class Jet:
 
 
 def jet(point, coeffs, k: int) -> Jet:
-    return Jet(tuple(float(x) for x in np.atleast_1d(point)), tuple(float(c) for c in coeffs), k)
+    return Jet(_floats(np.atleast_1d(point)), _floats(coeffs), k)
+
+
+def _floats(values) -> tuple[float, ...]:
+    """float() of each entry, as a tuple; a 1-D float64 array gives the same
+    floats in one tolist, without a numpy scalar per entry."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
+        return tuple(values.tolist())
+    return tuple(map(float, values))
 
 
 # Size in float64 elements (2 MB) of the temporaries one block of a

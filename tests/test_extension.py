@@ -481,6 +481,68 @@ def test_depth_audit_runtime_budget():
     assert best < 0.05
 
 
+def test_evaluate_jet_runtime_budget():
+    # 400 scalar calls at m = 40, k = 2, one in seven on a knot: about 14 ms
+    # on one 2 vCPU Xeon core, where the per-call masks, counts and Horner
+    # loop of the earlier weights took 22-30 ms
+    rng = np.random.default_rng(14)
+    pts = np.sort(rng.uniform(-1, 1, 40))
+    h = hermite_extension(field_from_jets([jet([p], rng.normal(size=3), 2) for p in pts]))
+    xs = rng.uniform(pts[0], pts[-1], 400)
+    xs[::7] = pts[rng.integers(0, 40, xs[::7].size)]
+    h.evaluate_jet(xs[0])
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        for x in xs:
+            h.evaluate_jet(x)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.04
+
+
+def test_hermite_tails_read_the_profile_only_in_its_transition_band(monkeypatch):
+    # up to distance 1 the clamp is exactly 1 with zero derivatives, and from
+    # distance 2 on all are 0, so only a distance in (1, 2) needs profile_deriv
+    calls = []
+
+    def counted(u, order):
+        calls.append(np.size(u))
+        return profile_deriv(u, order)
+
+    monkeypatch.setattr("ckomega.extension.profile_deriv", counted)
+    rng = np.random.default_rng(15)
+    for k in range(4):
+        pts, coeffs, h = _random_hermite(rng, k, 4)
+        flat_far = np.array([pts[0] - 0.5, pts[-1] + 0.75, pts[0] - 2.5, pts[-1] + 3.0, *pts])
+        calls.clear()
+        for row, x in zip(h.jets(flat_far), flat_far):
+            assert np.all(np.abs(row - _oracle_jet(pts, coeffs, k, x)) <= 1e-12 * np.maximum(1.0, np.abs(row)))
+        assert calls == []
+        h.jets(np.append(flat_far, pts[-1] + 1.5))
+        assert calls == [1] * (k + 1)
+
+
+def test_hermite_knots_are_data_next_to_an_overflowing_gap():
+    # h^(r-j) overflows on a gap of 1e-110 at k = 3 (with a warning), and a
+    # knot's zero weights must not turn it into 0 * inf = NaN
+    pts, coeffs = [0.0, 1e-110, 1.0], [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0], [9.0, 10.0, 11.0, 12.0]]
+    h = hermite_extension(field_from_jets([jet([p], c, 3) for p, c in zip(pts, coeffs)]))
+    with np.errstate(over="ignore"):
+        assert np.array_equal(h.jets(pts), coeffs)
+        assert [depth_audit(h, x).entries for x in pts] == [((i, 0, 1.0),) for i in range(3)]
+
+
+def test_hermite_far_tail_is_zero_at_any_distance():
+    # beyond distance 2 the clamp is 0, so every order is exactly 0 there:
+    # t^3 at t = -1e200 overflows, and times the clamp it made NaN jets
+    h = hermite_extension(field_from_jets([jet([0.0], [1, 2, 3, 4], 3), jet([1.0], [1, 2, 3, 4], 3)]))
+    xs = [-1e200, -3.0, 50.0, 1e100]
+    assert np.array_equal(h.jets(xs), np.zeros((4, 4)))
+    for x in xs:
+        rec = depth_audit(h, x)
+        assert rec.entries == () and rec.active_points == 1 and rec.constant_residual == 0.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_hermite_rejects_non_finite_queries(bad):
     h = hermite_extension(two_point())

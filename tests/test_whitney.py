@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -270,6 +271,12 @@ def _lattice_field(rng, k, n, m):
     return field_from_jets([jet(p, rng.integers(-1, 2, J).astype(float), k) for p in pts])
 
 
+def _set_pairs_per_block(monkeypatch, field, pairs):
+    """Size the blocks of whitney_lambda's sweep to the given number of pairs."""
+    width = 7 * len(multi_indices(field.n, field.k)) + field.n + field.k + 4  # its per-pair width
+    monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", pairs * width)
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_lambda_blocks_match_one_block_bitwise(monkeypatch, k):
     rng = np.random.default_rng(20 + k)
@@ -279,9 +286,40 @@ def test_lambda_blocks_match_one_block_bitwise(monkeypatch, k):
     whole = [whitney_lambda(f, ctx) for f, ctx in zip(fields, ctxs)]
     for pairs_per_block in (1, 2, 7):
         for f, ctx, ref in zip(fields, ctxs, whole):
-            width = 8 * len(multi_indices(f.n, k)) + 3 * f.n + 5  # whitney_lambda's per-pair width
-            monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", pairs_per_block * width)
+            _set_pairs_per_block(monkeypatch, f, pairs_per_block)
             assert whitney_lambda(f, ctx) == ref
+
+
+# sha256 of the reports below, computed with the sweep that derived each
+# pair's row by a binary search and raised every jet row's distance to its
+# power: the sweep's bits, witnesses included, are pinned to that engine's
+_LAMBDA_DIGEST = "baed04a64d91d5a0c542111813aede382252ef74e4399d9c0f8ca8a4056258cd"
+
+
+def test_lambda_reports_match_pinned_digest(monkeypatch):
+    # every k <= 3, n <= 3 and modulus: one point, m = 9 at the default
+    # block size and at 1, 2 and 7 pairs per block, m = 60, and for one
+    # modulus per (k, n) m = 300 (up to 14 blocks)
+    moduli = [mo.power(0.5), mo.linear(), mo.capped(0.7, 0.5), mo.table([(0.1, 0.2), (0.5, 0.6), (2.0, 1.5)])]
+    digest = hashlib.sha256()
+    for k, n in itertools.product(range(4), (1, 2, 3)):
+        J = len(multi_indices(n, k))
+        for which, om in enumerate(moduli):
+            rng = np.random.default_rng([k, n, which])
+            sizes = [(1, (None,)), (9, (None, 1, 2, 7)), (60, (None,))]
+            if which == (k + n) % 4:
+                sizes.append((300, (None,)))
+            for m, blocks in sizes:
+                pts, coeffs = rng.uniform(-1, 1, (m, n)), rng.normal(size=(m, J))
+                f = field_from_jets([jet(p, c, k) for p, c in zip(pts, coeffs)])
+                for pairs in blocks:
+                    monkeypatch.undo()
+                    if pairs is not None:
+                        _set_pairs_per_block(monkeypatch, f, pairs)
+                    rep = whitney_lambda(f, NormContext(k, n, om))
+                    digest.update(repr((rep.lam_sup, rep.lam_osc, rep.lam, rep.sup_witness,
+                                        rep.osc_witness)).encode())
+    assert digest.hexdigest() == _LAMBDA_DIGEST
 
 
 def _exponent_tensor_lambda(field, ctx):
@@ -544,6 +582,36 @@ def test_field_json_round_trip(k, n):
 def test_non_finite_base_point_rejected(build, bad):
     with pytest.raises(InputError, match="jet base point must be finite"):
         build(bad)
+
+
+def _float_error(value) -> str:
+    try:
+        float(value)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"float({value!r}) did not raise")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: jet([0.0], [1.0, math.nan], 1), InputError, "jet coefficients must be finite"),
+    (lambda: jet([0.0], np.array([1.0, math.nan]), 1), InputError, "jet coefficients must be finite"),
+    (lambda: jet(np.array([0.5, math.inf]), np.ones(3), 1), InputError,
+     "jet base point must be finite, got (0.5, inf)"),
+    (lambda: jet([0.0, 1.0], [1.0, 2.0], 1), InputError, "jet needs 3 coefficients for n=2, k=1, got 2"),
+    (lambda: jet([0.0], np.ones(3), 1), InputError, "jet needs 2 coefficients for n=1, k=1, got 3"),
+    (lambda: jet([0.0], [1.0, "x"], 1), ValueError, "could not convert string to float: 'x'"),
+    # a point is converted entry by entry of its array, numpy's string scalars included
+    (lambda: jet(["y"], [1.0], 0), ValueError, _float_error(np.atleast_1d(["y"])[0])),
+    (lambda: jet([0.0], [1.0, None], 1), TypeError,
+     "float() argument must be a string or a real number, not 'NoneType'"),
+    (lambda: Jet((0.0,), (1.0, "x"), 1), TypeError, "must be real number, not str"),
+])
+def test_jet_errors_are_pinned(call, error, message):
+    # jet converts each entry with float(), and Jet checks the count, then
+    # the coefficients, then the point: these types and messages are the API
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def _sin(Y):
