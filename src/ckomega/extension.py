@@ -11,24 +11,28 @@ On a gap [a, b], h = b - a, s = (x - a)/h, the blend is D^j F(x) = sum over
 e in {a, b}, r <= k of h^(r-j) psi_{e,r}^(j)(s) c_r(e), with c_r(e) the
 order-r jet entry at e and psi_{e,r} the two-point Hermite cardinal
 polynomials (de Boor, A Practical Guide to Splines, 1978), tabulated once
-per k. Values, jets and depth audits all read these weights.
+per k. Values, jets and depth audits all read these weights. Where h^(r-j)
+overflows float64 (h below about 1e-100 or above 1e100), knots stay exact
+and a jet that is not finite raises NumericalError naming its gap.
 
 Outside the data hull the 1D extension freezes: the nearest endpoint's Taylor
 polynomial is multiplied by the smooth profile equal to 1 up to distance 1
-and 0 beyond distance 2, which keeps the extension bounded.
+and 0 beyond distance 2, which keeps the extension bounded; the Leibniz
+weights take p! and C(j, i) = j! / (i! (j-i)!) from the multi-index table.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .cutoff import profile, profile_deriv
-from .errors import InputError
-from .fields import Jet, NormContext, WhitneyField, _blocks, _distances
+from .errors import InputError, NumericalError
+from .fields import Jet, NormContext, WhitneyField, _blocks, _distances, _mi_table
 from .modulus import Modulus
 from .whitney import whitney_lambda
 
@@ -106,11 +110,6 @@ def mcshane_extension(field: WhitneyField, omega: Modulus, variant: str = "min")
     return McShaneExtension(field, omega, lam, float(np.max(np.abs(field.coeffs))), variant)
 
 
-def mcshane_extend(field: WhitneyField, omega: Modulus, x, variant: str = "min"):
-    """One-shot evaluation of the clamped McShane extension at x."""
-    return mcshane_extension(field, omega, variant)(x)
-
-
 # ---------------------------------------------------------------------------
 # 1D Hermite blend
 
@@ -140,13 +139,6 @@ def _cardinal(k: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _tail_constants(k: int):
-    """p! for p <= k, and per i <= k the column of C(j, i), j = i..k."""
-    return (np.array([math.factorial(p) for p in range(k + 1)]),
-            [np.array([[math.comb(j, i)] for j in range(i, k + 1)]) for i in range(k + 1)])
-
-
 @dataclass(frozen=True, eq=False)
 class HermiteExtension1D:
     """Piecewise two-point Hermite extension of a 1D Whitney field."""
@@ -162,12 +154,14 @@ class HermiteExtension1D:
     @cached_property
     def _gaps(self):
         """Per gap its stencil (the two field rows), its ends and width
-        (a, b, h = b - a) and h^(r-j)."""
+        (a, b, h = b - a), h^(r-j), and whether some h^(r-j) overflowed."""
         jr = np.arange(self.k + 1)
         a, b = self.knots[:-1], self.knots[1:]
         h = b - a
-        hpow = h[:, None, None, None] ** (jr - jr[:, None, None])
-        return np.stack([self.order[:-1], self.order[1:]], 1), np.stack([a, b, h], 1), hpow
+        with np.errstate(over="ignore"):
+            hpow = h[:, None, None, None] ** (jr - jr[:, None, None])
+        return (np.stack([self.order[:-1], self.order[1:]], 1), np.stack([a, b, h], 1), hpow,
+                not np.isfinite(hpow).all())
 
     def _weights(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Stencils idx (P, 2) and weights w (P, k+1, 2, k+1) with D^j F(x_q) =
@@ -182,7 +176,7 @@ class HermiteExtension1D:
         tail there. A row does not depend on P."""
         xs = np.asarray(xs, dtype=float).ravel()
         k, knots, order = self.k, self.knots, self.order
-        pairs, ends, hpow = self._gaps
+        pairs, ends, hpow, _ = self._gaps
         if pairs.size:
             # clamped into the hull; a tail, infinite or NaN query differs from
             # its clamp, and its row is overwritten (or rejected) below
@@ -226,20 +220,26 @@ class HermiteExtension1D:
                 for i in range(k + 1):
                     sig[band, i, 0] = profile_deriv(d[band], i)
             sig[:, 1::2] *= np.sign(t)[:, None, None]
-            fact, binom = _tail_constants(k)
+            fact = _mi_table(1, k).fact  # p!, p <= k, exact for k <= 20
             # the powers of t times a zero clamp are 0; beyond distance 2 they
             # are taken at t = 0, where they cannot overflow into 0 * inf
             outer = sig * (np.where(d < 2.0, t, 0.0)[:, None, None] ** np.arange(k + 1) / fact)
             wt = np.zeros((t.size, k + 1, 2, k + 1))
             wt[:, :, 0] = outer
             for i in range(1, k + 1):  # D^j (T sigma) = sum_i C(j, i) T^(i) sigma^(j-i)
-                wt[:, i:, 0, i:] += binom[i] * outer[:, : k + 1 - i, : k + 1 - i]
+                binom = fact[i:, None] / (fact[i] * fact[: k + 1 - i, None])  # C(j, i), j = i..k
+                wt[:, i:, 0, i:] += binom * outer[:, : k + 1 - i, : k + 1 - i]
             w[tail] = wt
         return idx, w
 
     def jets(self, xs) -> np.ndarray:
-        """(P, k+1) array of D^j F at the points of xs (flattened), j = 0..k."""
+        """(P, k+1) array of D^j F at the points of xs (flattened), j = 0..k;
+        NumericalError if one is not finite."""
         xs = np.asarray(xs, dtype=float).ravel()
+        return self._finite(xs, self._jets(xs))
+
+    def _jets(self, xs) -> np.ndarray:
+        """jets(xs) for a flat float array xs, unchecked."""
         k = self.k
         out = np.empty((xs.size, k + 1))
         # elements per query alive at the peak, when w is scaled by h^(r-j):
@@ -253,18 +253,36 @@ class HermiteExtension1D:
     def _contract(self, idx, w) -> np.ndarray:
         """(P, k+1) jets from the stencils and weights of _weights: one
         (k+1, 2k+2) by (2k+2) product per query, so a row does not depend
-        on P."""
+        on P. Weights made inf by h^(r-j) make inf or NaN, which _finite
+        rejects."""
         k = self.k
         c = self.field.coeffs.take(idx, axis=0).reshape(-1, 2 * k + 2, 1)
-        return np.matmul(w.reshape(-1, k + 1, 2 * k + 2), c)[:, :, 0]
+        with np.errstate(over="ignore", invalid="ignore") if self._gaps[3] else nullcontext():
+            return np.matmul(w.reshape(-1, k + 1, 2 * k + 2), c)[:, :, 0]
+
+    def _finite(self, xs, out) -> np.ndarray:
+        """out, unless a row is not finite: then NumericalError naming the
+        first such query and its gap (tails are finite)."""
+        if not np.isfinite(out).all():
+            x = float(xs[np.flatnonzero(~np.isfinite(out).all(axis=1))[0]])
+            g = self.knots[1:-1].searchsorted(x)
+            a, b = self.knots[g : g + 2].tolist()
+            raise NumericalError(f"the jet at {x!r} is not finite: it overflows float64 on the "
+                                 f"gap [{a!r}, {b!r}]")
+        return out
 
     def evaluate_jet(self, x: float) -> Jet:
-        """Values D^alpha F(x) for alpha <= k, packed as a jet at x."""
+        """Values D^alpha F(x) for alpha <= k, packed as a jet at x; raises as jets."""
         x = float(x)
-        return Jet((x,), tuple(self._contract(*self._weights([x]))[0].tolist()), self.k)
+        out = self._contract(*self._weights([x]))
+        row = out[0].tolist()
+        if not all(map(math.isfinite, row)):  # _finite's check, cheaper on one row
+            self._finite([x], out)
+        return Jet((x,), tuple(row), self.k)
 
     def __call__(self, x):
-        vals = self.jets(x)[:, 0]
+        xs = np.asarray(x, dtype=float).ravel()
+        vals = self._finite(xs, self._jets(xs)[:, :1])[:, 0]
         return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
@@ -275,11 +293,6 @@ def hermite_extension(field: WhitneyField) -> HermiteExtension1D:
     knots = field.points[order, 0]
     knots.flags.writeable = order.flags.writeable = False  # _gaps is cached from them
     return HermiteExtension1D(field, knots, order)
-
-
-def hermite_extend_1d(field: WhitneyField, x) -> Jet:
-    """One-shot jet of the Hermite blend extension at x."""
-    return hermite_extension(field).evaluate_jet(float(x))
 
 
 # ---------------------------------------------------------------------------

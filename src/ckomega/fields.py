@@ -9,9 +9,12 @@ row per point; a Jet is the single-point form the Taylor and Hermite code use.
 
 The layout is known here only: _mi_table(n, k), cached per (n, k), holds the
 multi-indices, their positions, orders, factorials and signs, the graded
-monomial recurrence and the index of every sum alpha + gamma. Jet lookups,
-the field JSON, the Taylor re-expansions, the predual lowering, the Leibniz
-sums of the periodization and the chain rule all read it.
+monomial recurrence and the index of every sum alpha + gamma, and does all
+truncated Taylor arithmetic on them (Griewank-Walther, Evaluating
+Derivatives, ch. 13): step weights dz^gamma / gamma!, re-expansion across a
+step and the list of sums of order <= k. Jet lookups, the field JSON,
+taylor_eval, whitney_lambda, the predual lowering and bracket, the Hermite
+tails, the Leibniz sums of the periodization and the chain rule read it.
 """
 
 from __future__ import annotations
@@ -92,7 +95,8 @@ class _MultiIndexTable:
     parent comes first); rows[g] = dim P_{k-|gamma|}, the number of alpha
     with |alpha + gamma| <= k, which come first; shift[a, g] is the index of
     alpha + gamma, or J when its order exceeds k. Tables are cached and
-    shared, so index and the arrays are read-only.
+    shared, so index and the arrays are read-only. The methods are the
+    Taylor arithmetic on this layout.
     """
 
     mis: tuple
@@ -104,6 +108,41 @@ class _MultiIndexTable:
     axis: np.ndarray
     rows: np.ndarray
     shift: np.ndarray
+
+    def weights(self, dz):
+        """(J, B) weights dz^gamma / gamma! for the B steps in the columns of
+        the (n, B) array dz; each monomial is one product of an earlier one
+        with a coordinate of dz. The weights for -dz are these times sign."""
+        w = np.empty((self.fact.size, dz.shape[1]))
+        w[0] = 1.0
+        for g in range(1, self.fact.size):
+            np.multiply(w[self.parent[g]], dz[self.axis[g]], out=w[g])
+        w /= self.fact[:, None]
+        return w
+
+    def reexpand(self, w, c):
+        """(J, B) derivatives D^alpha, at base + dz, of the Taylor polynomials
+        with coefficients in the columns of the (J, B) array c, for w =
+        weights(dz). Terms are summed in the fixed order gamma = 0, 1, ..., so
+        a column's value does not depend on B; gamma = 0 contributes c itself
+        exactly, which is all there is for k = 0. c should be C-contiguous:
+        np.take copies any other c whole, once per gamma."""
+        out = c.copy()
+        tmp = np.empty_like(out)
+        for g in range(1, w.shape[0]):
+            r = self.rows[g]
+            # every index read is below J (a test checks the table), and
+            # mode="clip" writes straight into tmp where "raise" buffers it
+            np.take(c, self.shift[:r, g], axis=0, out=tmp[:r], mode="clip")
+            tmp[:r] *= w[g]
+            out[:r] += tmp[:r]
+        return out
+
+    def sums(self):
+        """(a, g, s) over the pairs alpha = mis[a], gamma = mis[g] with
+        |alpha + gamma| <= k in row-major order, s the index of alpha + gamma."""
+        a, g = np.nonzero(self.shift < self.fact.size)
+        return a, g, self.shift[a, g]
 
 
 @lru_cache(maxsize=None)

@@ -40,7 +40,7 @@ from .errors import InputError, NumericalError
 from .fields import NormContext, WhitneyField, _distances, _mi_table, _multi_index, mi_order
 from .modulus import validate
 from .simplex import OPTIMAL, LinearProgram, solve
-from .whitney import _reexpansion, whitney_lambda
+from .whitney import whitney_lambda
 
 
 @dataclass(frozen=True)
@@ -313,17 +313,16 @@ def _bracket_lps(g: AtomicFunctional):
     # --- lo: the coefficient of slot (j, alpha + gamma) in D^alpha T_j(x_i)
     # is the re-expansion weight dz^gamma / gamma!; across -dz it is the same
     # weight times (-1)^|gamma|. Column r of At is primal row r.
-    op = _reexpansion(n, k)
-    w = op.weights(dz)
-    a_idx, g_idx = np.nonzero(np.arange(J)[:, None] < op.rows)  # |alpha + gamma| <= k
-    shifted, own = op.shift[a_idx, g_idx], np.arange(J)
+    w = t.weights(dz)
+    a_idx, g_idx, shifted = t.sums()  # |alpha + gamma| <= k
+    own = np.arange(J)
     At = np.zeros((m * J, 2 * m * J + 4 * pi.size * J))
     s = np.arange(m * J)
     At[s, 2 * s], At[s, 2 * s + 1] = 1.0, -1.0
     R = At[:, 2 * m * J :].reshape(m * J, pi.size, 2, J, 2)  # (slot, pair, z, alpha, +-), a view
     R[pj[:, None] * J + shifted, pairs, 0, a_idx, 0] = -w[g_idx].T
     R[pi[:, None] * J + own, pairs, 0, own, 0] = 1.0
-    R[pi[:, None] * J + shifted, pairs, 1, a_idx, 0] = (w * op.sign[:, None])[g_idx].T
+    R[pi[:, None] * J + shifted, pairs, 1, a_idx, 0] = (w * t.sign[:, None])[g_idx].T
     R[pj[:, None] * J + own, pairs, 1, own, 0] = -1.0
     R[..., 1] = -R[..., 0]
     bound = dist[:, None] ** (k - t.order) * w_om[:, None]  # (pair, alpha)

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 
 _PIVOT_TOL = 1e-9
+_PIVOT_REL = 1e-8  # a ratio-test entry must also exceed this times its column's largest
 _COST_TOL = 1e-9
 _PHASE1_TOL = 1e-8
 _RAY_TOL = 1e-7  # every certificate residual allowed per unit of its scale, e.g. |A d| per ||A|| ||d||
@@ -39,12 +40,11 @@ INFEASIBLE = "INFEASIBLE"
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min objective . x  subject to  lhs_eq x = rhs_eq,  x >= 0
-    (no rows when lhs_eq is None)."""
+    """min objective . x  subject to  lhs_eq x = rhs_eq,  x >= 0."""
 
     objective: np.ndarray
-    lhs_eq: np.ndarray | None = None
-    rhs_eq: np.ndarray | None = None
+    lhs_eq: np.ndarray
+    rhs_eq: np.ndarray
 
     # Not fields: perfbench's tracer (tracer._tableau_mb) still reads the
     # inequality rows of an earlier free-variable form; there are none.
@@ -54,17 +54,12 @@ class LinearProgram:
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.objective, dtype=float))
         nv = c.size
-        if self.lhs_eq is None:
-            if self.rhs_eq is not None:
-                raise InputError("rhs_eq given without lhs_eq")
-            a, b = np.zeros((0, nv)), np.zeros(0)
-        else:
-            a = np.atleast_2d(np.asarray(self.lhs_eq, dtype=float))
-            b = np.atleast_1d(np.asarray(self.rhs_eq, dtype=float))
-            if a.shape[0] != b.size:
-                raise InputError(f"{a.shape[0]} rows for {b.size} right-hand sides")
-            if a.shape[1] != nv:
-                raise InputError(f"{a.shape[1]} columns for {nv} variables")
+        a = np.atleast_2d(np.asarray(self.lhs_eq, dtype=float))
+        b = np.atleast_1d(np.asarray(self.rhs_eq, dtype=float))
+        if a.shape[0] != b.size:
+            raise InputError(f"{a.shape[0]} rows for {b.size} right-hand sides")
+        if a.shape[1] != nv:
+            raise InputError(f"{a.shape[1]} columns for {nv} variables")
         if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise InputError("LP data must be finite")
         object.__setattr__(self, "objective", c)
@@ -115,8 +110,11 @@ def _iterate(T, basis, max_iter, ncol):
     reduced costs >= -tol. basis is an int array, updated in place.
 
     Dantzig's rule enters the most negative reduced cost; the ratio test
-    leaves, among rows within 1e-12 of the smallest ratio, the one with the
-    largest pivot entry, which keeps the tableau well conditioned. Once
+    admits a row only if its entry exceeds max(_PIVOT_TOL, _PIVOT_REL times
+    the column's largest magnitude), so a pivot is never rounding noise
+    relative to its column (Harris, Math. Programming 5, 1973), and leaves,
+    among rows within 1e-12 of the smallest ratio, the one with the largest
+    pivot entry, which keeps the tableau well conditioned. Once
     ``_STALL`` pivots in a row are degenerate (leaving rhs <= 1e-12), Bland's
     rule (smallest eligible index enters, smallest basic index leaves)
     chooses until a pivot is not. This terminates: a cycle consists only of
@@ -135,7 +133,7 @@ def _iterate(T, basis, max_iter, ncol):
         if cost[j] >= -_COST_TOL:
             return "optimal", it, None
         col = T[:m, j]
-        rows = np.flatnonzero(col > _PIVOT_TOL)
+        rows = np.flatnonzero(col > max(_PIVOT_TOL, _PIVOT_REL * float(np.abs(col).max(initial=0.0))))
         if rows.size == 0:
             return "unbounded", it, j
         if rows.size == 1:

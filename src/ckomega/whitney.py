@@ -11,20 +11,15 @@ and weakstar_check: _sample_points parses and checks the grid and the pairs
 before any call, and _sampled_norm samples the derivative oracle once per
 alpha, the top orders on the grid and the pair ends together.
 
-One Taylor re-expansion operator, D^alpha T(x + dz) = sum_gamma dz^gamma /
-gamma! c_{alpha+gamma}, serves taylor_eval, whitney_lambda and the predual
-bracket's rows: the monomials come from a recurrence (one product each, no
-powers), the sum over gamma runs in a fixed order, and a batch of B steps
-needs O(J) elements per step, J = dim P_k. It reads the multi-index table of
-fields._mi_table, as do the chain rule here (truncated Taylor series
-composed through the table's recurrence and shift) and the Leibniz sums of
-the Jackson periodization (the pairs nu + rho = alpha read off shift).
+The Taylor arithmetic is the multi-index table's (fields._mi_table):
+taylor_eval and whitney_lambda re-expand jets across a step with its
+weights and reexpand, and the chain rule here composes truncated Taylor
+series through its recurrence and its list of sums alpha + gamma.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,67 +37,15 @@ def taylor_eval(j: Jet, alpha, z) -> float:
     alpha = _multi_index(alpha)
     if mi_order(alpha) > j.k:
         raise InputError(f"derivative order {alpha} exceeds jet order {j.k}")
-    a_idx = _mi_table(j.n, j.k).index.get(alpha)
+    t = _mi_table(j.n, j.k)
+    a_idx = t.index.get(alpha)
     if a_idx is None:
         raise InputError(f"{alpha} is not a multi-index on R^{j.n}")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (j.n,):
         raise InputError(f"evaluation point has dimension {z.shape}, jet has n={j.n}")
-    op = _reexpansion(j.n, j.k)
-    w = op.weights((z - np.asarray(j.point))[:, None])
-    return float(op.apply(w, np.asarray(j.coeffs)[:, None])[a_idx, 0])
-
-
-# ---------------------------------------------------------------------------
-# Taylor re-expansion operator
-
-
-class _Reexpansion:
-    """Re-expands order-k Taylor polynomials on R^n across a step dz:
-    D^alpha T(x + dz) = sum_gamma dz^gamma / gamma! * c_{alpha+gamma}.
-
-    It reads the parent/axis recurrence, fact, sign, rows and shift of the
-    (n, k) multi-index table (fields._mi_table).
-    """
-
-    def __init__(self, n: int, k: int):
-        t = _mi_table(n, k)
-        self.parent, self.axis, self.fact, self.sign = t.parent, t.axis, t.fact, t.sign
-        self.rows, self.shift = t.rows, t.shift
-
-    def weights(self, dz):
-        """(J, B) weights dz^gamma / gamma! for the B steps in the columns of
-        the (n, B) array dz; each monomial is one product of an earlier one
-        with a coordinate of dz. The weights for -dz are these times sign."""
-        w = np.empty((self.fact.size, dz.shape[1]))
-        w[0] = 1.0
-        for g in range(1, self.fact.size):
-            np.multiply(w[self.parent[g]], dz[self.axis[g]], out=w[g])
-        w /= self.fact[:, None]
-        return w
-
-    def apply(self, w, c):
-        """(J, B) derivatives D^alpha, at base + dz, of the Taylor polynomials
-        with coefficients in the columns of the (J, B) array c, for w =
-        weights(dz). Terms are summed in the fixed order gamma = 0, 1, ..., so
-        a column's value does not depend on B; gamma = 0 contributes c itself
-        exactly, which is all there is for k = 0. c should be C-contiguous:
-        np.take copies any other c whole, once per gamma."""
-        out = c.copy()
-        tmp = np.empty_like(out)
-        for g in range(1, w.shape[0]):
-            r = self.rows[g]
-            # every index read is below J (a test checks the table), and
-            # mode="clip" writes straight into tmp where "raise" buffers it
-            np.take(c, self.shift[:r, g], axis=0, out=tmp[:r], mode="clip")
-            tmp[:r] *= w[g]
-            out[:r] += tmp[:r]
-        return out
-
-
-@lru_cache(maxsize=None)
-def _reexpansion(n: int, k: int) -> _Reexpansion:
-    return _Reexpansion(n, k)
+    w = t.weights((z - np.asarray(j.point))[:, None])
+    return float(t.reexpand(w, np.asarray(j.coeffs)[:, None])[a_idx, 0])
 
 
 @dataclass(frozen=True)
@@ -157,7 +100,6 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
     osc_witness = None
     if m > 1:
         J = len(mis)
-        op = _reexpansion(n, k)
         cT = coeffs.T.copy()
         ptsT = field.points.T.copy()  # C order, so take gathers whole rows
         # pairs i < j in row-major order, as np.triu_indices: row i holds the
@@ -168,10 +110,10 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
         # the graded layout puts each order r in one run of rows, order[r:r+2]
         expo = np.arange(k, 0, -1)[:, None]  # k - r for r < k; order k divides by omega alone
         order = np.searchsorted(t.order, np.arange(k + 2))
-        # elements per pair alive at the peak, in the second op.apply: the
+        # elements per pair alive at the peak, in the second t.reexpand: the
         # indices (2), dz (n; the gathered points, 2n, are dropped once the
         # distances are taken), dist and omega (2), den (k), w and the two
-        # gathered jets (3J), ratios (2J), and op.apply's out and tmp (2J)
+        # gathered jets (3J), ratios (2J), and t.reexpand's out and tmp (2J)
         for blk in _blocks(m * (m - 1) // 2, 7 * J + n + k + 4):
             # rows first to last touched by the block, and their pair counts in it
             first, last = np.searchsorted(starts, (blk.start, blk.stop - 1), side="right") - 1
@@ -186,14 +128,14 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
             del xj
             om = np.atleast_1d(ctx.modulus(dist))
             den = dist ** expo * om  # (k, B): ||x_i - x_j||^(k - r) omega for r < k
-            w = op.weights(dz)
-            ci, cj = cT.take(ii, axis=1), cT.take(jj, axis=1)  # C order, as apply reads rows
+            w = t.weights(dz)
+            ci, cj = cT.take(ii, axis=1), cT.take(jj, axis=1)  # C order, as reexpand reads rows
             ratios = np.empty((2, J, len(ii)))
             # z = x_i: T_i derivs are the raw coefficients, T_j re-expanded across dz
-            np.subtract(ci, op.apply(w, cj), out=ratios[0])
+            np.subtract(ci, t.reexpand(w, cj), out=ratios[0])
             # z = x_j: T_i re-expanded across -dz
-            w *= op.sign[:, None]
-            np.subtract(op.apply(w, ci), cj, out=ratios[1])
+            w *= t.sign[:, None]
+            np.subtract(t.reexpand(w, ci), cj, out=ratios[1])
             np.abs(ratios, out=ratios)
             for r in range(k):
                 ratios[:, order[r]:order[r + 1]] /= den[r]
@@ -337,8 +279,7 @@ def faa_di_bruno_pullback(f_jet_at_Hx: Jet, H_jets_at_x, alpha) -> float:
     dH = np.array([hj.coeffs[:J] for hj in H_jets_at_x]) / tx.fact
     dH[:, 0] = 0.0
     # the truncated product of series a and b adds a[i] b[j] to entry shift[i, j] < J
-    left, right = np.nonzero(tx.shift < J)
-    target = tx.shift[left, right]
+    left, right, target = tx.sums()
     powers = np.zeros((len(tf.mis), J))
     powers[0, 0] = 1.0
     for lam in range(1, len(tf.mis)):

@@ -220,6 +220,19 @@ def test_extend_hermite_non_finite_query_exit_1(capsys, queries):
     assert "input error" in err and "queries must be finite" in err
 
 
+def test_extend_hermite_jet_in_an_overflowing_gap_exit_2(capsys):
+    field = json.dumps({"k": 3, "n": 1, "points": [[0.0], [1e-110], [1.0]],
+                        "jets": [[{"alpha": [a], "value": float(4 * i + a + 1)} for a in range(4)]
+                                 for i in range(3)]})
+    code, out, err = run_cli(capsys, "extend", "--input", field, "--queries", "[[0.5], [5e-111]]",
+                             "--method", "hermite1d")
+    assert code == 2 and out == ""
+    assert err.startswith("numerical error: ") and "gap [0.0, 1e-110]" in err
+    code, _, _ = run_cli(capsys, "extend", "--input", field, "--queries", "[[0.5], [1e-110]]",
+                         "--method", "hermite1d")
+    assert code == 0
+
+
 @pytest.mark.parametrize("method", ["mcshane", "hermite1d"])
 @pytest.mark.parametrize("queries, names", [
     ('[["a"]]', "queries must be a list of numeric points"),

@@ -9,14 +9,12 @@ import pytest
 import ckomega.fields
 from ckomega import modulus as mo
 from ckomega.cutoff import profile_deriv
-from ckomega.errors import InputError
+from ckomega.errors import InputError, NumericalError
 from ckomega.extension import (
     NOT_LINEAR,
     _cardinal,
     depth_audit,
-    hermite_extend_1d,
     hermite_extension,
-    mcshane_extend,
     mcshane_extension,
 )
 from ckomega.fields import NormContext, WhitneyField, field_from_data, field_from_jets, jet
@@ -33,9 +31,10 @@ def two_point():
 
 def test_mcshane_examples():
     f = two_point()
-    assert mcshane_extend(f, mo.linear(), np.array([[0.5]])) == pytest.approx(0.5)
-    assert mcshane_extend(f, mo.linear(), np.array([[1.0]])) == 1.0  # exact interpolation
-    assert mcshane_extend(f, mo.linear(), np.array([[5.0]])) == 1.0  # clamped to M
+    ext = mcshane_extension(f, mo.linear())
+    assert ext(np.array([[0.5]])) == pytest.approx(0.5)
+    assert ext(np.array([[1.0]])) == 1.0  # exact interpolation
+    assert ext(np.array([[5.0]])) == 1.0  # clamped to M
 
 
 def test_mcshane_interpolates_bitwise():
@@ -295,7 +294,7 @@ def test_hermite_bounded_distortion_recorded_caps():
 
 
 def test_hermite_extend_1d_returns_jet():
-    j = hermite_extend_1d(two_point(), 0.25)
+    j = hermite_extension(two_point()).evaluate_jet(0.25)
     assert j.coeffs[0] == pytest.approx(0.25)
     assert j.k == 0
 
@@ -522,14 +521,39 @@ def test_hermite_tails_read_the_profile_only_in_its_transition_band(monkeypatch)
         assert calls == [1] * (k + 1)
 
 
-def test_hermite_knots_are_data_next_to_an_overflowing_gap():
-    # h^(r-j) overflows on a gap of 1e-110 at k = 3 (with a warning), and a
-    # knot's zero weights must not turn it into 0 * inf = NaN
+def _overflowing_gap():
+    # h^(r-j) overflows float64 on the gap [0, 1e-110] at k = 3
     pts, coeffs = [0.0, 1e-110, 1.0], [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0], [9.0, 10.0, 11.0, 12.0]]
-    h = hermite_extension(field_from_jets([jet([p], c, 3) for p, c in zip(pts, coeffs)]))
-    with np.errstate(over="ignore"):
-        assert np.array_equal(h.jets(pts), coeffs)
-        assert [depth_audit(h, x).entries for x in pts] == [((i, 0, 1.0),) for i in range(3)]
+    return hermite_extension(field_from_jets([jet([p], c, 3) for p, c in zip(pts, coeffs)])), pts, coeffs
+
+
+def test_hermite_knots_are_data_next_to_an_overflowing_gap():
+    # a knot's zero weights must not turn the overflow into 0 * inf = NaN,
+    # and no query warns (RuntimeWarnings fail the suite)
+    h, pts, coeffs = _overflowing_gap()
+    assert np.array_equal(h.jets(pts), coeffs)
+    assert [depth_audit(h, x).entries for x in pts] == [((i, 0, 1.0),) for i in range(3)]
+
+
+def test_hermite_jet_in_an_overflowing_gap_raises():
+    # inside the gap D^3 F is about -2.1e332 in exact arithmetic, beyond
+    # float64: jets and evaluate_jet raise, values are finite and returned,
+    # and the other gap and the tails are unaffected
+    h, pts, coeffs = _overflowing_gap()
+    named = r"the jet at 5e-111 is not finite: it overflows float64 on the gap \[0.0, 1e-110\]"
+    for call in (h.jets, h.evaluate_jet, lambda x: h.jets([0.5, x])):
+        with pytest.raises(NumericalError, match=named):
+            call(5e-111)
+    assert h(5e-111) == 3.0 and np.isfinite(h([5e-111, 0.5])).all()
+    xs = [-1.5, -0.5, 0.5, 1.5, 2.5]
+    assert np.isfinite(h.jets(xs)).all()
+    assert h.jets(xs)[:, 0].tolist() == h(xs).tolist()
+    # h^4 overflows on a gap of 1e80 at k = 4, values included; knots stay data
+    ends = [[1.0, 2.0, 3.0, 4.0, 5.0], [6.0, 7.0, 8.0, 9.0, 10.0]]
+    wide = hermite_extension(field_from_jets([jet([-5e79], ends[0], 4), jet([5e79], ends[1], 4)]))
+    with pytest.raises(NumericalError, match=r"gap \[-5e\+79, 5e\+79\]"):
+        wide(0.0)
+    assert wide.jets([-5e79, 5e79]).tolist() == ends
 
 
 def test_hermite_far_tail_is_zero_at_any_distance():

@@ -81,6 +81,28 @@ def test_every_distance_comes_from_the_one_kernel():
     assert calls == []
 
 
+def test_every_factorial_comes_from_the_one_table():
+    # fields._mi_table does the jet arithmetic (README, "One multi-index
+    # table"): outside fields.py only the integer Hermite cardinal table,
+    # extension._cardinal, calls math.factorial, math.comb or math.perm or
+    # imports them from math; mentions in docstrings are not calls
+    names = {"factorial", "comb", "perm"}
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        for top in _parse(path).body:
+            if (path.name, getattr(top, "name", None)) == ("extension.py", "_cardinal"):
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in names
+                        and isinstance(node.value, ast.Name) and node.value.id == "math"):
+                    calls.append(f"{path.name}:{node.lineno} math.{node.attr}")
+                elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                    calls += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in names]
+    assert calls == []
+
+
 def test_every_public_lru_cache_is_typed():
     # lru_cache keys 1.0 and 1 alike, so an untyped cache answers a float
     # call from an int entry before the function can reject it

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 from free_lp import solve_free
+from lo_sweep import lo_sweep
 
 import ckomega.markov
 import ckomega.predual
@@ -607,42 +608,27 @@ def test_bracket_lo_degenerate_families_match_highs(n, k, m):
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12), seed
 
 
-_LO_SWEEP_M = {(1, 1): 16, (1, 2): 10, (1, 3): 8, (2, 1): 10, (2, 2): 5, (2, 3): 3}  # <= 32 rows
-
-
 def _lo_sweep():
     """(trial, n, k, m, lo LP) of 204 seeded lo LPs, n = 1-2, k = 1-3, up to
-    32 x 1024: a delta atom of random order per point and one top-order
-    difference atom."""
-    rng = np.random.default_rng(1973)
-    for trial in range(204):
-        n, k = 1 + trial % 2, 1 + (trial // 2) % 3
-        ctx = NormContext(k, n, (mo.power(0.5), mo.linear())[(trial // 6) % 2])
-        m = int(rng.integers(2, _LO_SWEEP_M[n, k] + 1))
-        pts = rng.uniform(-1, 1, (m, n))
-        mis = multi_indices(n, k)
-        top = [a for a in mis if mi_order(a) == k]
-        atoms = [delta(p, mis[rng.integers(len(mis))]) for p in pts]
-        i, j = rng.choice(m, 2, replace=False)
-        atoms.append(difference(pts[i], pts[j], top[rng.integers(len(top))]))
-        yield trial, n, k, m, _bracket_lps(functional(atoms, rng.normal(size=len(atoms)), ctx))[0]
+    32 x 1024 (tests/lo_sweep.py)."""
+    return lo_sweep(1973, 204)
 
 
 def test_bracket_lo_sweep_matches_highs():
     # the lo sweep against HiGHS, compared only where _lo_vs_highs trusts it
     # (once it reported no optimum on an LP bounded below by 0).
     pytest.importorskip("scipy")
-    raised, compared = 0, 0
+    raised, compared = [], 0
     for trial, n, k, m, lp in _lo_sweep():
         try:
             got, want = _lo_vs_highs(lp)
         except NumericalError:
-            raised += 1
+            raised.append(trial)
             continue
         if want is not None:
             compared += 1
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (trial, n, k, m)
-    assert raised <= 2
+    assert raised == []
     assert compared >= 190
 
 

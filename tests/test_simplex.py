@@ -290,10 +290,10 @@ def test_nonneg_needs_no_bound_rows():
 
 def test_dense_guard_counts_rows_and_variables():
     with pytest.raises(InputError, match="1e4"):
-        LinearProgram(np.zeros(10**4 + 1))
+        LinearProgram(np.zeros(10**4 + 1), np.zeros((0, 10**4 + 1)), np.zeros(0))
     with pytest.raises(InputError, match="1e4"):
         LinearProgram(np.zeros(1), np.zeros((10**4 + 1, 1)), np.zeros(10**4 + 1))
-    assert LinearProgram(np.zeros(10**4)).n_vars == 10**4
+    assert LinearProgram(np.zeros(10**4), np.zeros((0, 10**4)), np.zeros(0)).n_vars == 10**4
 
 
 # Beale's LP (1955), which cycles under the largest-coefficient rule: min

@@ -12,7 +12,7 @@ import ckomega.fields
 from ckomega import modulus as mo
 from ckomega.cutoff import CutoffFamily
 from ckomega.errors import InputError, NumericalError
-from ckomega.extension import mcshane_extension
+from ckomega.extension import hermite_extension, mcshane_extension
 from ckomega.fields import (
     Jet,
     NormContext,
@@ -31,9 +31,9 @@ from ckomega.fields import (
 )
 from ckomega.jackson import error_report, finite_rank_LNN, periodize, periodized_derivative, smooth_EN
 from ckomega.markov import probe
+from ckomega.predual import _bracket_lps, delta, difference, functional
 from ckomega.whitney import (
     LambdaReport,
-    _reexpansion,
     ck_norm_estimate,
     faa_di_bruno_pullback,
     taylor_eval,
@@ -322,6 +322,68 @@ def test_lambda_reports_match_pinned_digest(monkeypatch):
     assert digest.hexdigest() == _LAMBDA_DIGEST
 
 
+# sha256 of the arrays and values below, computed before the re-expansion,
+# the Hermite tail constants and the (alpha, gamma) sum list moved onto the
+# multi-index table: the jet arithmetic's bits are pinned to that code's
+_JET_DIGESTS = {
+    "bracket": "112ec213d3c70f65b524d2f25cc34e185a7e6c4105a5527d0876407c54844a81",
+    "taylor": "a6f819c23e28abaf9e28dfaffa824c7dec186c1ca99cbbb00c63677481f096fd",
+    "hermite": "2019b30d1f60752f14c7345bef74497cb03e5dacae8e16016096670dcc476ac8",
+}
+
+
+def _bracket_digest():
+    # the lo and hi LPs of a seeded functional per n <= 3, k <= 3 and
+    # modulus: a delta atom of random order per point, a top-order difference
+    digest = hashlib.sha256()
+    for n, k, which in itertools.product((1, 2, 3), range(4), range(3)):
+        rng = np.random.default_rng([n, k, which])
+        ctx = NormContext(k, n, (mo.power(0.5), mo.linear(), mo.capped(0.7, 0.5))[which])
+        mis = multi_indices(n, k)
+        top = [a for a in mis if mi_order(a) == k]
+        pts = rng.uniform(-1, 1, (int(rng.integers(2, 5)), n))
+        atoms = [delta(p, mis[rng.integers(len(mis))]) for p in pts]
+        atoms.append(difference(pts[0], pts[-1], top[rng.integers(len(top))]))
+        for lp in _bracket_lps(functional(atoms, rng.normal(size=len(atoms)), ctx)):
+            for arr in (lp.objective, lp.lhs_eq, lp.rhs_eq):
+                digest.update(repr(arr.shape).encode() + arr.tobytes())
+    return digest.hexdigest()
+
+
+def _taylor_digest():
+    # every alpha of seeded jets at near, far and base-point queries
+    digest = hashlib.sha256()
+    for n, k in itertools.product((1, 2, 3), range(4)):
+        rng = np.random.default_rng([n, k])
+        mis = multi_indices(n, k)
+        for _ in range(3):
+            j = jet(rng.uniform(-1, 1, n), rng.normal(size=len(mis)), k)
+            for z in (j.point, rng.uniform(-1, 1, n), 1e3 * rng.normal(size=n)):
+                digest.update(repr([taylor_eval(j, alpha, z) for alpha in mis]).encode())
+    return digest.hexdigest()
+
+
+def _hermite_digest():
+    # jets, k <= 4, at the knots, inside the gaps and in both tails at
+    # distances below 1, between 1 and 2 and beyond 2, and evaluate_jet
+    digest = hashlib.sha256()
+    for k in range(5):
+        rng = np.random.default_rng([7, k])
+        knots = rng.permutation(np.cumsum(rng.uniform(0.05, 1.0, 6)))
+        h = hermite_extension(field_from_jets([jet([p], rng.normal(size=k + 1), k) for p in knots]))
+        lo, hi = knots.min(), knots.max()
+        xs = np.concatenate([knots, rng.uniform(lo, hi, 40), lo - rng.uniform(0, 3, 10),
+                             hi + rng.uniform(0, 3, 10), [lo - 0.5, lo - 1.5, hi + 1.0, hi + 2.5]])
+        digest.update(h.jets(xs).tobytes())
+        digest.update(repr([h.evaluate_jet(x).coeffs for x in xs[::7]]).encode())
+    return digest.hexdigest()
+
+
+def test_jet_arithmetic_matches_pinned_digests():
+    got = {"bracket": _bracket_digest(), "taylor": _taylor_digest(), "hermite": _hermite_digest()}
+    assert got == _JET_DIGESTS
+
+
 def _exponent_tensor_lambda(field, ctx):
     """Reference engine: every pair's (J, J, n) exponent tensor, raised by **
     and multiplied over n, then contracted with einsum, all pairs at once."""
@@ -488,16 +550,20 @@ def test_distances_match_norm_over_leading_axis_bitwise(n):
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(6)])
 def test_reexpansion_table_indices_are_in_range(n, k):
-    # apply gathers with np.take(mode="clip"), which would silently clamp a
-    # bad index: every index it reads must name a coefficient
-    op = _reexpansion(n, k)
+    # reexpand gathers with np.take(mode="clip"), which would silently clamp
+    # a bad index: every index it reads must name a coefficient
+    t = _mi_table(n, k)
     J = len(multi_indices(n, k))
     for g in range(J):
-        read = op.shift[: op.rows[g], g]
-        assert read.size == op.rows[g] and np.all((0 <= read) & (read < J))
-    # the operator reads the shared multi-index table, entry by entry
-    t = _mi_table(n, k)
-    assert op.shift is t.shift and op.parent is t.parent and op.fact is t.fact
+        read = t.shift[: t.rows[g], g]
+        assert read.size == t.rows[g] and np.all((0 <= read) & (read < J))
+    # the sum list is every pair of order <= k, in row-major order
+    a_idx, g_idx, s_idx = t.sums()
+    pairs = [(a, g) for a, alpha in enumerate(t.mis) for g, gamma in enumerate(t.mis)
+             if sum(alpha) + sum(gamma) <= k]
+    assert list(zip(a_idx.tolist(), g_idx.tolist())) == pairs
+    assert np.array_equal(s_idx, t.shift[a_idx, g_idx])
+    # the table, entry by entry
     for i, alpha in enumerate(t.mis):
         assert t.index[alpha] == i
         assert t.order[i] == sum(alpha) and t.sign[i] == (-1.0) ** sum(alpha)
