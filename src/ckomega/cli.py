@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 input error, 2 numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -77,17 +78,18 @@ def _floats(value, what: str, ndim: int, key: str | None = None) -> np.ndarray:
     return a
 
 
-def _load_field(path_or_json):
-    s = str(path_or_json)
-    if s.endswith(".csv"):
-        return field_from_csv(s)
-    return field_from_json(_load_json(s, "field"))
-
-
 def _load_modulus(spec):
     if spec is None:
         return modulus_from_json({"kind": "linear"})
     return modulus_from_json(_load_json(spec, "modulus"))
+
+
+def _field_context(args):
+    """The field of args.field (JSON, or CSV by extension) and its norm
+    context under the modulus of args.omega."""
+    s = str(args.field)
+    fld = field_from_csv(s) if s.endswith(".csv") else field_from_json(_load_json(s, "field"))
+    return fld, NormContext(fld.k, fld.n, _load_modulus(args.omega))
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -99,90 +101,19 @@ def _emit(report: dict, out: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _report(subcommand: str, config: dict, results: dict, provenance: dict) -> dict:
-    return {
-        "subcommand": subcommand,
-        "config": config,
-        "results": results,
-        "provenance": provenance,
-        "version": __version__,
-    }
-
-
-def _build_parser() -> _Parser:
-    p = _Parser(prog="ckomega", description=__doc__)
-    p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
-    sub = p.add_subparsers(dest="subcommand")
-
-    q = sub.add_parser("validate-omega", help="check modulus axioms on a grid")
-    q.add_argument("--omega", required=True)
-    q.add_argument("--grid", default="default")
-    q.add_argument("--out", default="-")
-
-    q = sub.add_parser("norm", help="pairwise field seminorm (Whitney lambda)")
-    q.add_argument("--field", required=True)
-    q.add_argument("--omega", default=None)
-    q.add_argument("--out", default="-")
-
-    q = sub.add_parser("extend", help="evaluate an extension operator on queries")
-    q.add_argument("--input", required=True)
-    q.add_argument("--queries", required=True)
-    q.add_argument("--method", choices=("mcshane", "hermite1d"), required=True)
-    q.add_argument("--omega", default=None)
-    q.add_argument("--variant", choices=("min", "max", "average"), default="min")
-    q.add_argument("--audit", action="store_true", help="include depth audits per query")
-    q.add_argument("--out", default="-")
-
-    q = sub.add_parser("jackson", help="periodization/smoothing error report")
-    q.add_argument("--f", required=True, help="builtin:<sin|cos|abs_sin|bump> or table:<file>")
-    q.add_argument("--N", type=int, required=True)
-    q.add_argument("--ell", type=int, required=True)
-    q.add_argument("--k", type=int, default=0)
-    q.add_argument("--omega", default=None)
-    q.add_argument("--grid-points", type=int, default=65)
-    q.add_argument("--out", "--report", dest="out", default="-")
-
-    q = sub.add_parser("predual-norm", help="atomic functional norm (exact k=0, bracket else)")
-    q.add_argument("--atoms", required=True)
-    q.add_argument("--omega", default=None)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--out", default="-")
-
-    q = sub.add_parser("finiteness", help="closed-form finiteness gap: lambda against its sup over subsets of size <= d")
-    q.add_argument("--field", required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--omega", default=None)
-    q.add_argument("--out", default="-")
-
-    q = sub.add_parser("markov", help="weak Markov ratio ladder")
-    q.add_argument("--center", required=True)
-    q.add_argument("--set", dest="set_spec", required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--radii", default="default")
-    q.add_argument("--threshold", type=float, default=1e3)
-    q.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
-    q.add_argument("--out", default="-")
-    return p
-
-
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# subcommand bodies: each returns (config, results, provenance), and main
+# adds the subcommand, the seed and the version
 
 
-def _run_validate_omega(args) -> dict:
+def _run_validate_omega(args):
     m = _load_modulus(args.omega)
     grid = default_grid() if args.grid == "default" else _floats(_load_json(args.grid, "grid"), "grid", 1).tolist()
-    rep = validate(m, grid)
-    results = rep.to_dict()
-    prov = {"grid": list(grid), "seed": args.seed}
-    return _report("validate-omega", {"omega": modulus_to_json(m)}, results, prov)
+    return {"omega": modulus_to_json(m)}, validate(m, grid).to_dict(), {"grid": list(grid)}
 
 
-def _run_norm(args) -> dict:
-    fld = _load_field(args.field)
-    m = _load_modulus(args.omega)
-    ctx = NormContext(fld.k, fld.n, m)
+def _run_norm(args):
+    fld, ctx = _field_context(args)
     rep = whitney_lambda(fld, ctx)
     results = {
         "lambda_sup": rep.lam_sup,
@@ -197,44 +128,33 @@ def _run_norm(args) -> dict:
             "alpha": list(rep.osc_witness[3]),
         },
     }
-    prov = {"n_points": len(fld), "k": fld.k, "n": fld.n, "seed": args.seed}
-    return _report("norm", {"omega": modulus_to_json(m)}, results, prov)
+    prov = {"n_points": len(fld), "k": fld.k, "n": fld.n}
+    return {"omega": modulus_to_json(ctx.modulus)}, results, prov
 
 
-def _run_extend(args) -> dict:
-    fld = _load_field(args.input)
-    m = _load_modulus(args.omega)
+def _run_extend(args):
+    fld, ctx = _field_context(args)
     Q = _floats(_load_json(args.queries, "queries"), "queries", 2, "points")
     if Q.shape[1] != fld.n:
         raise InputError(f"queries have dimension {Q.shape[1]}, field has n={fld.n}")
-    audits = []
+    prov = {"n_queries": int(Q.shape[0])}
     if args.method == "mcshane":
-        op = mcshane_extension(fld, m, variant=args.variant)
-        values = op(Q).tolist()
-        jets = None
+        op = mcshane_extension(fld, ctx.modulus, variant=args.variant)
+        results, sites = {"values": op(Q).tolist()}, Q
+        prov.update(trace_seminorm=op.lam, sup_bound=op.sup_bound, variant=args.variant)
     else:
         op = hermite_extension(fld)
         J = op.jets(Q[:, 0])
-        values, jets = J[:, 0].tolist(), J.tolist()
+        results, sites = {"values": J[:, 0].tolist(), "jets": J.tolist()}, Q[:, 0]
     if args.audit:
-        for q in Q:
-            rec = depth_audit(op, float(q[0]) if args.method == "hermite1d" else q)
-            audits.append(
-                {"linear": rec.linear, "marker": rec.marker, "active_points": rec.active_points,
-                 "entries": [[i, a, w] for i, a, w in rec.entries]}
-                if rec.linear
-                else {"linear": False, "marker": rec.marker}
-            )
-    results = {"values": values}
-    if jets is not None:
-        results["jets"] = jets
-    if audits:
-        results["depth_audits"] = audits
-    extras = {}
-    if args.method == "mcshane":
-        extras = {"trace_seminorm": op.lam, "sup_bound": op.sup_bound, "variant": args.variant}
-    prov = {"n_queries": int(Q.shape[0]), "seed": args.seed, **extras}
-    return _report("extend", {"method": args.method, "omega": modulus_to_json(m)}, results, prov)
+        results["depth_audits"] = [
+            {"linear": rec.linear, "marker": rec.marker, "active_points": rec.active_points,
+             "entries": [[i, a, w] for i, a, w in rec.entries]}
+            if rec.linear
+            else {"linear": False, "marker": rec.marker}
+            for rec in (depth_audit(op, q) for q in sites)
+        ]
+    return {"method": args.method, "omega": modulus_to_json(ctx.modulus)}, results, prov
 
 
 def _builtin_derivs(name: str, k: int):
@@ -253,14 +173,13 @@ def _builtin_derivs(name: str, k: int):
     raise InputError(f"unknown builtin function {name!r}")
 
 
-def _run_jackson(args) -> dict:
+def _run_jackson(args):
     if args.grid_points < 2:
         raise InputError(f"grid-points must be an integer >= 2, got {args.grid_points}")
     m = _load_modulus(args.omega)
     ctx = NormContext(args.k, 1, m)
     if args.f.startswith("builtin:"):
         derivs = _builtin_derivs(args.f.split(":", 1)[1], args.k)
-        f_desc = args.f
     elif args.f.startswith("table:"):
         if args.k > 0:
             raise InputError("table functions support k=0 only")
@@ -271,25 +190,18 @@ def _run_jackson(args) -> dict:
         if xs.size != fs.size or xs.size == 0 or not np.all(np.diff(xs) > 0.0):
             raise InputError("function table x must be a nonempty strictly increasing list, with one f per x")
         derivs = lambda alpha, X: np.interp(X[:, 0], xs, fs)
-        f_desc = args.f
     else:
         raise InputError("--f must be builtin:<name> or table:<file>")
     # span the cutoff transition region so the periodization ratio is informative
     grid = np.linspace(-2 * args.ell, 2 * args.ell, args.grid_points).reshape(-1, 1)
     rep = error_report(derivs, args.ell, args.N, ctx, grid)
-    results = rep.to_dict()
     prov = {
         "grid": {"lo": -2 * args.ell, "hi": 2 * args.ell, "points": args.grid_points},
         "quadrature": "spectral: FFT of samples on a uniform lattice of at least 4N+1 "
                       "nodes per axis, times the Jackson kernel's Fourier multipliers",
-        "seed": args.seed,
     }
-    return _report(
-        "jackson",
-        {"f": f_desc, "N": args.N, "ell": args.ell, "k": args.k, "omega": modulus_to_json(m)},
-        results,
-        prov,
-    )
+    config = {"f": args.f, "N": args.N, "ell": args.ell, "k": args.k, "omega": modulus_to_json(m)}
+    return config, rep.to_dict(), prov
 
 
 def _parse_atoms(entries) -> tuple[list, list]:
@@ -323,13 +235,13 @@ def _lp_provenance(formulation: str, sol) -> dict:
     }
 
 
-def _run_predual_norm(args) -> dict:
+def _run_predual_norm(args):
     m = _load_modulus(args.omega)
     atoms, coeffs = _parse_atoms(_load_json(args.atoms, "atoms"))
     n = len(atoms[0].x) if args.n is None else args.n
     ctx = NormContext(args.k, n, m)
     g = AtomicFunctional(tuple(atoms), tuple(coeffs), ctx)
-    prov = {"n_atoms": len(g.atoms), "support_size": len(g.support()), "seed": args.seed}
+    prov = {"n_atoms": len(g.atoms), "support_size": len(g.support())}
     if args.k == 0:
         sol = _k0_norm_lp(g)[-1]
         results = {"norm": sol.optimum, "exact": True}
@@ -339,19 +251,17 @@ def _run_predual_norm(args) -> dict:
         results = {"norm_bracket": [lo.optimum, hi.optimum], "exact": False}
         prov["lp_lo"] = _lp_provenance("bracket-lo", lo)
         prov["lp_hi"] = _lp_provenance("bracket-hi", hi)
-    return _report("predual-norm", {"k": args.k, "n": n, "omega": modulus_to_json(m)}, results, prov)
+    return {"k": args.k, "n": n, "omega": modulus_to_json(m)}, results, prov
 
 
-def _run_finiteness(args) -> dict:
-    fld = _load_field(args.field)
-    m = _load_modulus(args.omega)
-    ctx = NormContext(fld.k, fld.n, m)
+def _run_finiteness(args):
+    fld, ctx = _field_context(args)
     rep = finiteness_gap(fld, args.d, ctx)
-    prov = {"n_points": len(fld), "k": fld.k, "n": fld.n, "seed": args.seed}
-    return _report("finiteness", {"d": args.d, "omega": modulus_to_json(m)}, rep.to_dict(), prov)
+    prov = {"n_points": len(fld), "k": fld.k, "n": fld.n}
+    return {"d": args.d, "omega": modulus_to_json(ctx.modulus)}, rep.to_dict(), prov
 
 
-def _run_markov(args) -> dict:
+def _run_markov(args):
     center = _floats(_load_json(args.center, "center"), "center", 1, "x").tolist()
     n = len(center)
     if args.set_spec.startswith("builtin:"):
@@ -371,33 +281,81 @@ def _run_markov(args) -> dict:
              else _floats(_load_json(args.radii, "radii"), "radii", 1).tolist())
     verdict = classify_weak_markov(center, sampler, args.k, radii, args.threshold,
                                    resolution=args.resolution)
-    prov = {"resolution": args.resolution, "cap": DEFAULT_CAP, "seed": args.seed,
+    prov = {"resolution": args.resolution, "cap": DEFAULT_CAP,
             "one_sided": "NOT_DETECTED never disproves the property",
             "lps": [None if d is None else d.lps for d in verdict.details],
             "pruned": [None if d is None else d.pruned for d in verdict.details],
             "pivots": sum(d.pivots for d in verdict.details if d is not None)}
-    return _report("markov", {"center": center, "set": set_desc, "k": args.k,
-                              "threshold": args.threshold}, verdict.to_dict(), prov)
+    config = {"center": center, "set": set_desc, "k": args.k, "threshold": args.threshold}
+    return config, verdict.to_dict(), prov
 
 
-_RUNNERS = {
-    "validate-omega": _run_validate_omega,
-    "norm": _run_norm,
-    "extend": _run_extend,
-    "jackson": _run_jackson,
-    "predual-norm": _run_predual_norm,
-    "finiteness": _run_finiteness,
-    "markov": _run_markov,
-}
+@functools.cache
+def _parser() -> _Parser:
+    p = _Parser(prog="ckomega", description=__doc__)
+    p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
+    sub = p.add_subparsers(dest="subcommand")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="-")
+    omega = argparse.ArgumentParser(add_help=False)
+    omega.add_argument("--omega", default=None)
+
+    def command(name, run, help, parents=(out, omega)):
+        q = sub.add_parser(name, help=help, parents=parents)
+        q.set_defaults(run=run)
+        return q
+
+    q = command("validate-omega", _run_validate_omega, "check modulus axioms on a grid", (out,))
+    q.add_argument("--omega", required=True)
+    q.add_argument("--grid", default="default")
+
+    q = command("norm", _run_norm, "pairwise field seminorm (Whitney lambda)")
+    q.add_argument("--field", required=True)
+
+    q = command("extend", _run_extend, "evaluate an extension operator on queries")
+    q.add_argument("--input", dest="field", metavar="INPUT", required=True)
+    q.add_argument("--queries", required=True)
+    q.add_argument("--method", choices=("mcshane", "hermite1d"), required=True)
+    q.add_argument("--variant", choices=("min", "max", "average"), default="min")
+    q.add_argument("--audit", action="store_true", help="include depth audits per query")
+
+    q = command("jackson", _run_jackson, "periodization/smoothing error report", (omega,))
+    q.add_argument("--f", required=True, help="builtin:<sin|cos|abs_sin|bump> or table:<file>")
+    q.add_argument("--N", type=int, required=True)
+    q.add_argument("--ell", type=int, required=True)
+    q.add_argument("--k", type=int, default=0)
+    q.add_argument("--grid-points", type=int, default=65)
+    q.add_argument("--out", "--report", dest="out", default="-")
+
+    q = command("predual-norm", _run_predual_norm, "atomic functional norm (exact k=0, bracket else)")
+    q.add_argument("--atoms", required=True)
+    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--n", type=int, default=None)
+
+    q = command("finiteness", _run_finiteness,
+                "closed-form finiteness gap: lambda against its sup over subsets of size <= d")
+    q.add_argument("--field", required=True)
+    q.add_argument("--d", type=int, required=True)
+
+    q = command("markov", _run_markov, "weak Markov ratio ladder", (out,))
+    q.add_argument("--center", required=True)
+    q.add_argument("--set", dest="set_spec", required=True)
+    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--radii", default="default")
+    q.add_argument("--threshold", type=float, default=1e3)
+    q.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
+    return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if not args.subcommand:
             raise InputError(parser.format_usage())
-        report = _RUNNERS[args.subcommand](args)
+        config, results, provenance = args.run(args)
+        report = {"subcommand": args.subcommand, "config": config, "results": results,
+                  "provenance": {**provenance, "seed": args.seed}, "version": __version__}
         _emit(report, args.out)
         return 0
     except InputError as exc:

@@ -116,7 +116,8 @@ def profile(u):
 
 def profile_deriv(u, order: int):
     """Exact derivative sigma^(order); zero outside 1 < |u| < 2."""
-    if order < 0 or order > MAX_DERIV:
+    _check_int("profile derivative order", order, 0)
+    if order > MAX_DERIV:
         raise InputError(f"profile derivatives available up to order {MAX_DERIV}")
     if order == 0:
         return profile(u)

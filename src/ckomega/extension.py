@@ -65,6 +65,8 @@ class McShaneExtension:
         X = np.atleast_2d(np.asarray(x, dtype=float))
         if X.shape[1] != self.field.n:
             raise InputError("query dimension mismatch")
+        if not np.isfinite(X).all():
+            raise InputError("queries must be finite")
         vals = self.field.coeffs[:, 0]
         out = np.empty(X.shape[0])
         # (query, point) elements alive at a block's peak: the distances,

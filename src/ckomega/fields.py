@@ -29,7 +29,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .modulus import Modulus
 
 
@@ -297,15 +297,27 @@ class WhitneyField:
         # with the entries j <= i masked: distances are symmetric, so the
         # first coincident pair in row-major order of the full distance
         # matrix has j > i, and the reported pair is that one. A block's peak
-        # is the two arrays of the distance kernel and the last block's mask;
-        # distances, unlike coordinates, also catch a distance underflowing to 0
-        for blk in _blocks(m, 3 * m):
-            zero = _distances(ptsT[:, blk, None], ptsT[:, None, blk.start :]) == 0.0
-            zero[np.tril_indices(blk.stop - blk.start)] = False
-            if zero.any():
-                i, j = np.unravel_index(np.argmax(zero), zero.shape)
-                i, j = i + blk.start, j + blk.start
-                raise InputError(f"coincident points at indices {i} and {j}: {pts[i].tolist()}")
+        # is the two arrays of the distance kernel; distances, unlike
+        # coordinates, also catch a distance underflowing to 0.
+        # Rounding is monotone, so no pair is farther apart than the corners
+        # of the coordinate spans: when that distance is finite no pair
+        # overflows, and only otherwise are the blocks searched for inf
+        def first_pair(mask, blk):
+            return (blk.start + c for c in np.unravel_index(np.argmax(mask), mask.shape))
+
+        with np.errstate(over="ignore"):
+            wide = np.isinf(_distances(ptsT.max(axis=1, keepdims=True), ptsT.min(axis=1, keepdims=True))[0])
+            for blk in _blocks(m, 3 * m):
+                dist = _distances(ptsT[:, blk, None], ptsT[:, None, blk.start :])
+                dist[np.tril_indices(blk.stop - blk.start)] = np.nan
+                if (dist == 0.0).any():
+                    i, j = first_pair(dist == 0.0, blk)
+                    raise InputError(f"coincident points at indices {i} and {j}: {pts[i].tolist()}")
+                if wide and np.isinf(dist).any():
+                    i, j = first_pair(np.isinf(dist), blk)
+                    raise NumericalError(f"the distance between the points at indices {i} and {j} "
+                                         f"overflows: {pts[i].tolist()} and {pts[j].tolist()}")
+                del dist  # before the next block's kernel allocates
         pts.flags.writeable = coeffs.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "coeffs", coeffs)

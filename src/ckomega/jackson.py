@@ -227,10 +227,9 @@ def _periodized_lattice(f_derivs, ell: int, alpha: tuple, M: int) -> np.ndarray:
 # convolutions
 
 
-def _conv_node_count(N: int, n: int, target: int | None = None) -> int:
+def _conv_node_count(N: int, n: int) -> int:
     base = 4 * N + 1
-    if target is None:
-        target = {1: max(512, 8 * N), 2: 96, 3: 48}.get(n, 48)
+    target = {1: max(512, 8 * N), 2: 96, 3: 48}.get(n, 48)
     return base * max(1, math.ceil(target / base))
 
 
@@ -260,8 +259,7 @@ def _jackson_multipliers(N: int) -> np.ndarray:
     return c / c[0]
 
 
-def _jackson_smooth(sample, N: int, X: np.ndarray, lam: float,
-                    quad_target: int | None = None) -> np.ndarray:
+def _jackson_smooth(sample, N: int, X: np.ndarray, lam: float) -> np.ndarray:
     """Jackson smoothing at the rows of X of a (2 pi lam)-periodic function.
 
     sample(M) returns the function at x = lam * u on the (2M+1)^n lattice of
@@ -272,7 +270,7 @@ def _jackson_smooth(sample, N: int, X: np.ndarray, lam: float,
     """
     n = X.shape[1]
     _check_N(N)
-    M = _conv_node_count(N, n, quad_target) // 2
+    M = _conv_node_count(N, n) // 2
     if (2 * M + 1) ** n > _LATTICE_MAX_POINTS:
         raise InputError(f"the smoothing lattice would have {2 * M + 1}^{n} = "
                          f"{(2 * M + 1) ** n} points, above the limit of {_LATTICE_MAX_POINTS}")
@@ -291,26 +289,25 @@ def _jackson_smooth(sample, N: int, X: np.ndarray, lam: float,
     return out
 
 
-def jackson_smooth_1d(f, N: int, x, quad_target: int | None = None):
+def jackson_smooth_1d(f, N: int, x):
     """(L_N f)(x) for a bounded continuous 2pi-periodic f (plain 1D arrays)."""
     X, _, _ = _as_points(np.reshape(x, (-1, 1)))
     out = _jackson_smooth(
         lambda M: np.asarray(f(_cell_axis(M, 1.0, 2.0 * math.pi)), dtype=float),
-        N, X, 1.0, quad_target)
+        N, X, 1.0)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def smooth_EN(f, ell: int, N: int, x, quad_target: int | None = None):
+def smooth_EN(f, ell: int, N: int, x):
     """(E_N f_ell)(x): tensor convolution of the periodized f at scale lambda."""
     X, single, n = _as_points(x)
     out = _jackson_smooth(
         lambda M: _periodized_lattice(lambda beta, Y: f(Y), ell, (0,) * n, M),
-        N, X, length_scale(ell, n), quad_target)
+        N, X, length_scale(ell, n))
     return float(out[0]) if single else out
 
 
-def finite_rank_LNN(f_derivs, N: int, x, alpha, ell: int | None = None,
-                    quad_target: int | None = None):
+def finite_rank_LNN(f_derivs, N: int, x, alpha, ell: int | None = None):
     """D^alpha (L_{N,ell} f)(x) = (E_N D^alpha f_ell)(x), default ell = N,
     with D^alpha f_ell sampled by the Leibniz rule of periodized_derivative."""
     alpha = _multi_index(alpha)
@@ -321,7 +318,7 @@ def finite_rank_LNN(f_derivs, N: int, x, alpha, ell: int | None = None,
     if ell is None:
         ell = N
     out = _jackson_smooth(lambda M: _periodized_lattice(f_derivs, ell, alpha, M),
-                          N, X, length_scale(ell, n), quad_target)
+                          N, X, length_scale(ell, n))
     return float(out[0]) if single else out
 
 
@@ -471,7 +468,7 @@ class ApproxReport:
 
 
 def error_report(f_derivs, ell: int, N: int, ctx: NormContext, grid,
-                 pairs=None, quad_target: int | None = None) -> ApproxReport:
+                 pairs=None) -> ApproxReport:
     """Empirical ratios ||f_ell||/||f||, ||E_N f_ell||/||f|| and the sampled
     C^k error ||f_ell - E_N f_ell|| / ||f|| on a grid in the fundamental cell
     and on pairs of points in it (default: consecutive grid points). The
@@ -489,8 +486,7 @@ def error_report(f_derivs, ell: int, N: int, ctx: NormContext, grid,
     norm_fl, fl_vals = _sampled_norm(
         ctx, lambda a, P: periodized_derivative(f_derivs, ell, a, P), X, px, py)
     norm_en, en_vals = _sampled_norm(
-        ctx, lambda a, P: finite_rank_LNN(f_derivs, N, P, a, ell=ell, quad_target=quad_target),
-        X, px, py)
+        ctx, lambda a, P: finite_rank_LNN(f_derivs, N, P, a, ell=ell), X, px, py)
     norm_f, norm_fl, norm_en = norm_f.value, norm_fl.value, norm_en.value
 
     errs = {a: float(np.max(np.abs(fl_vals[a] - en_vals[a]))) for a in fl_vals}

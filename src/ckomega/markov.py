@@ -44,15 +44,11 @@ DEFAULT_CAP = 1e6
 DEFAULT_RESOLUTION = 33
 
 
-def _check_resolution(resolution) -> None:
-    """A grid needs both ends of each axis: an integer of at least 2 points."""
-    if not isinstance(resolution, (int, np.integer)) or resolution < 2:
-        raise InputError(f"resolution must be an integer >= 2, got {resolution!r}")
-
-
 def cube_grid(center, r: float, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
     """Regular grid on the closed cube Q_r(center), resolution points per axis."""
-    _check_resolution(resolution)
+    _check_int("resolution", resolution, 2)  # both ends of each axis
+    if not 0 < r < math.inf:
+        raise InputError("probe radius must be positive and finite")
     center = np.atleast_1d(np.asarray(center, dtype=float))
     n = center.size
     if n > 3:
@@ -185,7 +181,7 @@ def classify_weak_markov(x, sampler, k: int, radii, threshold: float,
     """
     if not math.isfinite(threshold):
         raise InputError(f"threshold must be finite, got {threshold}")
-    _check_resolution(resolution)
+    _check_int("resolution", resolution, 2)
     center = tuple(float(c) for c in np.atleast_1d(x))
     radii = [float(r) for r in radii]
     if any(b >= a for a, b in zip(radii, radii[1:])):
@@ -213,7 +209,7 @@ def builtin_set_sampler(name: str, n: int, resolution: int = DEFAULT_RESOLUTION)
     point: S = {origin}; segment: the x_1-axis inside R^n (measure zero for
     n >= 2). Grids and segments take resolution points per axis, at least 2.
     """
-    _check_resolution(resolution)
+    _check_int("resolution", resolution, 2)
     if name == "cube":
 
         def sampler(center, r):

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .fields import NormContext, WhitneyField, _distances, _mi_table, _multi_index, mi_order
+from .fields import NormContext, WhitneyField, _check_int, _distances, _mi_table, _multi_index, mi_order
 from .modulus import validate
 from .simplex import OPTIMAL, LinearProgram, solve
 from .whitney import whitney_lambda
@@ -382,8 +382,7 @@ def finiteness_gap(field: WhitneyField, d: int, ctx: NormContext) -> FinitenessR
     1-based position in that order (m with early_exit False when d = 1 and
     no point reaches lambda).
     """
-    if d < 1:
-        raise InputError("d must be >= 1")
+    _check_int("d", d, 1)
     m = len(field)
     rep = whitney_lambda(field, ctx)
     full = rep.lam

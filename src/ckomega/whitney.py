@@ -44,6 +44,8 @@ def taylor_eval(j: Jet, alpha, z) -> float:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (j.n,):
         raise InputError(f"evaluation point has dimension {z.shape}, jet has n={j.n}")
+    if not np.isfinite(z).all():
+        raise InputError(f"evaluation point must be finite, got {z.tolist()}")
     w = t.weights((z - np.asarray(j.point))[:, None])
     return float(t.reexpand(w, np.asarray(j.coeffs)[:, None])[a_idx, 0])
 

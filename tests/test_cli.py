@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 
 import numpy as np
@@ -92,6 +94,14 @@ def test_norm_duplicate_points_exit_1_names_point(capsys):
     code, _, err = run_cli(capsys, "norm", "--field", bad)
     assert code == 1
     assert "0.5" in err
+
+
+def test_norm_overflowing_distance_exit_2(capsys):
+    field = json.dumps({"k": 0, "n": 1, "points": [[-1e200], [1e200]],
+                        "jets": [[{"alpha": [0], "value": 0.0}], [{"alpha": [0], "value": 1.0}]]})
+    code, out, err = run_cli(capsys, "norm", "--field", field)
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical error: ") and "indices 0 and 1 overflows" in err
 
 
 def test_unknown_subcommand_exit_1_with_usage(capsys):
@@ -533,3 +543,52 @@ def test_markov_provenance_counts_lps(capsys):
     assert all(1 <= lps <= 10 for lps in prov["lps"])
     assert all(lps + pruned == 33 * 33 + 33 * 17 for lps, pruned in zip(prov["lps"], prov["pruned"]))
     assert prov["pivots"] >= sum(prov["lps"])
+
+
+FIELD_K1 = json.dumps({"k": 1, "n": 1, "points": [[0.0], [0.5], [2.0]],
+                       "jets": [[{"alpha": [0], "value": 0.0}, {"alpha": [1], "value": 1.0}],
+                                [{"alpha": [0], "value": 0.75}, {"alpha": [1], "value": 0.5}],
+                                [{"alpha": [0], "value": -1.0}, {"alpha": [1], "value": 2.0}]]})
+POWER = '{"kind":"power","exponent":0.5}'
+# stdout and exit code of every subcommand, then stderr (up to its usage
+# line) of three error paths; pinned from the reports as first released
+_CLI_CASES = [
+    ["validate-omega", "--omega", POWER],
+    ["norm", "--field", FIELD_K1, "--omega", POWER],
+    ["extend", "--input", FIELD_2PT, "--queries", "[[0.25],[3.0]]", "--method", "mcshane", "--audit"],
+    ["extend", "--input", FIELD_K1, "--queries", "[[0.25],[3.0]]", "--method", "hermite1d", "--audit"],
+    ["jackson", "--f", "builtin:sin", "--N", "8", "--ell", "2", "--grid-points", "17"],
+    ["predual-norm", "--k", "0", "--atoms", '[{"x":[0.0],"coef":1.0},{"x":[2.0],"coef":-1.0}]'],
+    ["predual-norm", "--k", "1", "--omega", POWER, "--atoms",
+     '[{"type":"diff","x":[0.0],"y":[1.0],"alpha":[1],"coef":1.0}]'],
+    ["finiteness", "--field", FIELD_K1, "--d", "2"],
+    ["markov", "--center", "[0.0]", "--set", "builtin:cube", "--k", "1", "--radii", "[1.0, 0.5]",
+     "--resolution", "9"],
+    ["--seed", "3", "norm", "--field", FIELD_2PT],
+]
+_CLI_ERROR_CASES = [
+    ["norm", "--field", '{"k": 0,'],
+    ["predual-norm", "--k", "0", "--atoms", "[]"],
+    ["frobnicate"],
+]
+_CLI_DIGEST = "db7d70c7f905230cafd9fccfa1c16de8012487ea893cf94fa486efd3b46a7c65"
+
+
+def test_cli_output_matches_pinned_digest(capsys):
+    digest = hashlib.sha256()
+    for argv in _CLI_CASES:
+        code, out, _ = run_cli(capsys, *argv)
+        digest.update(repr((code, out)).encode())
+    for argv in _CLI_ERROR_CASES:
+        code, out, err = run_cli(capsys, *argv)
+        digest.update(repr((code, out, err.split("usage:")[0])).encode())
+    assert digest.hexdigest() == _CLI_DIGEST
+
+
+def test_one_parser_with_a_runner_per_subcommand():
+    parser = cli._parser()
+    assert cli._parser() is parser
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    runners = {name: q.get_default("run") for name, q in sub.choices.items()}
+    assert len(runners) == 7 and all(map(callable, runners.values()))
+    assert len(set(runners.values())) == len(runners)

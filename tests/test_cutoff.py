@@ -69,6 +69,9 @@ def test_profile_derivatives_match_finite_differences(order, h):
 def test_profile_deriv_order_guard():
     with pytest.raises(InputError):
         profile_deriv(np.array([1.5]), 9)
+    for order in (1.5, 1.0, -1):
+        with pytest.raises(InputError, match="profile derivative order must be an integer >= 0"):
+            profile_deriv(np.array([1.5]), order)
 
 
 def test_rho_is_one_on_unit_cube_and_zero_outside_double():

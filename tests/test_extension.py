@@ -575,6 +575,14 @@ def test_hermite_rejects_non_finite_queries(bad):
             call(bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mcshane_rejects_non_finite_queries(bad):
+    ext = mcshane_extension(two_point(), mo.linear())
+    for q in ([bad], [[0.5], [bad]]):
+        with pytest.raises(InputError, match="queries must be finite"):
+            ext(q)
+
+
 # ---------------------------------------------------------------------------
 # depth audit
 

@@ -63,6 +63,14 @@ def test_non_finite_probe_rejected():
         probe([0.0], np.nan, 1, np.array([[0.0]]))
 
 
+@pytest.mark.parametrize("r", [math.inf, -math.inf, 0.0, -1.0])
+def test_cube_grid_rejects_radius_before_building(r):
+    # checked before the grid is built, so no "invalid value" warning comes first
+    for call in (lambda: probe([0.0], r, 1, [[0.0]]), lambda: cube_grid([0.0], r)):
+        with pytest.raises(InputError, match="probe radius must be positive and finite"):
+            call()
+
+
 def test_ratio_at_least_one():
     rng = np.random.default_rng(0)
     for _ in range(15):

@@ -813,6 +813,12 @@ def test_finiteness_k0_d2_ratio_exactly_one():
         assert rep.subset_sup <= rep.full
 
 
+@pytest.mark.parametrize("d", [1.5, 2.0, 0, None])
+def test_finiteness_d_is_an_integer(d):
+    with pytest.raises(InputError, match="d must be an integer >= 1"):
+        finiteness_gap(field_from_data([[0.0], [1.0]], [0.0, 1.0]), d, CTX0)
+
+
 def test_finiteness_single_point():
     fld = field_from_data([[0.0]], [2.0])
     rep = finiteness_gap(fld, 3, CTX0)

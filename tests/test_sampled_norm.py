@@ -20,7 +20,7 @@ MODULI = (
     mo.table([(0.5, 0.6), (1.0, 0.9), (3.0, 1.5)]),
 )
 SEEDS = range(36)  # n = 1 + s % 3, k = (s // 3) % 3, modulus s % 4
-ELL, N, QUAD = 1, 4, 1  # error_report on a 17-node lattice per axis
+ELL, N = 1, 4  # error_report on the default lattice
 
 
 def _trig(rng, n):
@@ -94,7 +94,7 @@ def _ref_error_report(f_derivs, ctx, X, pairs):
     out, grid_values = [], []
     for ev in (f_derivs,
                lambda a, P: periodized_derivative(f_derivs, ELL, a, P),
-               lambda a, P: finite_rank_LNN(f_derivs, N, P, a, ell=ELL, quad_target=QUAD)):
+               lambda a, P: finite_rank_LNN(f_derivs, N, P, a, ell=ELL)):
         vals, pvals = {}, {}
         for a in mis:
             vals[a], vx, vy = np.split(np.asarray(ev(a, points), dtype=float), cuts)
@@ -142,7 +142,7 @@ def test_error_report_matches_the_replaced_sampling(seed):
     # the lower orders are now sampled on the grid alone, where the Jackson
     # engine's blocked evaluation may round differently
     ctx, oracle, X, pairs = instance(seed)
-    rep = error_report(oracle, ELL, N, ctx, X, pairs=pairs, quad_target=QUAD)
+    rep = error_report(oracle, ELL, N, ctx, X, pairs=pairs)
     pairs = pairs if pairs is not None else list(zip(X[:-1], X[1:]))
     *norms, errs = _ref_error_report(oracle, ctx, X, pairs)
     got = [rep.norm_f, rep.norm_f_ell, rep.norm_EN, *rep.sup_errors_per_alpha.values()]

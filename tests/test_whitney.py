@@ -4,6 +4,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,13 @@ def test_taylor_eval_order_error():
         taylor_eval(j1, (2,), [0.0])
     with pytest.raises(InputError):
         taylor_eval(j1, (0, 0), [0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_taylor_eval_rejects_non_finite_point(bad):
+    j2 = jet([0.0, 0.0], [1.0, 2.0, 3.0], 1)
+    with pytest.raises(InputError, match="evaluation point must be finite"):
+        taylor_eval(j2, (0, 0), [0.5, bad])
 
 
 def _loop_taylor_eval(j, alpha, z):
@@ -533,6 +541,25 @@ def test_field_rejects_distinct_points_at_underflowing_distance(n):
     assert pts[0, -1] != pts[1, -1]
     with pytest.raises(InputError, match="coincident points at indices 0 and 1"):
         field_from_data(pts, np.zeros(4))
+
+
+def test_field_rejects_points_whose_distance_overflows(monkeypatch):
+    # 2e200 apart the squared distance overflows; 2e150 apart it does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"indices 0 and 1 overflows: \[-1e\+200\] and \[1e\+200\]"):
+            field_from_jets([jet([-1e200], [0.0, 1.0], 1), jet([1e200], [1.0, 0.0], 1)])
+    f = field_from_jets([jet([-1e150], [0.0, 1.0], 1), jet([1e150], [1.0, 0.0], 1)])
+    assert np.isfinite(whitney_lambda(f, NormContext(1, 1, mo.linear())).lam)
+    # 1e154 from the others, 2e154 from each other: only the pair (2, 5)
+    # overflows, found in whichever block holds row 2
+    pts = np.random.default_rng(3).uniform(-1, 1, (8, 1))
+    pts[2], pts[5] = -1e154, 1e154
+    for rows_per_block in (None, 1, 2):
+        if rows_per_block is not None:
+            monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", rows_per_block * 3 * len(pts))
+        with pytest.raises(NumericalError, match="indices 2 and 5 overflows"):
+            field_from_data(pts, np.zeros(len(pts)))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
