@@ -247,10 +247,10 @@ def _run_predual_norm(args):
         results = {"norm": sol.optimum, "exact": True}
         prov["lp"] = _lp_provenance("transportation", sol)
     else:
-        lo, hi = _bracket_solutions(g)
-        results = {"norm_bracket": [lo.optimum, hi.optimum], "exact": False}
+        lo, hi, transports = _bracket_solutions(g)
+        results = {"norm_bracket": [lo.optimum, hi], "exact": False}
         prov["lp_lo"] = _lp_provenance("bracket-lo", lo)
-        prov["lp_hi"] = _lp_provenance("bracket-hi", hi)
+        prov["lp_hi"] = [_lp_provenance("transportation", sol) for sol in transports]
     return {"k": args.k, "n": n, "omega": modulus_to_json(m)}, results, prov
 
 

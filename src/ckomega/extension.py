@@ -69,21 +69,30 @@ class McShaneExtension:
             raise InputError("queries must be finite")
         vals = self.field.coeffs[:, 0]
         out = np.empty(X.shape[0])
+        # no distance exceeds the span's (rounding is monotone): search for inf only if it does
+        with np.errstate(over="ignore"):
+            wide = math.isinf(_distances(np.maximum(X.max(axis=0), self._pointsT.max(axis=1))[:, None],
+                                         np.minimum(X.min(axis=0), self._pointsT.min(axis=1))[:, None])[0])
         # (query, point) elements alive at a block's peak: the distances,
         # omega's value (or a capped modulus's power and minimum) and the
         # spread (3), plus the == 0 mask and omega's argument checks, three
         # eighths of one; they are freed before the next block
         for blk in _blocks(X.shape[0], 4 * len(vals)):
-            out[blk] = self._block(X[blk].T, vals)
+            out[blk] = self._block(X[blk].T, vals, wide)
         return float(out[0]) if np.ndim(x) == 1 or np.ndim(x) == 0 else out
 
     @cached_property
     def _pointsT(self):  # coordinate-major, as the distance kernel reads them
         return self.field.points.T.copy()
 
-    def _block(self, XT, vals):
-        """Values at the queries in the columns of XT."""
-        d = _distances(XT[:, :, None], self._pointsT[:, None, :])  # (B, m)
+    def _block(self, XT, vals, wide):
+        """Values at the queries in the columns of XT; wide if a distance may overflow."""
+        with np.errstate(over="ignore") if wide else nullcontext():
+            d = _distances(XT[:, :, None], self._pointsT[:, None, :])  # (B, m)
+        if wide and np.isinf(d).any():
+            q, i = np.unravel_index(np.argmax(d), d.shape)  # the first inf
+            raise NumericalError(f"the distance from the query {XT[:, q].tolist()} to the data point "
+                                 f"{self.field.points[i].tolist()} overflows")
         zero = d == 0.0
         # omega rejects t = 0; hit rows are overwritten below
         np.copyto(d, 1.0, where=zero)

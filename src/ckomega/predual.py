@@ -12,15 +12,15 @@ ranges over exactly the traces of norm-<=1 functions (every feasible u
 McShane-extends with the same constants), so the optimum is the true norm.
 It is solved in its LP dual, an m-row min-cost transportation problem that
 ships the positive charges to the negative ones and to a ground node, which
-the modulus axioms make exact (``_k0_norm_lp``); the duals of its rows,
+the modulus axioms make exact (``_transport``); the duals of its rows,
 repaired by a double omega-transform, are an optimal u.
 For k >= 1 only a pair [lo, hi] is produced: hi, the minimum total-variation
 atomic decomposition over atoms on the functional's own points, is a sound
-upper bound; lo, the optimum of the relaxation to fields with pairwise
-lambda <= 1, can exceed the norm. Every LP here is in the solver's one form,
-min c.x s.t. Ax = b, x >= 0: the transportation problem and hi are posed that way,
-and lo is solved in its LP dual, whose row duals are an optimal field. A
-status other than OPTIMAL from any of them raises NumericalError.
+upper bound, one transportation problem per charged order-k alpha; lo, the
+optimum of the relaxation to fields with pairwise lambda <= 1, can exceed
+the norm. Every LP is in the solver's one form, min c.x s.t. Ax = b, x >= 0,
+lo in its LP dual, whose row duals are an optimal field; a status other
+than OPTIMAL from any of them raises NumericalError.
 
 The finiteness certifier compares the pairwise compatibility constant lambda
 of a field with its supremum over subsets of at most d points. lambda is a
@@ -31,7 +31,7 @@ read off one sweep over the full field; no subset is enumerated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -180,27 +180,20 @@ def pair(f, g: AtomicFunctional) -> float:
 # k = 0 exact norm
 
 
-def _k0_norm_lp(g: AtomicFunctional):
-    """(c, w, LPSolution) of the min-cost transportation problem that gives
-    the k=0 norm: the charges c of the sorted support points (column 0 of
-    the lowering), the arc costs w[a, b] = omega(||x_i - x_j||) over the
-    positive charges i = P[a] and the others j = N[b], in index order, and
-    the solution (an LP with no rows and no variables for an empty support).
-
-    One conservation row per support point (net outflow = c_i) over a
-    ground arc of cost 1 per point (out of P, into N) and an arc i -> j of
-    cost w per pair in P x N. Under the modulus axioms omega is nondecreasing
-    and subadditive, so omega(||x - y||), capped at 2 by the detour through
-    ground, is a metric: every flow path shortcuts to its ends, P -> N or
-    through ground, at no more cost, so this LP has the optimum of the full
-    transshipment. It is the LP dual of max c.u s.t. u_i <= 1 on P, u_j >= -1
-    on N, u_i - u_j <= w on P x N, so the duals of its rows are u feasible
-    only on P x N (``predual_norm_k0_certificate`` repairs them). A point
-    whose charges cancel is in N, and its row forces its arcs to 0.
+def _transport(points, c, omega):
+    """(w, LPSolution) of the min-cost transportation problem whose optimum
+    is the k=0 norm of the charges c on the rows of points (no rows and no
+    variables for no points): one conservation row per point (net outflow
+    c_i), a ground arc of cost 1 per point (out of P = {c > 0}, into N; a
+    zero charge is in N and forces its arcs to 0) and an arc i -> j of cost
+    w[a, b] = omega(||x_i - x_j||) per i = P[a], j = N[b], in index order.
+    Under the modulus axioms omega is nondecreasing and subadditive, so
+    omega(||x - y||) capped at 2 (the detour through ground) is a metric:
+    every flow path shortcuts to its ends at no more cost, and this LP has
+    the full transshipment's optimum. It is the LP dual of max c.u s.t.
+    u_i <= 1 on P, u_j >= -1 on N, u_i - u_j <= w on P x N, so its row duals
+    are u feasible only on P x N (``predual_norm_k0_certificate`` repairs them).
     """
-    omega = g.ctx.modulus
-    if any(mi_order(a.alpha) > 0 for a in g.atoms):
-        raise InputError("predual_norm_k0 handles atoms of order 0 only")
     if omega.kind == "table" and len(omega.breakpoints) > 1:
         # Without the axioms a feasible u need not extend with the same
         # constants, and the optimum then depends on points whose atoms
@@ -212,8 +205,7 @@ def _k0_norm_lp(g: AtomicFunctional):
             v = bad[0]
             raise InputError(f"k=0 norm needs a modulus with {v.axiom}: it fails "
                              f"between t = {v.t_lo} and t = {v.t_hi}")
-    points, charges = g.lowering
-    c, m = charges[:, 0], len(points)
+    m = len(points)
     pos = c > 0.0
     P, N = np.flatnonzero(pos), np.flatnonzero(~pos)
     w = omega(_distances(points.T[:, P, None], points.T[:, None, N]).ravel()).reshape(P.size, N.size)
@@ -224,8 +216,16 @@ def _k0_norm_lp(g: AtomicFunctional):
     sol = solve(LinearProgram(np.concatenate([np.ones(m), w.ravel()]),
                               np.hstack([np.diag(np.where(pos, 1.0, -1.0)), arcs]), c))
     if sol.status != OPTIMAL:
-        raise NumericalError(f"k=0 norm LP unexpectedly {sol.status}")
-    return c, w, sol
+        raise NumericalError(f"transportation LP unexpectedly {sol.status}")
+    return w, sol
+
+
+def _k0_norm_lp(g: AtomicFunctional):
+    """(c, w, LPSolution) of ``_transport`` on the order-0 charges c."""
+    if any(mi_order(a.alpha) > 0 for a in g.atoms):
+        raise InputError("predual_norm_k0 handles atoms of order 0 only")
+    points, charges = g.lowering
+    return (charges[:, 0], *_transport(points, charges[:, 0], g.ctx.modulus))
 
 
 def predual_norm_k0(g: AtomicFunctional) -> float:
@@ -262,32 +262,38 @@ def predual_norm_bracket(g: AtomicFunctional, ctx: NormContext | None = None):
     duals are an optimal field. Not a lower bound: lambda <= ||F|| has no
     converse, and at k >= 1 lo can exceed the norm (n = 1, k = 1,
     omega(t) = t, g = delta_d - delta_0: lo = d + d^2 > d >= ||g||).
-    hi: minimum total variation of a decomposition of g over atoms supported
-    on the support points (a sound upper bound since every atom has norm <= 1).
-    ctx, if given, must be the functional's own context.
+    hi: minimum total variation of g over atoms on the support points (sound:
+    every atom has norm <= 1), one k = 0 norm per charged order-k alpha, for
+    which a table modulus must meet the axioms. ctx, if given, must be g's.
     """
     if ctx is not None and ctx != g.ctx:
         raise InputError("bracket context differs from the functional's context")
-    lo, hi = _bracket_solutions(g)
-    return lo.optimum, hi.optimum
+    lo, hi, _ = _bracket_solutions(g)
+    return lo.optimum, hi
 
 
 def _bracket_solutions(g: AtomicFunctional):
-    """(lo, hi) LPSolutions of the two bracket LPs built by _bracket_lps."""
-    lo_lp, hi_lp = _bracket_lps(g)
+    """(lo, hi, transports): lo's LPSolution, hi and its transportation
+    LPSolutions, one per charged order-k alpha in graded order. Only its own
+    delta atom reaches a slot of order < k, which costs |charge|, and the
+    difference atoms of an order-k alpha reach only its slots, whose charges
+    cost their k = 0 norm. lo is built first and solved last, so its input
+    checks and then the transportation problems' modulus check come first."""
+    lo_lp = _lo_lp(g)
+    points, charges = g.lowering
+    order = _mi_table(g.ctx.n, g.ctx.k).order
+    top = np.flatnonzero((order == g.ctx.k) & charges.any(axis=0))
+    transports = [_transport(points, charges[:, s], g.ctx.modulus)[1] for s in top]
     lo = solve(lo_lp)
     if lo.status != OPTIMAL:
         raise NumericalError(f"bracket lower LP unexpectedly {lo.status}")
-    hi = solve(hi_lp)
-    if hi.status != OPTIMAL:
-        raise NumericalError(f"bracket upper LP unexpectedly {hi.status}")
-    return lo, hi
+    return lo, float(np.abs(charges[:, order < g.ctx.k]).sum()) + sum(t.optimum for t in transports), transports
 
 
-def _bracket_lps(g: AtomicFunctional):
-    """(lo, hi) LinearPrograms of the bracket, over the jet slots i*J + alpha
-    of the sorted support points x_i, whose charges gamma are the flattened
-    lowering (no rows and no variables for an empty support).
+def _lo_lp(g: AtomicFunctional):
+    """lo's LinearProgram, over the jet slots i*J + alpha of the sorted
+    support points x_i, whose charges gamma are the flattened lowering (no
+    rows and no variables for an empty support).
 
     lo is the LP dual min rhs.y s.t. A^T y = gamma, y >= 0 of max gamma.f
     s.t. A f <= rhs over free slot values f. The rows of A (the columns of
@@ -297,8 +303,6 @@ def _bracket_lps(g: AtomicFunctional):
     with T_i the Taylor polynomial of the slots of x_i. f = 0 is feasible and
     the box rows bound f, so both LPs have the same finite optimum, and an
     optimal f is lo's dual_eq.
-    hi, min total variation over the delta atoms on every slot and the
-    difference atoms of order k on every pair i < j, split as t = tp - tm.
     """
     k, n, om = g.ctx.k, g.ctx.n, g.ctx.modulus
     pts, charges = g.lowering
@@ -308,10 +312,9 @@ def _bracket_lps(g: AtomicFunctional):
     pairs = np.arange(pi.size)[:, None]
     dz = (pts[pi] - pts[pj]).T  # x_i - x_j, shape (n, pairs)
     dist = _distances(pts.T[:, pi], pts.T[:, pj])
-    w_om = np.atleast_1d(om(dist))
 
-    # --- lo: the coefficient of slot (j, alpha + gamma) in D^alpha T_j(x_i)
-    # is the re-expansion weight dz^gamma / gamma!; across -dz it is the same
+    # the coefficient of slot (j, alpha + gamma) in D^alpha T_j(x_i) is the
+    # re-expansion weight dz^gamma / gamma!; across -dz it is the same
     # weight times (-1)^|gamma|. Column r of At is primal row r.
     w = t.weights(dz)
     a_idx, g_idx, shifted = t.sums()  # |alpha + gamma| <= k
@@ -325,18 +328,9 @@ def _bracket_lps(g: AtomicFunctional):
     R[pi[:, None] * J + shifted, pairs, 1, a_idx, 0] = (w * t.sign[:, None])[g_idx].T
     R[pj[:, None] * J + own, pairs, 1, own, 0] = -1.0
     R[..., 1] = -R[..., 0]
-    bound = dist[:, None] ** (k - t.order) * w_om[:, None]  # (pair, alpha)
+    bound = dist[:, None] ** (k - t.order) * np.atleast_1d(om(dist))[:, None]  # (pair, alpha)
     rhs = np.concatenate([np.ones(2 * m * J), np.repeat(np.tile(bound, 2), 2)])
-    lo = LinearProgram(rhs, At, gamma)
-
-    # --- hi: one column per slot, then per pair i < j and |alpha| = k
-    top = np.flatnonzero(t.order == k)
-    D = np.zeros((m * J, pi.size, top.size))
-    D[pi[:, None] * J + top, pairs, np.arange(top.size)] = 1.0 / w_om[:, None]
-    D[pj[:, None] * J + top, pairs, np.arange(top.size)] = -1.0 / w_om[:, None]
-    M = np.hstack([np.eye(m * J), D.reshape(m * J, pi.size * top.size)])
-    hi = LinearProgram(np.ones(2 * M.shape[1]), np.hstack([M, -M]), gamma)
-    return lo, hi
+    return LinearProgram(rhs, At, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +348,7 @@ class FinitenessReport:
     n_subsets: int
 
     def to_dict(self) -> dict:
-        return {
-            "full": self.full,
-            "subset_sup": self.subset_sup,
-            "ratio": self.ratio,
-            "d": self.d,
-            "witness_subset": list(self.witness_subset),
-            "early_exit": self.early_exit,
-            "n_subsets": self.n_subsets,
-        }
+        return {**asdict(self), "witness_subset": list(self.witness_subset)}
 
 
 def finiteness_gap(field: WhitneyField, d: int, ctx: NormContext) -> FinitenessReport:

@@ -19,6 +19,7 @@ series through its recurrence and its list of sums alpha + gamma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +84,7 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
     distance bits for the same two points. Witnesses are the first maximum in
     lexicographic order of (point, alpha) and (i, j, z, alpha) respectively,
     whatever the block size; osc_witness is None only for a single-point
-    field (constant data still has a witness).
+    field (constant data still has a witness). An inf or NaN ratio raises NumericalError.
     """
     if field.k != ctx.k or field.n != ctx.n:
         raise InputError("field inconsistent with norm context")
@@ -116,42 +117,45 @@ def whitney_lambda(field: WhitneyField, ctx: NormContext) -> LambdaReport:
         # indices (2), dz (n; the gathered points, 2n, are dropped once the
         # distances are taken), dist and omega (2), den (k), w and the two
         # gathered jets (3J), ratios (2J), and t.reexpand's out and tmp (2J)
-        for blk in _blocks(m * (m - 1) // 2, 7 * J + n + k + 4):
-            # rows first to last touched by the block, and their pair counts in it
-            first, last = np.searchsorted(starts, (blk.start, blk.stop - 1), side="right") - 1
-            edges = np.clip(starts[first:last + 2], blk.start, blk.stop)
-            counts = np.diff(edges)
-            ii = np.repeat(rows[first:last + 1], counts)
-            jj = np.repeat(shift[first:last + 1], counts)
-            jj += np.arange(blk.start, blk.stop)
-            xi, xj = ptsT.take(ii, axis=1), ptsT.take(jj, axis=1)
-            dist = _distances(xi, xj)
-            dz = np.subtract(xi, xj, out=xi)  # shape (n, B)
-            del xj
-            om = np.atleast_1d(ctx.modulus(dist))
-            den = dist ** expo * om  # (k, B): ||x_i - x_j||^(k - r) omega for r < k
-            w = t.weights(dz)
-            ci, cj = cT.take(ii, axis=1), cT.take(jj, axis=1)  # C order, as reexpand reads rows
-            ratios = np.empty((2, J, len(ii)))
-            # z = x_i: T_i derivs are the raw coefficients, T_j re-expanded across dz
-            np.subtract(ci, t.reexpand(w, cj), out=ratios[0])
-            # z = x_j: T_i re-expanded across -dz
-            w *= t.sign[:, None]
-            np.subtract(t.reexpand(w, ci), cj, out=ratios[1])
-            np.abs(ratios, out=ratios)
-            for r in range(k):
-                ratios[:, order[r]:order[r + 1]] /= den[r]
-            ratios[:, order[k]:] /= om
-            # strict > keeps the earliest block's maximum: lexicographic
-            # first. The maximum is NaN exactly when the search below would
-            # land on a NaN, and then the block is skipped either way
-            best = float(ratios.max())
-            if osc_witness is None or best > lam_osc:
-                # first maximum in (pair, z, alpha) order
-                p_idx = int(np.argmax(np.max(ratios, axis=(0, 1))))
-                z_idx, a_idx = np.unravel_index(int(np.argmax(ratios[:, :, p_idx])), (2, J))
-                lam_osc = float(ratios[z_idx, a_idx, p_idx])
-                osc_witness = (int(ii[p_idx]), int(jj[p_idx]), int(z_idx), mis[a_idx])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for blk in _blocks(m * (m - 1) // 2, 7 * J + n + k + 4):
+                # rows first to last touched by the block, and their pair counts in it
+                first, last = np.searchsorted(starts, (blk.start, blk.stop - 1), side="right") - 1
+                edges = np.clip(starts[first:last + 2], blk.start, blk.stop)
+                counts = np.diff(edges)
+                ii = np.repeat(rows[first:last + 1], counts)
+                jj = np.repeat(shift[first:last + 1], counts)
+                jj += np.arange(blk.start, blk.stop)
+                xi, xj = ptsT.take(ii, axis=1), ptsT.take(jj, axis=1)
+                dist = _distances(xi, xj)
+                dz = np.subtract(xi, xj, out=xi)  # shape (n, B)
+                del xj
+                om = np.atleast_1d(ctx.modulus(dist))
+                den = dist ** expo * om  # (k, B): ||x_i - x_j||^(k - r) omega for r < k
+                w = t.weights(dz)
+                ci, cj = cT.take(ii, axis=1), cT.take(jj, axis=1)  # C order, as reexpand reads rows
+                ratios = np.empty((2, J, len(ii)))
+                # z = x_i: T_i derivs are the raw coefficients, T_j re-expanded across dz
+                np.subtract(ci, t.reexpand(w, cj), out=ratios[0])
+                # z = x_j: T_i re-expanded across -dz
+                w *= t.sign[:, None]
+                np.subtract(t.reexpand(w, ci), cj, out=ratios[1])
+                np.abs(ratios, out=ratios)
+                for r in range(k):
+                    ratios[:, order[r]:order[r + 1]] /= den[r]
+                ratios[:, order[k]:] /= om
+                # strict > keeps the earliest block's maximum: lexicographic first
+                best = float(ratios.max())
+                if not math.isfinite(best):
+                    i, j = (int(a[np.argmax(~np.isfinite(ratios).all(axis=(0, 1)))]) for a in (ii, jj))
+                    raise NumericalError(f"a Taylor ratio of the points at indices {i} and {j} is not "
+                                         f"finite: {field.points[[i, j]].tolist()}")
+                if osc_witness is None or best > lam_osc:
+                    # first maximum in (pair, z, alpha) order
+                    p_idx = int(np.argmax(np.max(ratios, axis=(0, 1))))
+                    z_idx, a_idx = np.unravel_index(int(np.argmax(ratios[:, :, p_idx])), (2, J))
+                    lam_osc = float(ratios[z_idx, a_idx, p_idx])
+                    osc_witness = (int(ii[p_idx]), int(jj[p_idx]), int(z_idx), mis[a_idx])
 
     lam = max(lam_sup, lam_osc)
     return LambdaReport(lam_sup, lam_osc, lam, sup_witness, osc_witness)

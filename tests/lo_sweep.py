@@ -24,7 +24,7 @@ import numpy as np
 from ckomega import modulus as mo
 from ckomega.errors import NumericalError
 from ckomega.fields import NormContext, mi_order, multi_indices
-from ckomega.predual import _bracket_lps, delta, difference, functional
+from ckomega.predual import _lo_lp, delta, difference, functional
 from ckomega.simplex import solve
 
 M_MAX = {(1, 1): 16, (1, 2): 10, (1, 3): 8, (2, 1): 10, (2, 2): 5, (2, 3): 3}  # <= 32 rows
@@ -43,7 +43,7 @@ def lo_sweep(seed: int, trials: int):
         atoms = [delta(p, mis[rng.integers(len(mis))]) for p in pts]
         i, j = rng.choice(m, 2, replace=False)
         atoms.append(difference(pts[i], pts[j], top[rng.integers(len(top))]))
-        yield trial, n, k, m, _bracket_lps(functional(atoms, rng.normal(size=len(atoms)), ctx))[0]
+        yield trial, n, k, m, _lo_lp(functional(atoms, rng.normal(size=len(atoms)), ctx))
 
 
 def record(trial, n, k, m, lp) -> dict:

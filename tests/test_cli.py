@@ -243,6 +243,13 @@ def test_extend_hermite_jet_in_an_overflowing_gap_exit_2(capsys):
     assert code == 0
 
 
+def test_extend_mcshane_query_whose_distance_overflows_exit_2(capsys):
+    code, out, err = run_cli(capsys, "extend", "--input", FIELD_2PT, "--queries", "[[0.5], [1e200]]",
+                             "--method", "mcshane")
+    assert code == 2 and out == ""
+    assert err.startswith("numerical error: ") and "query [1e+200] to the data point [0.0]" in err
+
+
 @pytest.mark.parametrize("method", ["mcshane", "hermite1d"])
 @pytest.mark.parametrize("queries, names", [
     ('[["a"]]', "queries must be a list of numeric points"),
@@ -337,22 +344,37 @@ def test_predual_norm_k0_rejects_modulus_breaking_axioms(capsys):
     assert "t/omega(t) nondecreasing" in err
 
 
+def test_predual_norm_k1_rejects_modulus_breaking_axioms(capsys):
+    # the k = 0 norm's error, raised by the transportation problem of hi
+    omega = '{"kind":"table","breakpoints":[[0.5,0.3],[1.0,1.2],[3.0,2.5]]}'
+    errors = []
+    for k, atoms in (("0", '[{"x":[0.0],"coef":1.0},{"x":[0.7],"coef":-2.0}]'),
+                     ("1", '[{"x":[0.0],"coef":1.0},{"type":"diff","x":[0.0],"y":[0.7],"alpha":[1],"coef":-2.0}]')):
+        code, out, err = run_cli(capsys, "predual-norm", "--k", k, "--atoms", atoms, "--omega", omega)
+        assert code == 1 and out == ""
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert "t/omega(t) nondecreasing" in errors[1]
+
+
 def test_predual_norm_bracket_reports_its_lps(capsys):
     code, out, _ = run_cli(capsys, "predual-norm", "--k", "1", "--atoms",
                            '[{"type":"diff","x":[0.0],"y":[1.0],"alpha":[1],"coef":1.0}]')
     assert code == 0
     rep = json.loads(out)
     lo, hi = rep["provenance"]["lp_lo"], rep["provenance"]["lp_hi"]
-    for lp, formulation in ((lo, "bracket-lo"), (hi, "bracket-hi")):
+    assert isinstance(hi, list) and len(hi) == 1  # one per charged alpha of order k
+    for lp, formulation in ((lo, "bracket-lo"), (hi[0], "transportation")):
         assert set(lp) == {"formulation", "rows", "vars", "iterations", "duality_gap"}
         assert lp["formulation"] == formulation
         assert lp["iterations"] > 0
         assert 0.0 <= lp["duality_gap"] <= 1e-9
     # m=2 points, J=2 slots each, one pair: lo, in its dual, has mJ rows on
-    # one variable per primal row (2mJ box rows and 4J pair rows); hi has mJ
-    # rows on mJ + 1 atoms split in two
+    # one variable per primal row (2mJ box rows and 4J pair rows); hi's
+    # transportation problem for alpha = 1 has m rows on m ground arcs and
+    # the one arc from the positive charge to the negative one
     assert (lo["rows"], lo["vars"]) == (4, 16)
-    assert (hi["rows"], hi["vars"]) == (4, 10)
+    assert (hi[0]["rows"], hi[0]["vars"]) == (2, 3)
 
 
 def test_markov_builtin_verdict(capsys):
@@ -551,7 +573,9 @@ FIELD_K1 = json.dumps({"k": 1, "n": 1, "points": [[0.0], [0.5], [2.0]],
                                 [{"alpha": [0], "value": -1.0}, {"alpha": [1], "value": 2.0}]]})
 POWER = '{"kind":"power","exponent":0.5}'
 # stdout and exit code of every subcommand, then stderr (up to its usage
-# line) of three error paths; pinned from the reports as first released
+# line) of three error paths; pinned from the reports as first released,
+# then re-pinned once, when provenance.lp_hi of the predual-norm --k 1 case
+# became a list of transportation problems (nothing else in them moved)
 _CLI_CASES = [
     ["validate-omega", "--omega", POWER],
     ["norm", "--field", FIELD_K1, "--omega", POWER],
@@ -571,7 +595,7 @@ _CLI_ERROR_CASES = [
     ["predual-norm", "--k", "0", "--atoms", "[]"],
     ["frobnicate"],
 ]
-_CLI_DIGEST = "db7d70c7f905230cafd9fccfa1c16de8012487ea893cf94fa486efd3b46a7c65"
+_CLI_DIGEST = "24c159908f724ce4b8d5e45d52954ac019acba2ae852b15639987407c8ffc692"
 
 
 def test_cli_output_matches_pinned_digest(capsys):

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -160,6 +161,23 @@ def test_mcshane_query_memory_is_bounded_by_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 8 * ckomega.fields._BLOCK_ELEMS + 1e6
+
+
+def test_mcshane_query_whose_distance_overflows_raises(monkeypatch):
+    # 1e200 from the data the squared distance overflows: a NumericalError
+    # naming the query and the first data point, with no warning; 1e154 away
+    # it does not, and the query takes the value of the far datum's side
+    f = field_from_data([[0.0, 0.0], [1.0, 0.0]], [1.0, 0.0])
+    ext = mcshane_extension(f, mo.power(0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ext([1e154, 0.0]) == 1.0
+        for rows_per_block in (None, 1):
+            if rows_per_block is not None:
+                monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", rows_per_block * 4 * len(f))
+            named = r"query \[1e\+200, 0.0\] to the data point \[0.0, 0.0\] overflows"
+            with pytest.raises(NumericalError, match=named):
+                ext([[0.3, 0.2], [1e200, 0.0]])
 
 
 def test_mcshane_empty_field_rejected():

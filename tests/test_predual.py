@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import re
@@ -28,7 +29,8 @@ from ckomega.markov import markov_ratio
 from ckomega.markov import probe as markov_probe
 from ckomega.predual import (
     FinitenessReport,
-    _bracket_lps,
+    _bracket_solutions,
+    _lo_lp,
     delta,
     difference,
     finiteness_gap,
@@ -183,8 +185,9 @@ def test_norm_single_atom_is_one():
 
 
 def test_k0_difference_atoms_match_both_bracket_ends():
-    # at k = 0 both LPs of the bracket are the exact norm, so the transportation
-    # LP on the lowered charges must equal both ends on mixed functionals
+    # at k = 0 lo's LP is the exact norm, and hi is the transportation LP on
+    # the lowered charges itself, so the norm must equal both ends on mixed
+    # functionals
     rng = np.random.default_rng(1961)
     for trial in range(60):
         n, om = 1 + trial % 3, K0_MODULI[(trial // 3) % 4]
@@ -603,7 +606,7 @@ def test_bracket_lo_degenerate_families_match_highs(n, k, m):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0, 1, (m, n))
         atoms = [delta(p, mis[rng.integers(len(mis))]) for p in pts]
-        got, want = _lo_vs_highs(_bracket_lps(functional(atoms, rng.normal(size=m), ctx))[0])
+        got, want = _lo_vs_highs(_lo_lp(functional(atoms, rng.normal(size=m), ctx)))
         assert want is not None, seed
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12), seed
 
@@ -706,8 +709,49 @@ def test_bracket_order_random():
 def _loop_bracket_lps(g, ctx):
     """Reference (lo, hi) bracket LPs: one primal lo row per (pair, z, alpha)
     from a per-beta Taylor row with monomials by **, posed in lo's dual as
-    one column of the transposed rows each, and one hi column per pair and
-    alpha, in the order of _bracket_lps."""
+    one column of the transposed rows each, in the order of _lo_lp, and
+    _min_tv_lp's hi."""
+    k, n, om = ctx.k, ctx.n, ctx.modulus
+    support = g.support()
+    mis = multi_indices(n, k)
+    m, J = len(support), len(mis)
+    idx = {p: i for i, p in enumerate(support)}
+
+    def slot(p, alpha):
+        return idx[p] * J + mis.index(alpha)
+
+    def d_taylor_row(p, alpha, z):
+        row = np.zeros(m * J)
+        dz = np.asarray(z) - np.asarray(p)
+        for beta in mis:
+            rem = mi_sub(beta, alpha)
+            if rem is not None:
+                row[slot(p, beta)] = float(np.prod(dz ** np.asarray(rem))) / mi_factorial(rem)
+        return row
+
+    rows, rhs = [], []
+    for s in range(m * J):
+        e = np.zeros(m * J)
+        e[s] = 1.0
+        rows += [e, -e]
+        rhs += [1.0, 1.0]
+    for i, j in itertools.combinations(range(m), 2):
+        p, q = support[i], support[j]
+        d = float(np.linalg.norm(np.asarray(p) - np.asarray(q)))
+        w = om(d)
+        for z in (p, q):
+            for alpha in mis:
+                row = d_taylor_row(p, alpha, z) - d_taylor_row(q, alpha, z)
+                rows += [row, -row]
+                rhs += [d ** (k - mi_order(alpha)) * w] * 2
+    hi = _min_tv_lp(g, ctx)
+    return LinearProgram(np.array(rhs), lhs_eq=np.array(rows).T, rhs_eq=hi.rhs_eq), hi
+
+
+def _min_tv_lp(g, ctx):
+    """The monolithic LP of hi: minimum total variation t = tp - tm over
+    the delta atoms on every slot (x_i, alpha) and the difference atoms of
+    order k on every pair i < j, built atom by atom from g's atoms."""
     k, n, om = ctx.k, ctx.n, ctx.modulus
     support = g.support()
     mis = multi_indices(n, k)
@@ -725,45 +769,21 @@ def _loop_bracket_lps(g, ctx):
             w = om(float(np.linalg.norm(np.asarray(a.x) - np.asarray(a.y))))
             gamma[slot(a.x, a.alpha)] += coef / w
             gamma[slot(a.y, a.alpha)] -= coef / w
-
-    def d_taylor_row(p, alpha, z):
-        row = np.zeros(m * J)
-        dz = np.asarray(z) - np.asarray(p)
-        for beta in mis:
-            rem = mi_sub(beta, alpha)
-            if rem is not None:
-                row[slot(p, beta)] = float(np.prod(dz ** np.asarray(rem))) / mi_factorial(rem)
-        return row
-
-    rows, rhs = [], []
-    for s in range(m * J):
-        e = np.zeros(m * J)
-        e[s] = 1.0
-        rows += [e, -e]
-        rhs += [1.0, 1.0]
     columns = list(np.eye(m * J))
-    for i, j in itertools.combinations(range(m), 2):
-        p, q = support[i], support[j]
-        d = float(np.linalg.norm(np.asarray(p) - np.asarray(q)))
-        w = om(d)
-        for z in (p, q):
-            for alpha in mis:
-                row = d_taylor_row(p, alpha, z) - d_taylor_row(q, alpha, z)
-                rows += [row, -row]
-                rhs += [d ** (k - mi_order(alpha)) * w] * 2
+    for p, q in itertools.combinations(support, 2):
+        w = om(float(np.linalg.norm(np.asarray(p) - np.asarray(q))))
         for alpha in mis:
             if mi_order(alpha) == k:
                 col = np.zeros(m * J)
                 col[slot(p, alpha)] = 1.0 / w
                 col[slot(q, alpha)] = -1.0 / w
                 columns.append(col)
-    M = np.array(columns).T
-    lo = LinearProgram(np.array(rhs), lhs_eq=np.array(rows).T, rhs_eq=gamma)
-    hi = LinearProgram(np.ones(2 * M.shape[1]), lhs_eq=np.hstack([M, -M]), rhs_eq=gamma)
-    return lo, hi
+    M = np.array(columns).T.reshape(m * J, len(columns))
+    return LinearProgram(np.ones(2 * M.shape[1]), lhs_eq=np.hstack([M, -M]), rhs_eq=gamma)
 
 
 def test_bracket_lps_match_taylor_row_loop():
+    # lo's LP against the row loop, and hi against the monolithic LP's optimum
     rng = np.random.default_rng(41)
     for trial in range(32):
         n, k, om = 1 + trial % 2, 1 + (trial // 2) % 2, K0_MODULI[(trial // 4) % 4]
@@ -777,18 +797,77 @@ def test_bracket_lps_match_taylor_row_loop():
             atoms.append(difference(pts[i], pts[j], top[rng.integers(len(top))]))
         ctx = NormContext(k, n, om)
         g = functional(atoms, rng.normal(size=len(atoms)), ctx)
-        got, want = _bracket_lps(g), _loop_bracket_lps(g, ctx)
-        pairs = [(got[0].lhs_eq, want[0].lhs_eq), (got[0].objective, want[0].objective),
-                 (got[1].lhs_eq, want[1].lhs_eq), (got[0].rhs_eq, want[0].rhs_eq)]
-        values = [(solve(a).optimum, solve(b).optimum) for a, b in zip(got, want)]
-        for a, b in pairs:
+        got, (want, want_hi) = _lo_lp(g), _loop_bracket_lps(g, ctx)
+        for a, b in ((got.lhs_eq, want.lhs_eq), (got.objective, want.objective), (got.rhs_eq, want.rhs_eq)):
             assert a.shape == b.shape
             if (n, k) == (1, 1):  # the shape the duality workload uses
                 assert np.array_equal(a, b)
             else:
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
-        for a, b in values:
-            assert a == b if (n, k) == (1, 1) else a == pytest.approx(b, rel=1e-12)
+        a, b = solve(got).optimum, solve(want).optimum
+        assert a == b if (n, k) == (1, 1) else a == pytest.approx(b, rel=1e-12)
+        assert predual_norm_bracket(g)[1] == pytest.approx(solve(want_hi).optimum, rel=1e-12)
+
+
+def _bracket_case(rng, trial):
+    """(ctx, g) of the hi differential: n = 1-3, k = 0-3 and the four moduli
+    in turn; every fifth g is empty and every fifth has only deltas of
+    order < k (empty as well at k = 0), the rest a delta of random order per
+    point and up to three difference atoms of order k."""
+    n, k, om = 1 + trial % 3, (trial // 3) % 4, K0_MODULI[(trial // 12) % 4]
+    ctx, mis = NormContext(k, n, om), multi_indices(n, k)
+    m = int(rng.integers(1, max(3, 60 // len(mis)) + 1))
+    pts = rng.uniform(-1, 1, (m, n))
+    layout = trial % 5
+    if layout == 0:
+        return ctx, functional([], [], ctx)
+    low = [a for a in mis if mi_order(a) < k]
+    if layout == 1:
+        atoms = [delta(p, low[rng.integers(len(low))]) for p in pts] if low else []
+    else:
+        top = [a for a in mis if mi_order(a) == k]
+        atoms = [delta(p, mis[rng.integers(len(mis))]) for p in pts]
+        for _ in range(int(rng.integers(0, 4)) if m > 1 else 0):
+            i, j = rng.choice(m, 2, replace=False)
+            atoms.append(difference(pts[i], pts[j], top[rng.integers(len(top))]))
+    return ctx, functional(atoms, rng.normal(size=len(atoms)), ctx)
+
+
+def test_bracket_hi_matches_the_monolithic_min_tv_lp(monkeypatch):
+    # hi, summed from per-order transportation problems, against the one
+    # min-total-variation LP over every delta and top-order difference atom.
+    # lo is replaced by an empty LP, so the sweep builds and solves hi alone
+    # (lo has its own sweeps: _lo_sweep and test_bracket_lps_match_taylor_row_loop)
+    rng = np.random.default_rng(2503)
+    layouts = collections.Counter()
+    cases = [_bracket_case(rng, trial) for trial in range(300)]
+    for trial, (ctx, g) in enumerate(cases):
+        if ctx.k == 0:
+            assert predual_norm_bracket(g)[1] == predual_norm_k0(g), trial
+    monkeypatch.setattr(ckomega.predual, "_lo_lp", lambda g: LinearProgram(np.zeros(0), np.zeros((0, 0)), np.zeros(0)))
+    for trial, (ctx, g) in enumerate(cases):
+        hi = _bracket_solutions(g)[1]
+        assert hi == pytest.approx(solve(_min_tv_lp(g, ctx)).optimum, rel=1e-12), trial
+        charged = g.lowering[1].any(axis=0)
+        top = np.array([mi_order(a) == ctx.k for a in multi_indices(ctx.n, ctx.k)])
+        layouts["empty" if not charged.any() else "lower" if not charged[top].any() else "top"] += 1
+    assert min(layouts.values()) >= 50, layouts
+
+
+def test_bracket_rejects_a_table_breaking_the_axioms_before_solving(monkeypatch):
+    # the same InputError as the k = 0 norm, from _transport's one check
+    om = mo.table([(0.5, 0.3), (1.0, 1.2), (3.0, 2.5)])
+    with pytest.raises(InputError) as k0:
+        predual_norm_k0(functional([delta([0.0]), delta([0.7])], [1.0, -2.0], NormContext(0, 1, om)))
+    solved = []
+    monkeypatch.setattr(ckomega.predual, "solve", lambda lp: solved.append(lp))
+    ctx = NormContext(1, 1, om)
+    g = functional([delta([0.0], [0]), difference([0.0], [0.7], [1])], [1.0, -2.0], ctx)
+    with pytest.raises(InputError) as bracket:
+        predual_norm_bracket(g)
+    assert str(bracket.value) == str(k0.value)
+    assert "t/omega(t) nondecreasing" in str(k0.value)
+    assert solved == []
 
 
 # ---------------------------------------------------------------------------

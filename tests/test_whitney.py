@@ -32,7 +32,7 @@ from ckomega.fields import (
 )
 from ckomega.jackson import error_report, finite_rank_LNN, periodize, periodized_derivative, smooth_EN
 from ckomega.markov import probe
-from ckomega.predual import _bracket_lps, delta, difference, functional
+from ckomega.predual import _lo_lp, delta, difference, functional
 from ckomega.whitney import (
     LambdaReport,
     ck_norm_estimate,
@@ -332,17 +332,19 @@ def test_lambda_reports_match_pinned_digest(monkeypatch):
 
 # sha256 of the arrays and values below, computed before the re-expansion,
 # the Hermite tail constants and the (alpha, gamma) sum list moved onto the
-# multi-index table: the jet arithmetic's bits are pinned to that code's
+# multi-index table: the jet arithmetic's bits are pinned to that code's.
+# "bracket" hashes the lo LP alone since hi left the LP; it was recomputed
+# on the last code that built hi, which still met the digest of both LPs
 _JET_DIGESTS = {
-    "bracket": "112ec213d3c70f65b524d2f25cc34e185a7e6c4105a5527d0876407c54844a81",
+    "bracket": "9811117452fb9c7b8ac704b31d4e913f6e8b4c2be766957bc522212b84bf9db3",
     "taylor": "a6f819c23e28abaf9e28dfaffa824c7dec186c1ca99cbbb00c63677481f096fd",
     "hermite": "2019b30d1f60752f14c7345bef74497cb03e5dacae8e16016096670dcc476ac8",
 }
 
 
 def _bracket_digest():
-    # the lo and hi LPs of a seeded functional per n <= 3, k <= 3 and
-    # modulus: a delta atom of random order per point, a top-order difference
+    # the lo LP of a seeded functional per n <= 3, k <= 3 and modulus: a
+    # delta atom of random order per point, a top-order difference
     digest = hashlib.sha256()
     for n, k, which in itertools.product((1, 2, 3), range(4), range(3)):
         rng = np.random.default_rng([n, k, which])
@@ -352,9 +354,9 @@ def _bracket_digest():
         pts = rng.uniform(-1, 1, (int(rng.integers(2, 5)), n))
         atoms = [delta(p, mis[rng.integers(len(mis))]) for p in pts]
         atoms.append(difference(pts[0], pts[-1], top[rng.integers(len(top))]))
-        for lp in _bracket_lps(functional(atoms, rng.normal(size=len(atoms)), ctx)):
-            for arr in (lp.objective, lp.lhs_eq, lp.rhs_eq):
-                digest.update(repr(arr.shape).encode() + arr.tobytes())
+        lp = _lo_lp(functional(atoms, rng.normal(size=len(atoms)), ctx))
+        for arr in (lp.objective, lp.lhs_eq, lp.rhs_eq):
+            digest.update(repr(arr.shape).encode() + arr.tobytes())
     return digest.hexdigest()
 
 
@@ -560,6 +562,36 @@ def test_field_rejects_points_whose_distance_overflows(monkeypatch):
             monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", rows_per_block * 3 * len(pts))
         with pytest.raises(NumericalError, match="indices 2 and 5 overflows"):
             field_from_data(pts, np.zeros(len(pts)))
+
+
+def test_lambda_far_apart_field_reports_without_a_warning():
+    # +-1e100 apart at k = 3, the order-0 denominator d^3 omega(d) overflows
+    # to inf, so its ratio is 0, and every other ratio is finite
+    ctx = NormContext(3, 2, mo.linear())
+    coeffs = np.random.default_rng(5).normal(size=(2, 10))
+    f = field_from_jets([jet([1e100, 1e100], coeffs[0], 3), jet([-1e100, -1e100], coeffs[1], 3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = whitney_lambda(f, ctx)
+    assert rep.lam == rep.lam_sup == np.max(np.abs(coeffs)) and 0.0 < rep.lam_osc < 1e-99
+
+
+def test_lambda_ratio_that_overflows_raises(monkeypatch):
+    # a third-order coefficient of 1e10 re-expanded across about 1e100
+    # overflows to inf, and inf / inf is a NaN ratio: the pair is named,
+    # whichever block holds it
+    pts = np.random.default_rng(6).uniform(-1, 1, (6, 1))
+    pts[4] = 1e100
+    coeffs = np.zeros((6, 4))
+    coeffs[1, 3] = 1e10
+    f = field_from_jets([jet(p, c, 3) for p, c in zip(pts, coeffs)])
+    for pairs in (None, 1, 4):
+        if pairs is not None:
+            _set_pairs_per_block(monkeypatch, f, pairs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"points at indices 1 and 4 is not finite: \[\[-0.313"):
+                whitney_lambda(f, NormContext(3, 1, mo.linear()))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
