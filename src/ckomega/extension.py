@@ -11,9 +11,13 @@ On a gap [a, b], h = b - a, s = (x - a)/h, the blend is D^j F(x) = sum over
 e in {a, b}, r <= k of h^(r-j) psi_{e,r}^(j)(s) c_r(e), with c_r(e) the
 order-r jet entry at e and psi_{e,r} the two-point Hermite cardinal
 polynomials (de Boor, A Practical Guide to Splines, 1978), tabulated once
-per k. Values, jets and depth audits all read these weights. Where h^(r-j)
-overflows float64 (h below about 1e-100 or above 1e100), knots stay exact
-and a jet that is not finite raises NumericalError naming its gap.
+per k. Values, jets and depth audits all read these weights. A batch
+locates its queries with numpy; a single query of the hull (evaluate_jet,
+depth_audit, a scalar call) is located in Python floats, which round as
+numpy does, and shares the batch's arithmetic, so both give the same bits.
+Where h^(r-j) overflows float64 (h below about 1e-100 or above 1e100),
+knots stay exact and a jet that is not finite raises NumericalError naming
+its gap.
 
 Outside the data hull the 1D extension freezes: the nearest endpoint's Taylor
 polynomial is multiplied by the smooth profile equal to 1 up to distance 1
@@ -24,6 +28,7 @@ weights take p! and C(j, i) = j! / (i! (j-i)!) from the multi-index table.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -97,14 +102,14 @@ class McShaneExtension:
         # omega rejects t = 0; hit rows are overwritten below
         np.copyto(d, 1.0, where=zero)
         spread = self.lam * self.omega(d)
-        upper = np.min(np.add(vals, spread, out=d), axis=1)
-        lower = np.max(np.subtract(vals, spread, out=spread), axis=1)
+        # only the envelope (or both) that the variant returns
         if self.variant == "min":
-            v = upper
+            v = np.min(np.add(vals, spread, out=d), axis=1)
         elif self.variant == "max":
-            v = lower
+            v = np.max(np.subtract(vals, spread, out=spread), axis=1)
         else:
-            v = 0.5 * (upper + lower)
+            v = 0.5 * (np.min(np.add(vals, spread, out=d), axis=1)
+                       + np.max(np.subtract(vals, spread, out=spread), axis=1))
         v = np.minimum(np.maximum(v, -self.sup_bound), self.sup_bound)
         hit = zero.any(axis=1)
         # interpolation is bitwise: the first datum at distance 0, not a min of rounded terms
@@ -187,7 +192,7 @@ class HermiteExtension1D:
         tail there. A row does not depend on P."""
         xs = np.asarray(xs, dtype=float).ravel()
         k, knots, order = self.k, self.knots, self.order
-        pairs, ends, hpow, _ = self._gaps
+        pairs, ends, _, _ = self._gaps
         if pairs.size:
             # clamped into the hull; a tail, infinite or NaN query differs from
             # its clamp, and its row is overwritten (or rejected) below
@@ -200,15 +205,7 @@ class HermiteExtension1D:
             idx = pairs.take(g, axis=0)
             a, b, h = ends.take(g, axis=0).T
             s, u = (x - a) / h, (b - x) / h
-            near = u < s  # the table in u = 1 - s, near the right end
-            # (P, 1, 2k+2) powers of v = min(s, u) against the (P, 2k+2, X)
-            # table of the nearer end, then h^(r-j)
-            table = _cardinal(k).reshape(2, 2 * k + 2, -1).take(near.view(np.uint8), axis=0)
-            psi = np.matmul((np.minimum(s, u)[:, None] ** np.arange(2 * k + 2))[:, None], table)
-            w = psi.reshape(xs.size, k + 1, 2, k + 1)
-            # a zero weight stays 0 where a gap narrower than about 1e-100
-            # overflows h^(r-j): at a knot 0 * inf would make NaN of its datum
-            np.multiply(w, hpow.take(g, axis=0), out=w, where=w != 0.0)
+            w = self._gap_weights(g, u < s, np.minimum(s, u))
         else:
             tail = np.ones(xs.size, dtype=bool)
             idx, w = np.empty((xs.size, 2), dtype=np.intp), np.empty((xs.size, k + 1, 2, k + 1))
@@ -242,6 +239,47 @@ class HermiteExtension1D:
                 wt[:, i:, 0, i:] += binom * outer[:, : k + 1 - i, : k + 1 - i]
             w[tail] = wt
         return idx, w
+
+    def _gap_weights(self, g, near, v) -> np.ndarray:
+        """Weights (P, k+1, 2, k+1) of the queries at distance v (in s, or in
+        u where near) from the nearer end of their gaps g: the (P, 1, 2k+2)
+        powers of v against the (P, 2k+2, X) table of the nearer end, then
+        h^(r-j)."""
+        k = self.k
+        table = _cardinal(k).reshape(2, 2 * k + 2, -1).take(near.view(np.uint8), axis=0)
+        psi = np.matmul((v[:, None] ** np.arange(2 * k + 2))[:, None], table)
+        w = psi.reshape(v.size, k + 1, 2, k + 1)
+        # a zero weight stays 0 where a gap narrower than about 1e-100
+        # overflows h^(r-j): at a knot 0 * inf would make NaN of its datum
+        np.multiply(w, self._gaps[2].take(g, axis=0), out=w, where=w != 0.0)
+        return w
+
+    @cached_property
+    def _knot_list(self) -> list:  # one Python float per knot, for _weights_at
+        return self.knots.tolist()
+
+    def _weights_at(self, x: float) -> tuple[np.ndarray, np.ndarray]:
+        """_weights([x]) for one float x. In the hull of two or more knots the
+        gap is found in Python floats, whose subtraction, division and
+        comparison round as numpy's do, and _gap_weights gets the 1-query
+        arrays the batch would build, so the weights are bitwise the batch's
+        at a fraction of its per-call cost; tails and non-finite queries go
+        to _weights."""
+        knots = self._knot_list
+        if not knots[0] <= x <= knots[-1] or len(knots) < 2:
+            return self._weights([x])
+        # numpy's clamp returns the hull end a query equals, its sign of zero included
+        if x == knots[0]:
+            x = knots[0]
+        elif x == knots[-1]:
+            x = knots[-1]
+        g = bisect_left(knots, x, 1, len(knots) - 1) - 1  # searchsorted in knots[1:-1]
+        a, b = knots[g], knots[g + 1]
+        s, u = (x - a) / (b - a), (b - x) / (b - a)
+        near = u < s
+        # np.minimum(s, u): they are equal only away from 0, where either will do
+        w = self._gap_weights(np.array([g]), np.array([near]), np.array([u if near else s]))
+        return self._gaps[0][g : g + 1], w
 
     def jets(self, xs) -> np.ndarray:
         """(P, k+1) array of D^j F at the points of xs (flattened), j = 0..k;
@@ -285,16 +323,21 @@ class HermiteExtension1D:
     def evaluate_jet(self, x: float) -> Jet:
         """Values D^alpha F(x) for alpha <= k, packed as a jet at x; raises as jets."""
         x = float(x)
-        out = self._contract(*self._weights([x]))
+        out = self._contract(*self._weights_at(x))
         row = out[0].tolist()
         if not all(map(math.isfinite, row)):  # _finite's check, cheaper on one row
             self._finite([x], out)
         return Jet((x,), tuple(row), self.k)
 
     def __call__(self, x):
+        if np.ndim(x) == 0:
+            x = float(x)
+            val = self._contract(*self._weights_at(x))[:, :1]
+            if not math.isfinite(val[0, 0]):
+                self._finite([x], val)
+            return float(val[0, 0])
         xs = np.asarray(x, dtype=float).ravel()
-        vals = self._finite(xs, self._jets(xs)[:, :1])[:, 0]
-        return float(vals[0]) if np.ndim(x) == 0 else vals
+        return self._finite(xs, self._jets(xs)[:, :1])[:, 0]
 
 
 def hermite_extension(field: WhitneyField) -> HermiteExtension1D:
@@ -341,14 +384,15 @@ def depth_audit(op, x) -> DepthRecord:
     if not isinstance(op, HermiteExtension1D):
         raise InputError("depth audit supports McShane and 1D Hermite operators")
     x = float(x)
-    idx, w = op._weights([x])
+    idx, w = op._weights_at(x)
     # the stencil's points that carry a weight, distinct since a tail repeats
     # its endpoint with zero weights; beyond distance 2 a tail carries none
     # and reports its one endpoint
-    active = max(1, int(np.count_nonzero(w[0].any(axis=(0, 2)))))
-    entries = tuple((int(i), a, float(wt)) for i, row in zip(idx[0], w[0, 0])
-                    for a, wt in enumerate(row.tolist()) if wt != 0.0)
+    rows = w[0].tolist()  # [j][e][r]
+    active = max(1, sum(any(wt != 0.0 for row in rows for wt in row[e]) for e in (0, 1)))
+    entries = tuple((i, a, wt) for i, row in zip(idx[0].tolist(), rows[0])
+                    for a, wt in enumerate(row) if wt != 0.0)
     const_weight = sum(wt for _, a, wt in entries if a == 0)
-    dist = max(op.knots[0] - x, x - op.knots[-1], 0.0)
+    dist = max(op._knot_list[0] - x, x - op._knot_list[-1], 0.0)
     clamp = 1.0 if dist <= 1.0 else float(profile(dist))  # profile is exactly 1 up to distance 1
     return DepthRecord(True, entries, active, abs(const_weight - clamp))

@@ -309,7 +309,7 @@ class WhitneyField:
             wide = np.isinf(_distances(ptsT.max(axis=1, keepdims=True), ptsT.min(axis=1, keepdims=True))[0])
             for blk in _blocks(m, 3 * m):
                 dist = _distances(ptsT[:, blk, None], ptsT[:, None, blk.start :])
-                dist[np.tril_indices(blk.stop - blk.start)] = np.nan
+                dist[np.arange(dist.shape[0])[:, None] >= np.arange(dist.shape[1])] = np.nan
                 if (dist == 0.0).any():
                     i, j = first_pair(dist == 0.0, blk)
                     raise InputError(f"coincident points at indices {i} and {j}: {pts[i].tolist()}")

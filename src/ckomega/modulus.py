@@ -187,17 +187,6 @@ def validate(m: Modulus, grid) -> ValidationReport:
     return ValidationReport(tuple(g), tuple(violations))
 
 
-def limit_at_infinity_reciprocal(m: Modulus, probe: float) -> float:
-    """Numerical proxy for lim_{t->inf} 1/omega(t), evaluated at a large probe.
-
-    The probe choice is the caller's responsibility and should be recorded
-    alongside the result.
-    """
-    if probe < 1.0:
-        raise InputError("probe must be >= 1")
-    return 1.0 / m(probe)
-
-
 def default_grid() -> list[float]:
     """Logarithmic default grid used by the CLI for validate-omega."""
     return list(np.logspace(-6, 6, 49))

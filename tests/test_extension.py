@@ -13,6 +13,7 @@ from ckomega.cutoff import profile_deriv
 from ckomega.errors import InputError, NumericalError
 from ckomega.extension import (
     NOT_LINEAR,
+    HermiteExtension1D,
     _cardinal,
     depth_audit,
     hermite_extension,
@@ -457,18 +458,96 @@ def test_hermite_matches_divided_difference_oracle():
 
 def test_hermite_batch_equals_scalar_bitwise(monkeypatch):
     rng = np.random.default_rng(11)
-    for k in range(4):
+    for k in range(5):
         pts, _, h = _random_hermite(rng, k, 6)
         xs = _hermite_queries(rng, pts)
         rng.shuffle(xs)
         ref = np.array([h.evaluate_jet(x).coeffs for x in xs])
-        assert np.array_equal(h.jets(xs), ref)
+        assert h.jets(xs).tobytes() == ref.tobytes()
         assert np.array_equal(h(xs), ref[:, 0])
         assert [h(x) for x in xs] == ref[:, 0].tolist()
         for elems in (1, 2000, 10000):  # one to a few dozen queries per block
             monkeypatch.setattr("ckomega.fields._BLOCK_ELEMS", elems)
             assert np.array_equal(h.jets(xs), ref)
         monkeypatch.undo()
+
+
+def _hull_cases():
+    """Hermite extensions with queries on their hull ends, interior knots and
+    gap interiors: random fields (k = 0-4), 2-knot fields (hull ends of
+    either sign of zero among them) and the overflowing gap."""
+    rng = np.random.default_rng(16)
+    for k in range(5):
+        pts, _, h = _random_hermite(rng, k, 5)
+        yield h, np.concatenate([pts, *(rng.uniform(a, b, 3) for a, b in zip(pts[:-1], pts[1:]))])
+    for ends in ([0.0, 1.0], [-0.0, 1.0], [-1.0, 0.0], [-1.0, -0.0], [2.0, 2.0 + 1e-9]):
+        h = hermite_extension(field_from_jets([jet([p], [1.0, -2.0, 0.5], 2) for p in ends]))
+        yield h, np.array([*ends, 0.0, -0.0, (ends[0] + ends[1]) / 2, ends[0] + (ends[1] - ends[0]) / 3])
+    h, pts, _ = _overflowing_gap()
+    yield h, np.array([*pts, 5e-111, 1e-111, 9e-111, 0.5])
+
+
+def test_one_query_weights_are_the_batch_rows_bitwise():
+    # the scalar calls find their gap in Python floats; their weights, audit
+    # entries, jets and values are the batch's rows bit for bit
+    for h, xs in _hull_cases():
+        xs = xs[(h.knots[0] <= xs) & (xs <= h.knots[-1])]
+        idx, w = h._weights(xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            jets = h._jets(xs)
+        for q, x in enumerate(xs.tolist()):
+            one_idx, one_w = h._weights_at(x)
+            assert one_idx.tolist() == idx[q : q + 1].tolist()
+            assert one_w.tobytes() == w[q : q + 1].tobytes() == h._weights([x])[1].tobytes()
+            want = tuple((int(i), a, float(wt)) for i, row in zip(idx[q], w[q, 0])
+                         for a, wt in enumerate(row.tolist()) if wt != 0.0)
+            assert depth_audit(h, x).entries == want
+            if np.isfinite(jets[q]).all():
+                assert np.array(h.evaluate_jet(x).coeffs).tobytes() == jets[q].tobytes()
+            assert np.float64(h(x)).tobytes() == jets[q, 0].tobytes()
+
+
+def test_one_query_locate_is_the_batch_locate_bitwise(monkeypatch):
+    # a single query hands _gap_weights the batch's gap, nearer end and v, a
+    # signed zero included (a query 0.0 of the hull end -0.0 is clamped to it)
+    seen = []
+    gap_weights = HermiteExtension1D._gap_weights
+
+    def spy(self, g, near, v):
+        seen.append((g.tolist(), near.tolist(), v.tobytes()))
+        return gap_weights(self, g, near, v)
+
+    monkeypatch.setattr(HermiteExtension1D, "_gap_weights", spy)
+    for h, xs in _hull_cases():
+        for x in xs[(h.knots[0] <= xs) & (xs <= h.knots[-1])].tolist():
+            h._weights([x])
+            h._weights_at(x)
+            assert seen[0] == seen[1]
+            seen.clear()
+
+
+def test_one_query_calls_skip_the_batch_weights_in_the_hull(monkeypatch):
+    # evaluate_jet, depth_audit and a scalar call locate a query of the hull
+    # without _weights; tails, non-finite queries and a single knot use it
+    def batch_only(self, xs):
+        raise AssertionError("batch weights")
+
+    cases = list(_hull_cases())
+    monkeypatch.setattr(HermiteExtension1D, "_weights", batch_only)
+    for h, xs in cases:
+        for x in xs[(h.knots[0] <= xs) & (xs <= h.knots[-1])].tolist():
+            for call in (h.evaluate_jet, h, lambda x: depth_audit(h, x)):
+                try:
+                    call(x)
+                except NumericalError:  # jets in the overflowing gap
+                    pass
+        for x in (h.knots[0] - 0.5, h.knots[-1] + 1.5, math.nan, math.inf):
+            for call in (h.evaluate_jet, h, lambda x: depth_audit(h, x)):
+                with pytest.raises(AssertionError, match="batch weights"):
+                    call(x)
+    single = hermite_extension(field_from_jets([jet([0.5], [1.0, 2.0], 1)]))
+    with pytest.raises(AssertionError, match="batch weights"):
+        single.evaluate_jet(0.5)
 
 
 def test_constant_residual_fails_on_a_perturbed_table(monkeypatch):
@@ -482,7 +561,7 @@ def test_constant_residual_fails_on_a_perturbed_table(monkeypatch):
 
 
 def test_depth_audit_runtime_budget():
-    # 100 audits at m = 40, k = 2: about 8 ms on one 2 vCPU Xeon core, where
+    # 100 audits at m = 40, k = 2: about 1.5 ms on one 2 vCPU Xeon core, where
     # rebuilding 2(k+1) + 1 extensions per audit took about 160 ms
     rng = np.random.default_rng(13)
     pts = np.sort(rng.uniform(-1, 1, 40))
@@ -499,7 +578,7 @@ def test_depth_audit_runtime_budget():
 
 
 def test_evaluate_jet_runtime_budget():
-    # 400 scalar calls at m = 40, k = 2, one in seven on a knot: about 14 ms
+    # 400 scalar calls at m = 40, k = 2, one in seven on a knot: about 5.5 ms
     # on one 2 vCPU Xeon core, where the per-call masks, counts and Horner
     # loop of the earlier weights took 22-30 ms
     rng = np.random.default_rng(14)

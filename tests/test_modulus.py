@@ -69,14 +69,6 @@ def test_validate_input_errors():
         mo.validate(mo.linear(), [-1.0, 1.0])
 
 
-def test_limit_at_infinity_reciprocal():
-    assert mo.limit_at_infinity_reciprocal(mo.linear(), 1e9) == 1e-9
-    assert mo.limit_at_infinity_reciprocal(mo.capped(1.0, 2.0), 1e9) == 0.5
-    assert mo.limit_at_infinity_reciprocal(mo.power(0.5), 1e8) == pytest.approx(1e-4)
-    with pytest.raises(InputError):
-        mo.limit_at_infinity_reciprocal(mo.linear(), 0.5)
-
-
 def test_eval_monotone_property():
     rng = np.random.default_rng(11)
     kinds = [mo.power(0.4), mo.linear(), mo.capped(0.8, 1.2),
