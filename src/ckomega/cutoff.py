@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import InputError
-from .fields import _blocks, _check_int, _multi_index, mi_order, multi_indices
+from .fields import _blocks, _check_int, _multi_index, mi_order
 
 _H = 0.5  # bump radius
 _EDGE = 1.5  # mollified indicator half-width
@@ -130,15 +130,6 @@ def profile_deriv(u, order: int):
     return out
 
 
-@lru_cache(maxsize=None)
-def _profile_sup(order: int) -> float:
-    """sup |sigma^(order)| sampled on a dense transition grid (M_0 = 1)."""
-    if order == 0:
-        return 1.0
-    u = np.linspace(1.0, 2.0, 20001)
-    return float(np.max(np.abs(profile_deriv(u, order))))
-
-
 @dataclass(frozen=True)
 class CutoffFamily:
     """The scaled tensor cutoff rho_ell(x) = prod_i sigma(x_i / ell)."""
@@ -173,17 +164,3 @@ class CutoffFamily:
             out = out * profile_deriv(u, a)[where]
         return out / self.ell ** mi_order(alpha)
 
-
-def derivative_bound_constant(k: int, n: int) -> float:
-    """Empirical c_{k,n}: max over |alpha| <= k+1 of sup |D^alpha rho|.
-
-    An artifact parameter of this particular cutoff (the theory fixes only
-    its existence), computed from sampled 1D sups of sigma derivatives.
-    """
-    best = 0.0
-    for alpha in multi_indices(n, k + 1):
-        prod = 1.0
-        for a in alpha:
-            prod *= _profile_sup(a)
-        best = max(best, prod)
-    return best

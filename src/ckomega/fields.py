@@ -48,9 +48,9 @@ def multi_indices(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _check_int(name: str, value, low: int) -> None:
-    """InputError unless value is an integer (Python or numpy, not a float)
-    of at least low."""
-    if not isinstance(value, (int, np.integer)) or value < low:
+    """InputError unless value is an integer (Python or numpy, not a float
+    or a bool) of at least low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
@@ -71,13 +71,6 @@ def mi_factorial(alpha) -> float:
     for a in alpha:
         out *= math.factorial(a)
     return float(out)
-
-
-def mi_sub(alpha, beta):
-    """alpha - beta, or None if beta is not <= alpha componentwise."""
-    if any(b > a for a, b in zip(alpha, beta)):
-        return None
-    return tuple(a - b for a, b in zip(alpha, beta))
 
 
 def n_coefficients(n: int, k: int) -> int:

@@ -7,9 +7,10 @@ Internal LP layer powering predual norms and Markov ratios. Every LP is
 callers whose natural problem has free variables or inequality rows pose its
 LP dual instead, which is of this form, and read their free variables off
 the duals of its rows (``LPSolution.dual_eq``). Problems are small and
-dense. Pivots follow Dantzig's rule, with Bland's rule after a degenerate
-streak (``_iterate``); every choice breaks ties by index, so identical
-inputs produce identical pivot sequences and outputs. One tableau serves
+dense. Pivots follow Dantzig's rule, with Bland's entering rule after a
+degenerate streak, and leave by one largest-pivot ratio test (``_iterate``);
+every choice breaks ties by index, so identical inputs produce identical
+pivot sequences and outputs. One tableau serves
 both phases: it holds the structural columns, then one artificial per row;
 phase 1 starts from a crash basis that puts a unit column of A in every row
 that has one, and phase 2 prices only the structural columns, so the
@@ -31,7 +32,7 @@ _COST_TOL = 1e-9
 _PHASE1_TOL = 1e-8
 _RAY_TOL = 1e-7  # every certificate residual allowed per unit of its scale, e.g. |A d| per ||A|| ||d||
 _DEGENERATE_TOL = 1e-12  # a pivot whose leaving row has rhs <= this does not move x
-_STALL = 50  # consecutive degenerate pivots after which Bland's rule chooses
+_STALL = 50  # consecutive degenerate pivots after which Bland's rule enters
 
 OPTIMAL = "OPTIMAL"
 UNBOUNDED = "UNBOUNDED"
@@ -109,27 +110,26 @@ def _iterate(T, basis, max_iter, ncol):
     first ncol columns. Minimization convention: optimal when all their
     reduced costs >= -tol. basis is an int array, updated in place.
 
-    Dantzig's rule enters the most negative reduced cost; the ratio test
-    admits a row only if its entry exceeds max(_PIVOT_TOL, _PIVOT_REL times
-    the column's largest magnitude), so a pivot is never rounding noise
-    relative to its column (Harris, Math. Programming 5, 1973), and leaves,
-    among rows within 1e-12 of the smallest ratio, the one with the largest
-    pivot entry, which keeps the tableau well conditioned. Once
-    ``_STALL`` pivots in a row are degenerate (leaving rhs <= 1e-12), Bland's
-    rule (smallest eligible index enters, smallest basic index leaves)
-    chooses until a pivot is not. This terminates: a cycle consists only of
-    degenerate pivots, Bland's rule cannot cycle, so every degenerate streak
-    ends, and each non-degenerate pivot strictly lowers the objective, so no
-    basis recurs across one.
+    Dantzig's rule enters the most negative reduced cost; once ``_STALL``
+    pivots in a row are degenerate (leaving rhs <= 1e-12), Bland's entering
+    rule (the smallest eligible index) chooses until a pivot is not. In both
+    modes the ratio test admits a row only if its entry exceeds
+    max(_PIVOT_TOL, _PIVOT_REL times the column's largest magnitude), so a
+    pivot is never rounding noise relative to its column (Harris, Math.
+    Programming 5, 1973), and leaves, among rows within 1e-12 of the
+    smallest ratio, the one with the largest pivot entry, which keeps the
+    tableau well conditioned. Nothing proves that this terminates in
+    floating point (Bland's proof assumes exact arithmetic, and his
+    smallest-index leaving rule, which took pivots down to 9e-9, cycled on
+    bracket LPs); more than max_iter pivots raise NumericalError.
     """
     m = T.shape[0] - 1
     it = stall = 0
     if ncol == 0:
         return "optimal", it, None
     while True:
-        bland = stall >= _STALL
         cost = T[-1, :ncol]
-        j = int((cost < -_COST_TOL).argmax()) if bland else int(cost.argmin())
+        j = int((cost < -_COST_TOL).argmax()) if stall >= _STALL else int(cost.argmin())
         if cost[j] >= -_COST_TOL:
             return "optimal", it, None
         col = T[:m, j]
@@ -141,7 +141,7 @@ def _iterate(T, basis, max_iter, ncol):
         else:
             ratios = T[rows, -1] / col[rows]
             tied = rows[ratios <= ratios.min() + 1e-12]
-            r = int(tied[np.argmin(basis[tied])] if bland else tied[np.argmax(col[tied])])
+            r = int(tied[np.argmax(col[tied])])
         stall = stall + 1 if T[r, -1] <= _DEGENERATE_TOL else 0
         _pivot(T, r, j)
         basis[r] = j

@@ -8,7 +8,9 @@ as a script it solves every trial and writes one JSON line per trial
 with the message when a certificate fails), then prints the status counts
 and the total pivots. With ``--against`` it prints every trial whose line
 differs from an earlier run's file, so a solver change reports each LP that
-moves. It asserts nothing and pytest does not collect it.
+moves, with HiGHS's optimum (scipy) and the relative distance of the old
+and the new optimum from it. It asserts nothing and pytest does not collect
+it.
 
     PYTHONPATH=src python tests/lo_sweep.py --seed 11 --trials 3000 --out new.jsonl [--against old.jsonl]
 """
@@ -63,20 +65,41 @@ def main():
     parser.add_argument("--out", required=True, help="JSON lines, one per trial")
     parser.add_argument("--against", help="an earlier --out file to compare with")
     args = parser.parse_args()
-    records = [record(*case) for case in lo_sweep(args.seed, args.trials)]
+    old = []
+    if args.against:
+        with open(args.against) as fh:
+            old = [json.loads(line) for line in fh]
+    records, moves = [], []
+    for case in lo_sweep(args.seed, args.trials):
+        records.append(record(*case))
+        was, now = old[case[0]] if case[0] < len(old) else None, records[-1]
+        if was is not None and was != now:
+            moves.append(move(was, now, case[-1]))
     with open(args.out, "w") as fh:
         fh.writelines(json.dumps(r) + "\n" for r in records)
     print(dict(collections.Counter(r["status"] for r in records)),
           "pivots", sum(r.get("pivots", 0) for r in records))
-    if args.against:
-        with open(args.against) as fh:
-            old = [json.loads(line) for line in fh]
-        for was, now in zip(old, records):
-            if was != now:
-                moved = sorted(key for key in was.keys() | now.keys() if was.get(key) != now.get(key))
-                print(f"trial {now['trial']} (n={now['n']}, k={now['k']}, m={now['m']}) moves {moved}: "
-                      + ", ".join(f"{key} {was.get(key)} -> {now.get(key)}"
-                                  for key in moved if key != "basis"))
+    for line in moves:
+        print(line)
+
+
+def move(was, now, lp) -> str:
+    """One line on a trial whose record moved: the fields that differ, and
+    HiGHS's optimum with the old and the new optimum's relative distance."""
+    from scipy.optimize import linprog
+
+    moved = sorted(key for key in was.keys() | now.keys() if was.get(key) != now.get(key))
+    line = (f"trial {now['trial']} (n={now['n']}, k={now['k']}, m={now['m']}) moves {moved}: "
+            + ", ".join(f"{key} {was.get(key)} -> {now.get(key)}" for key in moved if key != "basis"))
+    ref = linprog(lp.objective, A_eq=lp.lhs_eq, b_eq=lp.rhs_eq, bounds=(0, None), method="highs")
+    if ref.status != 0:
+        return f"{line}; HiGHS: {ref.message}"
+
+    def distance(rec):
+        opt = rec.get("optimum")
+        return "-" if opt is None else f"{abs(opt - ref.fun) / max(abs(ref.fun), 1e-300):.1e}"
+
+    return f"{line}; HiGHS {ref.fun!r}, relative distance {distance(was)} -> {distance(now)}"
 
 
 if __name__ == "__main__":

@@ -191,10 +191,16 @@ def test_norm_malformed_field_json_exit_1(capsys, points, jets, names):
 @pytest.mark.parametrize("field, names", [
     ({"k": 0.9, "n": 1, "points": [[0.0]], "jets": [[]]}, "field JSON: k must be an integer >= 0, got 0.9"),
     ({"k": 0, "n": 1.0, "points": [[0.0]], "jets": [[]]}, "field JSON: n must be an integer >= 1, got 1.0"),
+    # JSON's true is a Python bool, an int subclass, and not an order
+    ({"k": True, "n": 1, "points": [[0.0]], "jets": [[]]}, "field JSON: k must be an integer >= 0, got True"),
+    ({"k": 0, "n": True, "points": [[0.0]], "jets": [[]]}, "field JSON: n must be an integer >= 1, got True"),
     # at k = 1 the stray (0.9,) entry would overwrite the point's (0,) value
     ({"k": 1, "n": 1, "points": [[0.0], [1.0]],
       "jets": [[{"alpha": [0], "value": 0.0}, {"alpha": [0.9], "value": 5.0}],
                [{"alpha": [0], "value": 1.0}]]}, "jet entry {'alpha': [0.9], 'value': 5.0} of point 0"),
+    ({"k": 1, "n": 1, "points": [[0.0], [1.0]],
+      "jets": [[{"alpha": [0], "value": 0.0}, {"alpha": [True], "value": 5.0}],
+               [{"alpha": [0], "value": 1.0}]]}, "jet entry {'alpha': [True], 'value': 5.0} of point 0"),
 ])
 def test_norm_field_json_non_integer_order_or_index_exit_1(capsys, field, names):
     code, _, err = run_cli(capsys, "norm", "--field", json.dumps(field))
@@ -203,9 +209,11 @@ def test_norm_field_json_non_integer_order_or_index_exit_1(capsys, field, names)
 
 
 @pytest.mark.parametrize("atom", ['{"x":[0.0],"alpha":[0.7]}',
-                                  '{"type":"diff","x":[0.0],"y":[1.0],"alpha":[1.5]}'])
+                                  '{"type":"diff","x":[0.0],"y":[1.0],"alpha":[1.5]}',
+                                  '{"x":[0.0],"alpha":[true]}',
+                                  '{"type":"diff","x":[0.0],"y":[1.0],"alpha":[true]}'])
 def test_predual_norm_non_integer_alpha_exit_1(capsys, atom):
-    code, _, err = run_cli(capsys, "predual-norm", "--k", "1", "--atoms", f"[{atom}]")
+    code, _, err = run_cli(capsys, "predual-norm", "--k", "1", "--atoms", f'[{atom}, {{"x":[1.0],"coef":-1}}]')
     assert code == 1
     assert err.startswith("input error: atom entry 0") and "integer alpha list" in err
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 from ckomega.cutoff import (
     CutoffFamily,
     _bump_cdf,
-    derivative_bound_constant,
     profile,
     profile_deriv,
 )
 from ckomega.errors import InputError
+from ckomega.fields import multi_indices
 
 
 def test_profile_branches_are_exact():
@@ -91,9 +92,13 @@ def test_rho_ell_scaling_identity():
 
 
 def test_derivative_bounds_scale_like_ell_power():
-    # sampled sup |D^alpha rho_ell| <= c_{k,n} / ell^{|alpha|}
+    # sampled sup |D^alpha rho_ell| <= c_{k,n} / ell^{|alpha|}, where c_{k,n},
+    # the max over |alpha| <= k+1 of sup |D^alpha rho|, is sampled at ell = 1
+    # as a product of 1D sups over a dense grid of the transition band
     k, n = 2, 2
-    c = derivative_bound_constant(k, n)
+    u = np.linspace(1.0, 2.0, 20001)[:, None]
+    sup = [float(np.max(np.abs(CutoffFamily(1, 1).rho_deriv(u, (j,))))) for j in range(k + 2)]
+    c = max(math.prod(sup[a] for a in alpha) for alpha in multi_indices(n, k + 1))
     rng = np.random.default_rng(1)
     for ell in (1, 2, 5):
         cf = CutoffFamily(n, ell)
@@ -103,11 +108,6 @@ def test_derivative_bounds_scale_like_ell_power():
                 continue
             vals = np.abs(cf.rho_deriv(X, alpha))
             assert np.max(vals) <= c / ell ** sum(alpha) + 1e-12
-
-
-def test_derivative_bound_constant_monotone_in_k():
-    assert derivative_bound_constant(0, 1) <= derivative_bound_constant(1, 1)
-    assert derivative_bound_constant(1, 1) <= derivative_bound_constant(2, 1)
 
 
 def test_rho_deriv_vanishes_on_plateau_and_outside():

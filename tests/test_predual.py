@@ -22,7 +22,6 @@ from ckomega.fields import (
     jet,
     mi_factorial,
     mi_order,
-    mi_sub,
     multi_indices,
 )
 from ckomega.markov import markov_ratio
@@ -51,6 +50,14 @@ K0_MODULI = (
     mo.capped(0.7, 0.5),
     mo.table([(0.5, 0.6), (1.0, 0.9), (3.0, 1.5)]),
 )
+
+
+def mi_sub(alpha, beta):
+    """alpha - beta, or None if beta is not <= alpha componentwise (the
+    reference implementations' own, independent of the library's tables)."""
+    if any(b > a for a, b in zip(alpha, beta)):
+        return None
+    return tuple(a - b for a, b in zip(alpha, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -593,18 +600,20 @@ def _lo_vs_highs(lp):
     return s.optimum, ref.fun if trusted else None
 
 
-@pytest.mark.parametrize("n, k, m", [(2, 2, 6), (1, 2, 8)])
-def test_bracket_lo_degenerate_families_match_highs(n, k, m):
-    # one delta atom of random order per point in [0, 1]^n, omega = t^0.5:
+@pytest.mark.parametrize("n, k, m, low, seeds", [(2, 2, 6, 0, 10), (1, 2, 8, 0, 10), (2, 2, 10, -1, 20)])
+def test_bracket_lo_degenerate_families_match_highs(n, k, m, low, seeds):
+    # one delta atom of random order per point in [low, 1]^n, omega = t^0.5:
     # lo's right-hand side is zero off the atom slots, so almost every pivot
     # is degenerate. Under Bland's rule from an artificial basis 5 of the
-    # n = 2, k = 2 seeds raised (two false UNBOUNDED rays, three cycling
-    # guards) and 1 of the n = 1, k = 2 seeds did.
+    # n = 2, k = 2, m = 6 seeds raised (two false UNBOUNDED rays, three
+    # cycling guards) and 1 of the n = 1, k = 2 seeds did. With Bland's
+    # smallest-basic-index leaving rule after a degenerate streak, seed 1 of
+    # m = 10 (a 60 x 1200 LP) hit the iteration cap after 81,200 pivots.
     pytest.importorskip("scipy")
     ctx, mis = NormContext(k, n, mo.power(0.5)), multi_indices(n, k)
-    for seed in range(10):
+    for seed in range(seeds):
         rng = np.random.default_rng(seed)
-        pts = rng.uniform(0, 1, (m, n))
+        pts = rng.uniform(low, 1, (m, n))
         atoms = [delta(p, mis[rng.integers(len(mis))]) for p in pts]
         got, want = _lo_vs_highs(_lo_lp(functional(atoms, rng.normal(size=m), ctx)))
         assert want is not None, seed
@@ -833,25 +842,39 @@ def _bracket_case(rng, trial):
     return ctx, functional(atoms, rng.normal(size=len(atoms)), ctx)
 
 
-def test_bracket_hi_matches_the_monolithic_min_tv_lp(monkeypatch):
+def test_bracket_hi_matches_the_monolithic_min_tv_lp():
     # hi, summed from per-order transportation problems, against the one
-    # min-total-variation LP over every delta and top-order difference atom.
-    # lo is replaced by an empty LP, so the sweep builds and solves hi alone
-    # (lo has its own sweeps: _lo_sweep and test_bracket_lps_match_taylor_row_loop)
+    # min-total-variation LP over every delta and top-order difference atom,
+    # on the full bracket: lo is solved too and never exceeds hi (every atom
+    # pairs to at most 1 with a field of lambda <= 1)
     rng = np.random.default_rng(2503)
     layouts = collections.Counter()
     cases = [_bracket_case(rng, trial) for trial in range(300)]
     for trial, (ctx, g) in enumerate(cases):
         if ctx.k == 0:
             assert predual_norm_bracket(g)[1] == predual_norm_k0(g), trial
-    monkeypatch.setattr(ckomega.predual, "_lo_lp", lambda g: LinearProgram(np.zeros(0), np.zeros((0, 0)), np.zeros(0)))
     for trial, (ctx, g) in enumerate(cases):
-        hi = _bracket_solutions(g)[1]
+        lo, hi, _ = _bracket_solutions(g)
         assert hi == pytest.approx(solve(_min_tv_lp(g, ctx)).optimum, rel=1e-12), trial
+        assert lo.optimum <= hi + 1e-12 * (1 + hi), trial
         charged = g.lowering[1].any(axis=0)
         top = np.array([mi_order(a) == ctx.k for a in multi_indices(ctx.n, ctx.k)])
         layouts["empty" if not charged.any() else "lower" if not charged[top].any() else "top"] += 1
     assert min(layouts.values()) >= 50, layouts
+
+
+def test_bracket_at_the_cycling_trial_matches_highs():
+    # trial 226 of the hi differential (n = 2, k = 3, m = 5, capped(0.7, 0.5),
+    # a 50 x 500 lo LP): Bland's smallest-basic-index leaving rule took
+    # pivots down to 9e-9 there and hit the iteration cap after 38,000
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(2503)
+    ctx, g = [_bracket_case(rng, trial) for trial in range(227)][-1]
+    lo, hi = predual_norm_bracket(g, ctx)
+    got, want = _lo_vs_highs(_lo_lp(g))
+    assert lo == got and want is not None
+    assert lo == pytest.approx(want, rel=1e-9)
+    assert lo <= hi
 
 
 def test_bracket_rejects_a_table_breaking_the_axioms_before_solving(monkeypatch):

@@ -379,10 +379,11 @@ def test_degenerate_lps_match_highs():
 
 @pytest.mark.parametrize("stall", [0, 10**9], ids=["bland", "dantzig"])
 def test_both_pricing_rules_reach_the_default_optima(stall, monkeypatch):
-    # Bland's rule from the first pivot (stall 0) and Dantzig's with no
-    # fallback. Dantzig's rule alone cycles on some of the Beale LPs, the
-    # textbook case; at the default setting those reach the fallback after
-    # a degenerate streak, and the fallback solves them
+    # Bland's entering rule from the first pivot (stall 0; the exit is the
+    # largest-pivot ratio test either way) and Dantzig's with no fallback.
+    # Dantzig's rule alone cycles on some of the Beale LPs, the textbook
+    # case; at the default setting those reach the fallback after a
+    # degenerate streak, and the fallback solves them
     cases = [(kind, LinearProgram(c, A, b)) for kind, c, A, b in _degenerate_suite()]
     rng = np.random.default_rng(2024)
     for _ in range(120):

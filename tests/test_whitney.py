@@ -27,7 +27,6 @@ from ckomega.fields import (
     jet,
     mi_factorial,
     mi_order,
-    mi_sub,
     multi_indices,
 )
 from ckomega.jackson import error_report, finite_rank_LNN, periodize, periodized_derivative, smooth_EN
@@ -43,6 +42,14 @@ from ckomega.whitney import (
 
 MODULI = (mo.linear(), mo.power(0.5), mo.capped(0.7, 0.8),
           mo.table([(0.1, 0.2), (0.5, 0.6), (2.0, 1.5)]))
+
+
+def mi_sub(alpha, beta):
+    """alpha - beta, or None if beta is not <= alpha componentwise (the
+    reference implementations' own, independent of the library's tables)."""
+    if any(b > a for a, b in zip(alpha, beta)):
+        return None
+    return tuple(a - b for a, b in zip(alpha, beta))
 
 
 def random_field(rng, k, n, m, spread=1.0):
@@ -747,10 +754,15 @@ def _sin(Y):
     lambda: NormContext(0.0, 1, mo.linear()),
     lambda: NormContext(1.5, 1, mo.linear()),
     lambda: NormContext(0, 1.0, mo.linear()),
+    lambda: NormContext(True, 1, mo.linear()),
+    lambda: NormContext(0, True, mo.linear()),
+    lambda: multi_indices(True, 1),
     lambda: WhitneyField([[0.0]], [[1.0]], 0.0, 1),
     lambda: WhitneyField([[0.0]], [[1.0]], 0, 1.0),
     lambda: Jet((0.0,), (1.0,), 0.0),
     lambda: jet([0.0], [1.0, 2.0], 1.5),
+    lambda: jet([0.0], [1.0, 2.0], True),
+    lambda: WhitneyField([[0.0]], [[1.0, 2.0]], True, 1),
     lambda: CutoffFamily(1, 2.5),
     lambda: CutoffFamily(1.0, 2),
     lambda: periodize(_sin, 2.5, [[0.1]]),
@@ -763,9 +775,9 @@ def _sin(Y):
     lambda: probe([0.0], 1.0, -1, [[0.0]]),
 ])
 def test_integer_parameters_rejected_unless_integers(call):
-    # k, n, ell and the Markov order are counts: a float, even 0.0, is an
-    # input error where it enters, not a TypeError deep inside or a silent
-    # truncation
+    # k, n, ell and the Markov order are counts: a float, even 0.0, or a
+    # bool (an int subclass, as JSON's true becomes) is an input error where
+    # it enters, not a TypeError deep inside or a silent truncation
     with pytest.raises(InputError, match="must be an integer"):
         call()
 
@@ -780,11 +792,13 @@ def _zero_derivs(alpha, X):
     lambda: periodized_derivative(_zero_derivs, 8, (0.9,), [[0.3]]),
     lambda: finite_rank_LNN(_zero_derivs, 8, [[0.3]], (0.9,)),
     lambda: CutoffFamily(1, 8).rho_deriv([[0.3]], (0.9,)),
+    lambda: taylor_eval(jet([0.0], [1.0, 2.0], 1), (True,), [0.5]),
+    lambda: delta([0.0], [True]),
 ], ids=["taylor_eval", "faa_di_bruno_pullback", "periodized_derivative", "finite_rank_LNN",
-        "rho_deriv"])
+        "rho_deriv", "taylor_eval_bool", "delta_bool"])
 def test_multi_index_entries_rejected_unless_integers(call):
     # a multi-index entry of 0.9 is an input error, not the derivative of
-    # order 0 that int() truncation made of it
+    # order 0 that int() truncation made of it; True is not order 1
     with pytest.raises(InputError, match="entry of the integer alpha list"):
         call()
 
