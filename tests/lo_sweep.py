@@ -70,11 +70,10 @@ def main():
         with open(args.against) as fh:
             old = [json.loads(line) for line in fh]
     records, moves = [], []
-    for case in lo_sweep(args.seed, args.trials):
-        records.append(record(*case))
-        was, now = old[case[0]] if case[0] < len(old) else None, records[-1]
-        if was is not None and was != now:
-            moves.append(move(was, now, case[-1]))
+    for trial, n, k, m, lp in lo_sweep(args.seed, args.trials):
+        records.append(record(trial, n, k, m, lp))
+        if trial < len(old) and old[trial] != records[-1]:
+            moves.append(move(old[trial], records[-1], lp))
     with open(args.out, "w") as fh:
         fh.writelines(json.dumps(r) + "\n" for r in records)
     print(dict(collections.Counter(r["status"] for r in records)),
